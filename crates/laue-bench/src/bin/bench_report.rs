@@ -223,13 +223,16 @@ fn main() {
     // at its first slab boundary — survivors absorb the rows, same bits.
     // Small slabs so even the quick workload gives every device several
     // launches (the scripted death needs a second one to trip at).
-    let fleet = Engine::GpuMulti { devices: 4 };
+    let fleet = Engine::GpuCluster {
+        nodes: 1,
+        devices_per_node: 4,
+    };
     let mut fleet_cfg = standard_config();
     fleet_cfg.rows_per_slab = Some(if quick { 4 } else { 8 });
     let mut source = w.source();
     let clean_fleet = Pipeline::default()
         .run_source(&mut source, &w.scan.geometry, &fleet_cfg, fleet)
-        .expect("gpu-multi run");
+        .expect("gpu-cluster:1x4 run");
     let faulty = Pipeline {
         fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(1)),
         fault_device: Some(1),
@@ -238,7 +241,7 @@ fn main() {
     let mut source = w.source();
     let degraded_fleet = faulty
         .run_source(&mut source, &w.scan.geometry, &fleet_cfg, fleet)
-        .expect("gpu-multi failover run");
+        .expect("gpu-cluster:1x4 failover run");
     assert_eq!(
         clean_fleet.image.data, degraded_fleet.image.data,
         "failover must be bit-identical"

@@ -53,7 +53,7 @@ use crate::cache::{DepthTableCache, TableCacheStats};
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
-use crate::gpu::{GpuOptions, PipelineDepth, RecoveryLog};
+use crate::gpu::{BandTally, GpuOptions, PipelineDepth, RecoveryLog};
 use crate::input::SlabSource;
 use crate::integrity::IntegrityReport;
 use crate::journal::{RunJournal, SlabProgress};
@@ -204,6 +204,13 @@ pub struct ClusterReconstruction {
     pub host_table_time_s: f64,
     /// Committed slabs (replayed + fresh).
     pub n_slabs: usize,
+    /// Widest slab any device ran, in rows (0 when every slab was
+    /// replayed from the journal).
+    pub rows_per_slab: usize,
+    /// Deepest ring any device finished with (memory pressure may have
+    /// shrunk it below the requested depth; the requested depth when no
+    /// slab ran).
+    pub pipeline_depth: usize,
     /// Per-slab achieved densities in commit order across the cluster.
     pub slab_densities: Vec<f64>,
     /// Per-slab privatized-accumulation flags in commit order.
@@ -322,8 +329,10 @@ fn schedule_reduction(
     sched
 }
 
-/// The cluster scheduler: node-level round-based failover around
-/// [`reconstruct_multi_scoped`], then the inter-node reduction.
+/// The cluster scheduler — the one GPU driver every pipeline engine runs
+/// on (a single device is a `1 × 1` cluster): node-level round-based
+/// failover around the per-chassis fleet scheduler
+/// (`multi::reconstruct_multi_scoped`), then the inter-node reduction.
 ///
 /// `nodes[i]` holds node `i`'s devices (attached to that node's
 /// [`cuda_sim::Host`]); `net` is the fabric linking them, which must span
@@ -336,6 +345,10 @@ fn schedule_reduction(
 /// with a GPU-class error — i.e. its last device died; zero surviving
 /// nodes surfaces the error for CPU salvage, exactly like the fleet
 /// engine one level down.
+///
+/// On success the finished image moves out of `progress` into the result
+/// (no copy); on error `progress` keeps every committed slab for resume or
+/// salvage.
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_cluster_checkpointed(
     nodes: &[Vec<&Device>],
@@ -380,10 +393,8 @@ pub fn reconstruct_cluster_checkpointed(
             ..NodeOutcome::default()
         })
         .collect();
-    let mut recovery = RecoveryLog::default();
-    let mut table_cache = TableCacheStats::default();
-    let mut slab_densities = Vec::new();
-    let mut slab_privatized = Vec::new();
+    // Everything but integrity, which is attributed per node below.
+    let mut bands = BandTally::default();
     let mut nodes_lost = 0u32;
     let mut last_gpu_err: Option<CoreError> = None;
 
@@ -431,17 +442,12 @@ pub fn reconstruct_cluster_checkpointed(
             let out = &mut outcomes[ni];
             out.rows += progress.committed_rows() - before;
             match attempt {
-                Ok(mr) => {
-                    out.devices = mr.per_device.len();
-                    out.elapsed_s = mr.elapsed_s;
-                    out.bus_wait_s = mr.per_device.iter().map(|m| m.bus_wait_s).sum();
-                    out.devices_lost += mr.devices_lost;
-                    out.integrity.merge(&mr.integrity);
-                    recovery.replans += mr.recovery.replans;
-                    recovery.transfer_retries += mr.recovery.transfer_retries;
-                    table_cache.merge(&mr.table_cache);
-                    slab_densities.extend(mr.slab_densities);
-                    slab_privatized.extend(mr.slab_privatized);
+                Ok(mut fleet) => {
+                    out.elapsed_s = fleet.elapsed_s;
+                    out.devices_lost += fleet.devices_lost;
+                    out.integrity
+                        .merge(&std::mem::take(&mut fleet.bands.integrity));
+                    bands.merge(fleet.bands);
                 }
                 Err(e) if e.is_gpu_failure() => {
                     // The node's last device is gone. The chassis (NIC,
@@ -532,7 +538,8 @@ pub fn reconstruct_cluster_checkpointed(
 
     let elapsed_s = compute_s.max(sched.last_arrival_s);
     Ok(ClusterReconstruction {
-        image: progress.image.clone(),
+        // The run is complete: the image moves out of `progress`.
+        image: std::mem::take(&mut progress.image),
         stats: progress.stats,
         nodes: outcomes,
         elapsed_s,
@@ -543,12 +550,16 @@ pub fn reconstruct_cluster_checkpointed(
         net_messages: sched.messages,
         nodes_lost,
         devices_lost,
-        recovery,
-        table_cache,
+        recovery: bands.recovery,
+        table_cache: bands.table_cache,
         host_table_time_s,
         n_slabs: progress.committed_slabs(),
-        slab_densities,
-        slab_privatized,
+        rows_per_slab: bands.rows_per_slab,
+        pipeline_depth: bands
+            .depth_used
+            .unwrap_or(cfg.pipeline_depth.unwrap_or(depth.0)),
+        slab_densities: bands.slab_densities,
+        slab_privatized: bands.slab_privatized,
         integrity,
         per_device,
         options: copts,

@@ -2292,88 +2292,69 @@ pub fn reconstruct_pipelined(
     })
 }
 
-/// As [`reconstruct_pipelined`], but checkpoint-aware: the run starts from
-/// `progress` (fresh, or replayed from a [`RunJournal`]) and processes only
-/// the rows not yet committed. Each slab commit is appended to `journal`
-/// (when given) *before* the ring moves on, so after any interruption —
-/// process kill, injected [`cuda_sim::SimError::DeviceLost`] — the journal
-/// plus `progress` hold every completed slab and the caller can resume or
-/// salvage. On error, `progress` retains all committed state.
-///
-/// Because slab downloads assign rows exclusively and the engines are
-/// chunking-invariant, a resumed run is bit-identical to an uninterrupted
-/// one regardless of where the cut fell or what slab plan the resume uses.
-#[allow(clippy::too_many_arguments)]
-pub fn reconstruct_checkpointed(
-    device: &Device,
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
-    progress: &mut SlabProgress,
-    journal: Option<&mut RunJournal>,
-) -> Result<GpuReconstruction> {
-    reconstruct_checkpointed_bounded(
-        device,
-        source,
-        geom,
-        cfg,
-        opts,
-        depth,
-        cache,
-        progress,
-        journal,
-        usize::MAX,
-    )
-    .map(|(out, _)| out)
+/// What [`run_bands`] accumulated over every band it ran: the recovery and
+/// cache counters, the per-slab attributions in commit order, and the slab
+/// plan that actually executed.
+#[derive(Debug, Default)]
+pub(crate) struct BandTally {
+    pub(crate) recovery: RecoveryLog,
+    pub(crate) table_cache: TableCacheStats,
+    pub(crate) host_table_flops: u64,
+    /// Widest slab any band ran (0 when no band ran).
+    pub(crate) rows_per_slab: usize,
+    /// Deepest ring any band finished with (`None` when no band ran).
+    pub(crate) depth_used: Option<usize>,
+    pub(crate) slab_densities: Vec<f64>,
+    pub(crate) slab_privatized: Vec<bool>,
+    pub(crate) integrity: IntegrityReport,
 }
 
-/// As [`reconstruct_checkpointed`], but processes at most `max_rows`
-/// fresh (uncommitted) rows before returning — the preemption quantum the
-/// serve scheduler runs long jobs in. The second return value is `true`
-/// when the whole detector is now committed; `false` means the job was
-/// paused at a slab boundary and can be resumed — on this device or any
-/// other — by calling again with the same `progress`/`journal` (chunking
-/// invariance makes the eventual output bit-identical no matter where the
-/// quantum cuts fell or which device ran which quantum).
+impl BandTally {
+    /// Fold another tally in, as if its bands had run after this one's.
+    pub(crate) fn merge(&mut self, other: BandTally) {
+        self.recovery.replans += other.recovery.replans;
+        self.recovery.transfer_retries += other.recovery.transfer_retries;
+        self.table_cache.merge(&other.table_cache);
+        self.host_table_flops += other.host_table_flops;
+        self.rows_per_slab = self.rows_per_slab.max(other.rows_per_slab);
+        self.depth_used = self.depth_used.max(other.depth_used);
+        self.slab_densities.extend(other.slab_densities);
+        self.slab_privatized.extend(other.slab_privatized);
+        self.integrity.merge(&other.integrity);
+    }
+}
+
+/// The checkpointing band loop every resumable driver shares: run the ring
+/// over each of `bands` on `device`, committing slab by slab into
+/// `progress` and appending every commit (and every scrub poison) to
+/// `journal` before the ring moves on. `on_commit` (when given) observes
+/// each fresh commit as `(row0, rows, at_s)`, where `at_s` is the device's
+/// virtual elapsed time read *without* synchronizing — a synchronize()
+/// would join the stream cursors and perturb the ring schedule.
+///
+/// Stops at the first failing band; everything committed before it stays
+/// in `progress` (and the journal), and `tally` keeps the counters of the
+/// bands that completed.
 #[allow(clippy::too_many_arguments)]
-pub fn reconstruct_checkpointed_bounded(
+pub(crate) fn run_bands(
     device: &Device,
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
+    mapper: &DepthMapper,
     cfg: &ReconstructionConfig,
     opts: GpuOptions,
     depth: PipelineDepth,
     cache: Option<&DepthTableCache>,
+    bands: &[Range<usize>],
     progress: &mut SlabProgress,
     mut journal: Option<&mut RunJournal>,
-    max_rows: usize,
-) -> Result<(GpuReconstruction, bool)> {
-    validate_inputs(source, geom, cfg)?;
-    let mapper = geom.mapper()?;
-    let n_rows = source.n_rows();
-    let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
-
-    device.reset_meters();
-    let mut recovery = RecoveryLog::default();
-    let mut rows_per_slab = 0usize;
-    let mut host_table_flops = 0u64;
-    let mut depth_used = depth.0;
-    let mut cache_stats = TableCacheStats::default();
-    let mut slab_densities = Vec::new();
-    let mut slab_privatized = Vec::new();
-    let mut integrity = IntegrityReport::default();
-    let mut quantum = max_rows;
-    for band in progress.uncovered(0..n_rows) {
-        if quantum == 0 {
-            break;
-        }
-        let band = band.start..band.end.min(band.start.saturating_add(quantum));
-        quantum -= band.len();
+    mut on_commit: Option<&mut dyn FnMut(usize, usize, f64)>,
+    tally: &mut BandTally,
+) -> Result<()> {
+    for band in bands {
         let (image, mut tracker) = progress.split_mut();
         let mut journal = journal.as_deref_mut();
+        let mut observer = on_commit.as_deref_mut();
         let mut sink = |event: SlabEvent<'_>| match event {
             SlabEvent::Commit {
                 row0,
@@ -2385,6 +2366,9 @@ pub fn reconstruct_checkpointed_bounded(
                     j.append(row0, rows, stats, data)?;
                 }
                 tracker.record(row0, rows, stats);
+                if let Some(obs) = observer.as_mut() {
+                    obs(row0, rows, device.elapsed_s());
+                }
                 Ok(())
             }
             // Durable quarantine before scrub re-executes: a crash between
@@ -2401,26 +2385,77 @@ pub fn reconstruct_checkpointed_bounded(
             device,
             source,
             geom,
-            &mapper,
+            mapper,
             cfg,
             opts,
             depth,
             cache,
-            band,
+            band.clone(),
             image,
-            &mut recovery,
+            &mut tally.recovery,
             Some(&mut sink),
         )?;
-        rows_per_slab = outcome.rows_per_slab;
-        host_table_flops += outcome.host_table_flops;
-        depth_used = outcome.depth_used;
-        cache_stats.merge(&outcome.cache_stats);
-        slab_densities.extend(outcome.slab_densities);
-        slab_privatized.extend(outcome.slab_privatized);
-        integrity.merge(&outcome.integrity);
+        tally.rows_per_slab = tally.rows_per_slab.max(outcome.rows_per_slab);
+        tally.depth_used = tally.depth_used.max(Some(outcome.depth_used));
+        tally.host_table_flops += outcome.host_table_flops;
+        tally.table_cache.merge(&outcome.cache_stats);
+        tally.slab_densities.extend(outcome.slab_densities);
+        tally.slab_privatized.extend(outcome.slab_privatized);
+        tally.integrity.merge(&outcome.integrity);
     }
-    // Counts every committed slab, replayed and fresh alike.
-    let n_slabs = progress.committed_slabs();
+    Ok(())
+}
+
+/// Checkpoint-aware, quantum-bounded single-device run — the driver the
+/// serve scheduler runs long jobs in. The run starts from `progress`
+/// (fresh, or replayed from a [`RunJournal`]) and processes at most
+/// `max_rows` fresh (uncommitted) rows before returning; each slab commit
+/// is appended to `journal` (when given) before the ring moves on. On
+/// error, `progress` retains all committed state.
+///
+/// The second return value is `true` when the whole detector is now
+/// committed; `false` means the job was paused at a slab boundary and can
+/// be resumed — on this device or any other — by calling again with the
+/// same `progress`/`journal`. Because slab downloads assign rows
+/// exclusively and the engines are chunking-invariant, the eventual output
+/// is bit-identical no matter where the quantum cuts (or an interruption)
+/// fell or which device ran which quantum.
+#[allow(clippy::too_many_arguments)]
+pub fn reconstruct_checkpointed_bounded(
+    device: &Device,
+    source: &mut dyn SlabSource,
+    geom: &ScanGeometry,
+    cfg: &ReconstructionConfig,
+    opts: GpuOptions,
+    depth: PipelineDepth,
+    cache: Option<&DepthTableCache>,
+    progress: &mut SlabProgress,
+    journal: Option<&mut RunJournal>,
+    max_rows: usize,
+) -> Result<(GpuReconstruction, bool)> {
+    validate_inputs(source, geom, cfg)?;
+    let mapper = geom.mapper()?;
+    let n_rows = source.n_rows();
+    let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
+
+    device.reset_meters();
+    let mut quantum = max_rows;
+    let bands: Vec<Range<usize>> = progress
+        .uncovered(0..n_rows)
+        .into_iter()
+        .map_while(|band| {
+            (quantum > 0).then(|| {
+                let band = band.start..band.end.min(band.start.saturating_add(quantum));
+                quantum -= band.len();
+                band
+            })
+        })
+        .collect();
+    let mut tally = BandTally::default();
+    run_bands(
+        device, source, geom, &mapper, cfg, opts, depth, cache, &bands, progress, journal, None,
+        &mut tally,
+    )?;
 
     let elapsed_s = device.synchronize();
     let complete = progress.is_complete(0..n_rows);
@@ -2429,18 +2464,19 @@ pub fn reconstruct_checkpointed_bounded(
             image: progress.image.clone(),
             stats: progress.stats,
             meters: device.meters(),
-            rows_per_slab,
-            n_slabs,
+            rows_per_slab: tally.rows_per_slab,
+            // Counts every committed slab, replayed and fresh alike.
+            n_slabs: progress.committed_slabs(),
             elapsed_s,
             peak_device_mem: device.mem_peak(),
-            host_table_flops,
+            host_table_flops: tally.host_table_flops,
             host_table_time_s: device.host_flops_time_s(),
-            recovery,
-            pipeline_depth: depth_used,
-            table_cache: cache_stats,
-            slab_densities,
-            slab_privatized,
-            integrity,
+            recovery: tally.recovery,
+            pipeline_depth: tally.depth_used.unwrap_or(depth.0),
+            table_cache: tally.table_cache,
+            slab_densities: tally.slab_densities,
+            slab_privatized: tally.slab_privatized,
+            integrity: tally.integrity,
         },
         complete,
     ))
@@ -3164,7 +3200,7 @@ mod tests {
 
         let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct_checkpointed(
+        let out = reconstruct_checkpointed_bounded(
             &device,
             &mut source,
             &geom,
@@ -3174,8 +3210,10 @@ mod tests {
             None,
             &mut progress,
             None,
+            usize::MAX,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.image.data, baseline.image.data);
         assert_eq!(out.stats, baseline.stats);
         assert_eq!(out.n_slabs, baseline.n_slabs);
@@ -3212,7 +3250,7 @@ mod tests {
             assert!(replayed.is_empty());
             let mut progress = SlabProgress::new(dims.0, dims.1, dims.2);
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let err = reconstruct_checkpointed(
+            let err = reconstruct_checkpointed_bounded(
                 &dying,
                 &mut source,
                 &geom,
@@ -3222,6 +3260,7 @@ mod tests {
                 None,
                 &mut progress,
                 Some(&mut journal),
+                usize::MAX,
             )
             .unwrap_err();
             assert!(err.is_gpu_failure(), "{err}");
@@ -3234,7 +3273,7 @@ mod tests {
             assert_eq!(replayed.len(), lost_after as usize, "replay commits");
             let mut progress = SlabProgress::replay(dims.0, dims.1, dims.2, &replayed).unwrap();
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let out = reconstruct_checkpointed(
+            let out = reconstruct_checkpointed_bounded(
                 &clean,
                 &mut source,
                 &geom,
@@ -3244,8 +3283,10 @@ mod tests {
                 None,
                 &mut progress,
                 Some(&mut journal),
+                usize::MAX,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(
                 out.image.data, baseline.image.data,
                 "kill after slab {lost_after}: resume must be bit-identical"
@@ -3510,7 +3551,7 @@ mod tests {
         let device = big_device();
         let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct_checkpointed(
+        let out = reconstruct_checkpointed_bounded(
             &device,
             &mut source,
             &geom,
@@ -3520,8 +3561,10 @@ mod tests {
             None,
             &mut progress,
             None,
+            usize::MAX,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(dense.image.data, out.image.data);
         assert_eq!(out.slab_densities.len(), out.n_slabs);
         let mut neutral = out.stats;
@@ -3725,7 +3768,7 @@ mod tests {
         let device = big_device();
         let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct_checkpointed(
+        let out = reconstruct_checkpointed_bounded(
             &device,
             &mut source,
             &geom,
@@ -3735,8 +3778,10 @@ mod tests {
             None,
             &mut progress,
             None,
+            usize::MAX,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(atomic.image.data, out.image.data);
         assert_eq!(out.slab_privatized.len(), out.n_slabs);
         assert!(out.slab_privatized.iter().all(|p| *p));

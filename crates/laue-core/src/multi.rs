@@ -23,7 +23,7 @@ use crate::cache::{DepthTableCache, TableCacheStats};
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
-use crate::gpu::{run_ring, validate_inputs, GpuOptions, PipelineDepth, RecoveryLog, SlabEvent};
+use crate::gpu::{run_bands, validate_inputs, BandTally, GpuOptions, PipelineDepth, RecoveryLog};
 use crate::input::SlabSource;
 use crate::integrity::IntegrityReport;
 use crate::journal::{RunJournal, SlabProgress};
@@ -59,6 +59,11 @@ pub struct MultiGpuReconstruction {
     pub devices_lost: u32,
     /// Total committed slabs (replayed + fresh, over all devices).
     pub n_slabs: usize,
+    /// Widest slab any device ran, in rows.
+    pub rows_per_slab: usize,
+    /// Deepest ring any device finished with (memory pressure may have
+    /// shrunk it below the requested depth).
+    pub pipeline_depth: usize,
     /// Achieved active-pair density per slab, in commit order across the
     /// fleet (empty when compaction is off).
     pub slab_densities: Vec<f64>,
@@ -70,6 +75,24 @@ pub struct MultiGpuReconstruction {
     /// Integrity checks, detections, and corrections, merged over all
     /// devices (all zeros when `--integrity off`).
     pub integrity: IntegrityReport,
+}
+
+/// One [`reconstruct_multi_scoped`] call's accounting. The image and pair
+/// counters it produced live in the caller's [`SlabProgress`].
+#[derive(Debug)]
+pub(crate) struct FleetRun {
+    /// Per-device meters, in device order (participating devices only).
+    pub(crate) per_device: Vec<Meters>,
+    /// Rows committed by each participating device.
+    pub(crate) rows_per_device: Vec<usize>,
+    /// Virtual makespan: the slowest participating device's elapsed time.
+    pub(crate) elapsed_s: f64,
+    /// Host-CPU table seconds summed over participating devices.
+    pub(crate) host_table_time_s: f64,
+    /// Devices that died mid-call.
+    pub(crate) devices_lost: u32,
+    /// Everything the devices' band loops accumulated, in commit order.
+    pub(crate) bands: BandTally,
 }
 
 /// Split `n_rows` into `n` contiguous bands, remainder spread to the front.
@@ -96,7 +119,11 @@ pub fn reconstruct_multi(
     cfg: &ReconstructionConfig,
     opts: GpuOptions,
 ) -> Result<MultiGpuReconstruction> {
-    reconstruct_multi_pipelined(
+    let mut progress = SlabProgress::new(cfg.n_depth_bins, source.n_rows(), source.n_cols());
+    // One scope range covering the whole detector (not a range of scopes,
+    // which is what clippy's single_range_in_vec_init guards against).
+    let scope = std::array::from_fn::<_, 1, _>(|_| 0..source.n_rows());
+    let run = reconstruct_multi_scoped(
         devices,
         source,
         geom,
@@ -104,37 +131,32 @@ pub fn reconstruct_multi(
         opts,
         PipelineDepth::SERIAL,
         None,
-    )
-}
-
-/// As [`reconstruct_multi`], with a configurable ring depth per device and
-/// an optional shared depth-table cache.
-/// [`ReconstructionConfig::pipeline_depth`] overrides `depth` when set.
-pub fn reconstruct_multi_pipelined(
-    devices: &[&Device],
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
-) -> Result<MultiGpuReconstruction> {
-    if devices.is_empty() {
-        return Err(CoreError::InvalidConfig("need at least one device".into()));
-    }
-    validate_inputs(source, geom, cfg)?;
-    let mut progress = SlabProgress::new(cfg.n_depth_bins, source.n_rows(), source.n_cols());
-    reconstruct_multi_checkpointed(
-        devices,
-        source,
-        geom,
-        cfg,
-        opts,
-        depth,
-        cache,
+        &scope,
         &mut progress,
         None,
-    )
+        None,
+        true,
+    )?;
+    Ok(MultiGpuReconstruction {
+        n_slabs: progress.committed_slabs(),
+        image: progress.image,
+        stats: progress.stats,
+        per_device: run.per_device,
+        rows_per_device: run.rows_per_device,
+        elapsed_s: run.elapsed_s,
+        host_table_time_s: run.host_table_time_s,
+        recovery: run.bands.recovery,
+        table_cache: run.bands.table_cache,
+        devices_lost: run.devices_lost,
+        rows_per_slab: run.bands.rows_per_slab,
+        pipeline_depth: run
+            .bands
+            .depth_used
+            .unwrap_or(cfg.pipeline_depth.unwrap_or(1)),
+        slab_densities: run.bands.slab_densities,
+        slab_privatized: run.bands.slab_privatized,
+        integrity: run.bands.integrity,
+    })
 }
 
 /// Split a set of disjoint, row-ordered uncovered ranges over `n` workers.
@@ -169,54 +191,32 @@ pub(crate) fn partition_ranges(
     out
 }
 
-/// The failover-aware fleet scheduler behind every multi-GPU entry point.
+/// The failover-aware fleet scheduler: the workhorse behind
+/// [`reconstruct_multi`] and the per-node bands of `cluster`. Only rows
+/// inside `scope` (disjoint, row-ordered ranges) are considered.
 ///
-/// Work proceeds in rounds: the rows still uncovered by `progress` are
-/// re-banded over the devices currently alive ([`partition_ranges`], which
-/// degenerates to the classic static banding on a fresh run), and each
-/// device runs the k-deep ring over its share, committing slab-by-slab
-/// into `progress` (and `journal`, when given). A device that fails with a
-/// GPU-class error ([`CoreError::is_gpu_failure`]) is marked dead and the
-/// round continues; its unfinished rows are simply still uncovered next
-/// round and flow to the survivors. Only when *zero* devices remain does
-/// the last device error surface — that is the caller's cue for CPU
-/// fallback, with everything the fleet did commit salvageable from
+/// Work proceeds in rounds: the rows of `scope` still uncovered by
+/// `progress` are re-banded over the devices currently alive
+/// ([`partition_ranges`], which degenerates to the classic static banding
+/// on a fresh run), and each device runs the shared checkpointing band loop
+/// ([`run_bands`]) over its share, committing slab-by-slab into `progress`
+/// (and `journal`, when given). A device that fails with a GPU-class error
+/// ([`CoreError::is_gpu_failure`]) is marked dead and the round continues;
+/// its unfinished rows are simply still uncovered next round and flow to
+/// the survivors. Only when *zero* devices remain does the last device
+/// error surface — that is the caller's cue for failover one level up or
+/// CPU fallback, with everything the fleet did commit salvageable from
 /// `progress`.
-#[allow(clippy::too_many_arguments)]
-pub fn reconstruct_multi_checkpointed(
-    devices: &[&Device],
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
-    progress: &mut SlabProgress,
-    journal: Option<&mut RunJournal>,
-) -> Result<MultiGpuReconstruction> {
-    // One scope range covering the whole detector (not a range of scopes,
-    // which is what clippy's single_range_in_vec_init guards against).
-    let scope = std::array::from_fn::<_, 1, _>(|_| 0..source.n_rows());
-    reconstruct_multi_scoped(
-        devices, source, geom, cfg, opts, depth, cache, &scope, progress, journal, None, true,
-    )
-}
-
-/// Scope-restricted fleet run: the workhorse behind both the whole-detector
-/// entry point above and the per-node bands of `cluster`. Only rows inside
-/// `scope` (disjoint, row-ordered ranges) are considered uncovered; the
-/// round-based failover loop is otherwise identical.
 ///
-/// `on_commit` (when given) observes every fresh slab commit as
-/// `(row0, rows, at_s)`, where `at_s` is the committing device's virtual
-/// elapsed time read *without* synchronizing — the cluster layer uses it to
-/// release reduction segments into the interconnect while the rest of the
-/// band is still computing. `fresh_meters` controls whether a device's
-/// meters reset on its first participation in *this call*: a cluster
-/// failover round re-enters a node whose devices must keep accumulating
-/// virtual time, so it passes `false` after the node's first round.
+/// `on_commit` observes every fresh slab commit (see [`run_bands`]); the
+/// cluster layer uses it to release reduction segments into the
+/// interconnect while the rest of the band is still computing.
+/// `fresh_meters` controls whether a device's meters reset on its first
+/// participation in *this call*: a cluster failover round re-enters a node
+/// whose devices must keep accumulating virtual time, so it passes `false`
+/// after the node's first round.
 #[allow(clippy::too_many_arguments)]
-pub fn reconstruct_multi_scoped(
+pub(crate) fn reconstruct_multi_scoped(
     devices: &[&Device],
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
@@ -229,7 +229,7 @@ pub fn reconstruct_multi_scoped(
     mut journal: Option<&mut RunJournal>,
     mut on_commit: Option<&mut dyn FnMut(usize, usize, f64)>,
     fresh_meters: bool,
-) -> Result<MultiGpuReconstruction> {
+) -> Result<FleetRun> {
     if devices.is_empty() {
         return Err(CoreError::InvalidConfig("need at least one device".into()));
     }
@@ -237,11 +237,7 @@ pub fn reconstruct_multi_scoped(
     let mapper = geom.mapper()?;
     let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
 
-    let mut recovery = RecoveryLog::default();
-    let mut table_cache = TableCacheStats::default();
-    let mut slab_densities = Vec::new();
-    let mut slab_privatized = Vec::new();
-    let mut integrity = IntegrityReport::default();
+    let mut bands = BandTally::default();
     let mut devices_lost = 0u32;
     let mut alive: Vec<bool> = devices.iter().map(|d| !d.is_lost()).collect();
     let mut participated: Vec<bool> = vec![false; devices.len()];
@@ -273,73 +269,37 @@ pub fn reconstruct_multi_scoped(
                 }
                 participated[di] = true;
             }
-            for band in ranges {
-                let before = progress.committed_rows();
-                let (image, mut tracker) = progress.split_mut();
-                let mut journal = journal.as_deref_mut();
-                let mut observer = on_commit.as_deref_mut();
-                let mut sink = |event: SlabEvent<'_>| match event {
-                    SlabEvent::Commit {
-                        row0,
-                        rows,
-                        stats,
-                        data,
-                    } => {
-                        if let Some(j) = journal.as_mut() {
-                            j.append(row0, rows, stats, data)?;
-                        }
-                        tracker.record(row0, rows, stats);
-                        if let Some(obs) = observer.as_mut() {
-                            // The device's non-mutating makespan read: when
-                            // this slab's download has been scheduled. A
-                            // synchronize() here would join stream cursors
-                            // and perturb the ring schedule.
-                            obs(row0, rows, device.elapsed_s());
-                        }
-                        Ok(())
-                    }
-                    SlabEvent::Poison { row0, rows } => {
-                        if let Some(j) = journal.as_mut() {
-                            j.append_poison(row0, rows)?;
-                        }
-                        Ok(())
-                    }
-                };
-                let attempt = run_ring(
-                    device,
-                    source,
-                    geom,
-                    &mapper,
-                    cfg,
-                    opts,
-                    depth,
-                    cache,
-                    band.clone(),
-                    image,
-                    &mut recovery,
-                    Some(&mut sink),
-                );
-                rows_done[di] += progress.committed_rows() - before;
-                match attempt {
-                    Ok(outcome) => {
-                        table_cache.merge(&outcome.cache_stats);
-                        slab_densities.extend(outcome.slab_densities);
-                        slab_privatized.extend(outcome.slab_privatized);
-                        integrity.merge(&outcome.integrity);
-                    }
-                    Err(e) if e.is_gpu_failure() => {
-                        // The device is gone (or hopeless): drain it from
-                        // the fleet. Whatever it committed before dying is
-                        // already in `progress`; the rest of its rows stay
-                        // uncovered and re-band onto the survivors next
-                        // round.
-                        alive[di] = false;
-                        devices_lost += 1;
-                        last_gpu_err = Some(e);
-                        break;
-                    }
-                    Err(e) => return Err(e),
+            let before = progress.committed_rows();
+            let attempt = run_bands(
+                device,
+                source,
+                geom,
+                &mapper,
+                cfg,
+                opts,
+                depth,
+                cache,
+                ranges,
+                progress,
+                journal.as_deref_mut(),
+                on_commit
+                    .as_mut()
+                    .map(|f| &mut **f as &mut dyn FnMut(usize, usize, f64)),
+                &mut bands,
+            );
+            rows_done[di] += progress.committed_rows() - before;
+            match attempt {
+                Ok(()) => {}
+                Err(e) if e.is_gpu_failure() => {
+                    // The device is gone (or hopeless): drain it from the
+                    // fleet. Whatever it committed before dying is already
+                    // in `progress`; the rest of its rows stay uncovered
+                    // and re-band onto the survivors next round.
+                    alive[di] = false;
+                    devices_lost += 1;
+                    last_gpu_err = Some(e);
                 }
+                Err(e) => return Err(e),
             }
         }
     }
@@ -357,20 +317,13 @@ pub fn reconstruct_multi_scoped(
         }
     }
 
-    Ok(MultiGpuReconstruction {
-        image: progress.image.clone(),
-        stats: progress.stats,
+    Ok(FleetRun {
         per_device,
         rows_per_device,
         elapsed_s,
         host_table_time_s,
-        recovery,
-        table_cache,
         devices_lost,
-        n_slabs: progress.committed_slabs(),
-        slab_densities,
-        slab_privatized,
-        integrity,
+        bands,
     })
 }
 
@@ -547,31 +500,40 @@ mod tests {
             .collect();
         let refs: Vec<&Device> = devices.iter().collect();
         let cache = DepthTableCache::new(8 * 1024 * 1024);
-        let run = |source: &mut dyn crate::input::SlabSource| {
-            reconstruct_multi_pipelined(
+        let all_rows = 0..8;
+        let run = || {
+            let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
+            let mut progress = SlabProgress::new(cfg.n_depth_bins, 8, 6);
+            let fleet = reconstruct_multi_scoped(
                 &refs,
-                source,
+                &mut source,
                 &geom,
                 &cfg,
                 opts,
                 PipelineDepth(2),
                 Some(&cache),
+                std::slice::from_ref(&all_rows),
+                &mut progress,
+                None,
+                None,
+                true,
             )
-            .unwrap()
+            .unwrap();
+            (progress, fleet)
         };
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-        let cold = run(&mut source);
-        assert_eq!(cold.image.data, ref_out.image.data);
-        assert_eq!(cold.stats, ref_out.stats);
+        let (progress, cold) = run();
+        assert_eq!(progress.image.data, ref_out.image.data);
+        assert_eq!(progress.stats, ref_out.stats);
         // One host miss for the fleet; the other devices hit the host cache.
-        assert_eq!(cold.table_cache.host_misses, 1);
-        assert_eq!(cold.table_cache.host_hits, 2);
-        assert_eq!(cold.table_cache.device_misses, 3, "one upload per device");
+        let tables = &cold.bands.table_cache;
+        assert_eq!(tables.host_misses, 1);
+        assert_eq!(tables.host_hits, 2);
+        assert_eq!(tables.device_misses, 3, "one upload per device");
+        assert_eq!(cold.bands.depth_used, Some(2), "the requested ring ran");
 
-        let mut source = InMemorySlabSource::new(data, 10, 8, 6).unwrap();
-        let warm = run(&mut source);
-        assert_eq!(warm.image.data, ref_out.image.data);
-        assert_eq!(warm.table_cache.device_hits, 3, "all tables resident");
+        let (progress, warm) = run();
+        assert_eq!(progress.image.data, ref_out.image.data);
+        assert_eq!(warm.bands.table_cache.device_hits, 3, "all tables resident");
         assert!(warm.elapsed_s < cold.elapsed_s);
     }
 

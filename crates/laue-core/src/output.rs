@@ -5,8 +5,9 @@ use crate::config::ReconstructionConfig;
 /// Depth-resolved intensity: `data[bin][row][col]`, row-major.
 ///
 /// Bin `k` covers depths `[depth_start + k·w, depth_start + (k+1)·w)` of the
-/// configuration the reconstruction ran with.
-#[derive(Debug, Clone, PartialEq)]
+/// configuration the reconstruction ran with. The default is the empty
+/// `0 × 0 × 0` image.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DepthImage {
     /// Number of depth bins.
     pub n_bins: usize,

@@ -103,9 +103,8 @@ pub struct ReconstructArgs {
     /// Replay an interrupted run's journal instead of starting fresh
     /// (`--resume`; needs `--journal-dir`).
     pub resume: bool,
-    /// Install the fault schedule on this fleet device only
-    /// (`--fault-device`, testing only; node-major flattened index for
-    /// `gpu-cluster` engines).
+    /// Install the fault schedule on this device only (`--fault-device`,
+    /// testing only; node-major flattened index over the topology).
     pub fault_device: Option<usize>,
     /// Inter-node reduction routing (`--reduction tree|ring|auto`;
     /// `None` = auto). Cluster engines only.
@@ -127,13 +126,9 @@ pub fn parse_engine(s: &str) -> std::result::Result<Engine, String> {
         return Ok(Engine::CpuThreaded { threads });
     }
     if let Some(t) = s.strip_prefix("gpu-multi:") {
-        let devices: usize = t
-            .parse()
-            .map_err(|_| format!("bad device count in engine {s:?}"))?;
-        if devices == 0 {
-            return Err(format!("engine {s:?} needs at least one device"));
-        }
-        return Ok(Engine::GpuMulti { devices });
+        // Shorthand for one chassis of N devices.
+        return parse_engine(&format!("gpu-cluster:1x{t}"))
+            .map_err(|e| format!("{e} (from {s:?})"));
     }
     if let Some(t) = s.strip_prefix("gpu-cluster:") {
         // N nodes of M devices each: `gpu-cluster:4` or `gpu-cluster:4x2`.
@@ -668,8 +663,12 @@ USAGE:
 ENGINES:
   cpu | cpu-threaded:N | gpu-1d | gpu-3d | gpu-tables | gpu-pipe | gpu-multi:N
   | gpu-cluster:N[xM]
-  (cpu-threaded:0 = one thread per available host core; gpu-cluster runs N
-  chassis of M devices each — M defaults to 1 — joined by a metered fabric)
+  (cpu-threaded:0 = one thread per available host core. Every GPU engine is
+  an N-chassis × M-device topology on one driver: gpu-1d, gpu-3d,
+  gpu-tables and gpu-pipe are 1x1; gpu-cluster:N[xM] runs N chassis of M
+  devices each — M defaults to 1 — joined by a metered fabric; gpu-multi:N
+  is shorthand for gpu-cluster:1xN, one chassis whose N devices share a
+  PCIe bus)
 
 SPARSITY:
   --compaction off    dense traversal: every (pixel, pair) visited (default)
@@ -692,15 +691,17 @@ ACCUMULATION:
 
 PLANNER:
   --plan fixed  honour the configured engine/flags verbatim (default)
-  --plan auto   single-GPU engines: enumerate layout × table placement ×
-                ring depth × slab rows, predict each candidate's virtual
-                cost with the device's calibrated cost model, and run the
+  --plan auto   GPU engines: enumerate layout × table placement × ring
+                depth × slab rows, predict each candidate's virtual cost
+                with the device's calibrated cost model, and run the
                 argmin; compaction and accumulation resolve per slab by the
-                same model. The chosen plan, its predicted cost, and the
-                prediction error land in the run report's plan block. The
-                resolved plan is part of the journal key: a flip forces a
-                clean restart. CPU and gpu-multi engines ignore --plan auto
-                (per-slab autos still apply on gpu-multi).
+                same model. A 1x1 topology credits depth tables already
+                resident on its device; every other topology also prices
+                the reduction topology and overlap (see CLUSTER). The
+                chosen plan, its predicted cost, and the prediction error
+                land in the run report's plan block. The resolved plan is
+                part of the journal key: a flip forces a clean restart. CPU
+                engines ignore --plan auto.
 
 CHECKPOINT / RESUME:
   --journal-dir <dir>  journal every committed GPU slab under <dir>; an
@@ -731,7 +732,7 @@ DATA INTEGRITY:
   --watchdog-multiplier X  treat a launch slower than X times its cost-model
                       prediction as hung (default 4)
 
-CLUSTER (gpu-cluster:N[xM]):
+CLUSTER (gpu-cluster:N[xM], gpu-multi:N):
   --interconnect P     fabric preset joining the nodes: ib-qdr (default),
                        ib-fdr, nvlink, or gige; each link is a metered
                        shared resource, so concurrent reduction segments
@@ -760,8 +761,9 @@ GPU FAULT HANDLING:
                                  dead-after-launches, and silent-corruption
                                  keys flip-h2d-nth, flip-d2h-nth, flip-byte,
                                  flip-kernel-nth, flip-op, stall-nth, stall-s
-  --fault-device I               install the schedule on fleet device I
-                                 only (gpu-multi failover testing)
+  --fault-device I               install the schedule on device I only
+                                 (node-major over the topology; failover
+                                 testing)
 ";
 
 fn recon_config(args: &ReconstructArgs) -> ReconstructionConfig {
@@ -893,29 +895,9 @@ pub fn run<W: std::io::Write>(cmd: &Command, out: &mut W) -> Result<()> {
                     engine: "variance(cpu-seq)".into(),
                     image: var.variance,
                     stats: var.stats,
-                    total_time_s: 0.0,
-                    comm_time_s: 0.0,
-                    bus_wait_s: 0.0,
-                    host_table_time_s: 0.0,
-                    compute_time_s: 0.0,
                     input_bytes: report.input_bytes,
                     dims: report.dims,
-                    rows_per_slab: 0,
-                    n_slabs: 0,
-                    transfers: 0,
-                    gpu_replans: 0,
-                    gpu_transfer_retries: 0,
-                    pipeline_depth: 0,
-                    table_cache: laue_core::cache::TableCacheStats::default(),
-                    slab_densities: Vec::new(),
-                    slab_privatized: Vec::new(),
-                    plan: None,
-                    fallback: None,
-                    recovery: crate::report::RecoveryAccounting::default(),
-                    integrity: laue_core::IntegrityReport::default(),
-                    faults_injected: None,
-                    trace_dropped: 0,
-                    cluster: None,
+                    ..crate::report::RunReport::default()
                 };
                 crate::export::write_mh5(path, &var_report, &cfg)?;
                 writeln!(out, "wrote {path} (per-bin variance; σ = sqrt)")?;
@@ -1085,6 +1067,18 @@ mod tests {
         assert!(parse_engine("gpu-cluster:2x0").is_err());
         assert!(parse_engine("gpu-cluster:").is_err());
         assert!(parse_engine("gpu-cluster:2xtwo").is_err());
+        // gpu-multi:N is shorthand for one chassis of N devices.
+        assert_eq!(
+            parse_engine("gpu-multi:3").unwrap(),
+            Engine::GpuCluster {
+                nodes: 1,
+                devices_per_node: 3
+            }
+        );
+        let err = parse_engine("gpu-multi:0").unwrap_err();
+        assert!(err.contains("gpu-multi:0"), "{err}");
+        assert!(parse_engine("gpu-multi:two").is_err());
+        assert!(parse_engine("gpu-multi:").is_err());
     }
 
     #[test]

@@ -18,15 +18,14 @@ pub enum Engine {
     /// overlap ablation; ring depth defaults to 3 and is overridden by
     /// `ReconstructionConfig::pipeline_depth`).
     GpuPipelined,
-    /// A fleet of `devices` simulated GPUs, one row band each, every device
-    /// running the k-deep ring pipeline. A device that dies mid-run has its
-    /// unfinished rows requeued onto the survivors.
-    GpuMulti { devices: usize },
     /// `nodes` chassis of `devices_per_node` GPUs each, linked by a metered
-    /// interconnect: row bands shard across nodes, each node runs the fleet
-    /// engine inside its own PCIe domain, and the depth image gathers back
-    /// to the head node over tree or ring routes. A node whose devices all
-    /// die has its rows re-banded onto the surviving nodes.
+    /// interconnect: row bands shard across nodes, each node splits its
+    /// band over its devices inside its own PCIe domain, every device runs
+    /// the k-deep ring, and the depth image gathers back to the head node
+    /// over tree or ring routes. A device that dies mid-run has its rows
+    /// requeued onto its node's survivors; a node whose devices all die has
+    /// its rows re-banded onto the surviving nodes. `nodes: 1` is a
+    /// single-chassis fleet (the CLI's `gpu-multi:N`).
     GpuCluster {
         nodes: usize,
         devices_per_node: usize,
@@ -47,7 +46,6 @@ impl Engine {
             } => "gpu-3d".to_string(),
             Engine::GpuTables => "gpu-tables".to_string(),
             Engine::GpuPipelined => "gpu-pipe".to_string(),
-            Engine::GpuMulti { devices } => format!("gpu-multi({devices})"),
             Engine::GpuCluster {
                 nodes,
                 devices_per_node,
@@ -55,9 +53,17 @@ impl Engine {
         }
     }
 
-    /// Does this engine run on the simulated device?
-    pub fn is_gpu(&self) -> bool {
-        self.gpu_plan().is_some()
+    /// The `(nodes, devices_per_node)` topology a GPU engine runs on:
+    /// `1 × 1` for the single-device engines. `None` for the CPU engines.
+    pub fn topology(&self) -> Option<(usize, usize)> {
+        match *self {
+            Engine::CpuSeq | Engine::CpuThreaded { .. } => None,
+            Engine::Gpu { .. } | Engine::GpuTables | Engine::GpuPipelined => Some((1, 1)),
+            Engine::GpuCluster {
+                nodes,
+                devices_per_node,
+            } => Some((nodes, devices_per_node)),
+        }
     }
 
     /// The device schedule this engine stands for: kernel options plus ring
@@ -84,7 +90,7 @@ impl Engine {
                 },
                 PipelineDepth::SERIAL,
             ),
-            Engine::GpuPipelined | Engine::GpuMulti { .. } | Engine::GpuCluster { .. } => (
+            Engine::GpuPipelined | Engine::GpuCluster { .. } => (
                 GpuOptions {
                     layout: Layout::Flat1d,
                     triangulation: Triangulation::InKernel,
@@ -114,7 +120,10 @@ mod tests {
             },
             Engine::GpuTables,
             Engine::GpuPipelined,
-            Engine::GpuMulti { devices: 4 },
+            Engine::GpuCluster {
+                nodes: 1,
+                devices_per_node: 4,
+            },
             Engine::GpuCluster {
                 nodes: 4,
                 devices_per_node: 1,
@@ -126,13 +135,29 @@ mod tests {
                 assert_ne!(labels[i], labels[j]);
             }
         }
-        assert!(!Engine::CpuSeq.is_gpu());
-        assert!(Engine::GpuPipelined.is_gpu());
-        assert!(Engine::GpuMulti { devices: 2 }.is_gpu());
+        assert!(Engine::CpuSeq.gpu_plan().is_none());
+        assert!(Engine::GpuPipelined.gpu_plan().is_some());
+        assert!(Engine::GpuCluster {
+            nodes: 1,
+            devices_per_node: 2
+        }
+        .gpu_plan()
+        .is_some());
         assert!(Engine::GpuCluster {
             nodes: 2,
             devices_per_node: 2
         }
-        .is_gpu());
+        .gpu_plan()
+        .is_some());
+        assert_eq!(Engine::CpuSeq.topology(), None);
+        assert_eq!(Engine::GpuTables.topology(), Some((1, 1)));
+        assert_eq!(
+            Engine::GpuCluster {
+                nodes: 4,
+                devices_per_node: 2
+            }
+            .topology(),
+            Some((4, 2))
+        );
     }
 }

@@ -93,8 +93,9 @@ pub struct ClusterReport {
     pub nodes: Vec<laue_core::NodeOutcome>,
 }
 
-/// Everything a reconstruction run produced.
-#[derive(Debug, Clone)]
+/// Everything a reconstruction run produced. The default is an empty
+/// report with every counter zero, for building reports field by field.
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Engine label (e.g. `cpu-seq`, `gpu-1d`).
     pub engine: String,
@@ -291,8 +292,14 @@ impl RunReport {
             ));
         }
         if self.recovery.devices_lost > 0 {
+            // Without a fallback the surviving devices absorbed the rows;
+            // with one, every device died and the CPU salvage took them.
+            let requeued = match self.fallback {
+                None => ", rows requeued onto survivors",
+                Some(_) => "",
+            };
             s.push_str(&format!(
-                "; {} device(s) lost mid-run, rows requeued onto survivors",
+                "; {} device(s) lost mid-run{requeued}",
                 self.recovery.devices_lost
             ));
         }
@@ -364,27 +371,14 @@ mod tests {
             stats,
             total_time_s: 2.0,
             comm_time_s: 0.5,
-            bus_wait_s: 0.0,
-            host_table_time_s: 0.0,
             compute_time_s: 1.5,
             input_bytes: 4 * 1024 * 1024,
             dims: (8, 64, 64),
             rows_per_slab: 16,
             n_slabs: 4,
             transfers: 12,
-            gpu_replans: 0,
-            gpu_transfer_retries: 0,
             pipeline_depth: 1,
-            table_cache: TableCacheStats::default(),
-            slab_densities: Vec::new(),
-            slab_privatized: Vec::new(),
-            plan: None,
-            fallback: None,
-            recovery: RecoveryAccounting::default(),
-            integrity: IntegrityReport::default(),
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: None,
+            ..RunReport::default()
         }
     }
 

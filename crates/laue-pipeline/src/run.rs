@@ -7,13 +7,11 @@ use std::sync::{Arc, Mutex};
 use cuda_sim::{Device, DeviceProps, ExecMode, HostProps, Interconnect, InterconnectProps};
 use laue_core::cache::{DepthTableCache, TableCacheStats, TableKey};
 use laue_core::cluster::{reconstruct_cluster_checkpointed, ClusterReconstruction};
-use laue_core::gpu::{self, GpuReconstruction, PipelineDepth};
 use laue_core::journal::{JournalKey, RunJournal, SlabProgress};
-use laue_core::multi::{reconstruct_multi_checkpointed, MultiGpuReconstruction};
-use laue_core::planner::{plan_cluster, plan_run, RunPlan, TableWarmth};
+use laue_core::planner::{plan_cluster, plan_run, PlannedCandidate, TableWarmth};
 use laue_core::{
-    cpu, AccumulationMode, ClusterOptions, CompactionMode, IntegrityReport, PlanMode,
-    ReconstructionConfig, ReductionTopology, ScanGeometry, ScanView, SlabSource,
+    cpu, AccumulationMode, ClusterOptions, CompactionMode, PlanMode, ReconstructionConfig,
+    ReductionTopology, ScanGeometry, ScanView, SlabSource,
 };
 use laue_wire::ScanFile;
 
@@ -47,20 +45,18 @@ pub enum GpuFailurePolicy {
     FallbackCpu,
 }
 
-/// State a pipeline keeps alive *between* runs: the simulated device (so
+/// State a pipeline keeps alive *between* runs: the simulated devices (so
 /// device-resident depth tables survive from one run to the next) and the
 /// host-side depth-table cache. Shared by `Arc` — cloning a [`Pipeline`]
 /// shares its warm caches.
 #[derive(Debug, Default)]
 pub struct PipelineShared {
-    device: Mutex<Option<Arc<Device>>>,
-    fleet: Mutex<Vec<Arc<Device>>>,
-    /// Cluster nodes (`nodes[i][j]` = device `j` on chassis `i`). The
-    /// devices and their hosts persist across runs like the fleet does;
-    /// the interconnect is rebuilt fresh per run (its link pools have no
-    /// warm state worth keeping, and a clean fabric keeps run timelines
-    /// starting at t = 0).
-    cluster: Mutex<Vec<Vec<Arc<Device>>>>,
+    /// The last GPU topology's devices (`devices[i][j]` = device `j` on
+    /// chassis `i`; a single-device engine holds one chassis of one). The
+    /// interconnect is rebuilt fresh per run: its link pools have no warm
+    /// state worth keeping, and a clean fabric keeps run timelines
+    /// starting at t = 0.
+    devices: Mutex<Vec<Vec<Arc<Device>>>>,
     cache: DepthTableCache,
 }
 
@@ -90,11 +86,11 @@ pub struct Pipeline {
     /// journal key instead of starting fresh. No effect without
     /// [`Pipeline::journal_dir`].
     pub resume: bool,
-    /// Restrict [`Pipeline::fault_plan`] to one fleet device index
-    /// (multi-GPU failover testing). For `gpu-cluster` engines the index
-    /// runs node-major over the flattened cluster (node 0's devices
-    /// first). `None` installs the plan on every device this pipeline
-    /// creates.
+    /// Restrict [`Pipeline::fault_plan`] to one device of the engine's
+    /// topology (failover testing). The index runs node-major over the
+    /// flattened topology (node 0's devices first); single-device engines
+    /// are device 0. `None` installs the plan on every device this
+    /// pipeline creates.
     pub fault_device: Option<usize>,
     /// Inter-node fabric model for `gpu-cluster` engines (paper-era
     /// default: InfiniBand QDR).
@@ -188,56 +184,31 @@ impl Pipeline {
                 let stack = source.read_slab(0, dims.1)?;
                 // read_slab returns slab[z][r][c] over all rows = the stack.
                 let view = ScanView::new(&stack, dims.0, dims.1, dims.2)?;
-                let (out, cores) = match engine {
-                    Engine::CpuSeq => (cpu::reconstruct_seq(&view, geom, cfg)?, 1u32),
-                    Engine::CpuThreaded { threads } => (
-                        cpu::reconstruct_threaded(&view, geom, cfg, threads)?,
-                        threads as u32,
-                    ),
-                    _ => unreachable!(),
-                };
-                let t = out.modeled_time_s(&self.host, cores);
+                let (out, t) = self.run_cpu(engine, &view, geom, cfg)?;
                 Ok(RunReport {
                     engine: engine.label(),
                     image: out.image,
                     stats: out.stats,
                     total_time_s: t,
-                    comm_time_s: 0.0,
-                    bus_wait_s: 0.0,
-                    host_table_time_s: 0.0,
                     compute_time_s: t,
                     input_bytes,
                     dims,
-                    rows_per_slab: 0,
-                    n_slabs: 0,
-                    transfers: 0,
-                    gpu_replans: 0,
-                    gpu_transfer_retries: 0,
-                    pipeline_depth: 0,
-                    table_cache: TableCacheStats::default(),
                     slab_densities: out.slab_densities,
-                    slab_privatized: Vec::new(),
-                    plan: None,
-                    fallback: None,
-                    recovery: RecoveryAccounting::default(),
-                    integrity: IntegrityReport::default(),
-                    faults_injected: None,
-                    trace_dropped: 0,
-                    cluster: None,
+                    ..RunReport::default()
                 })
             }
             Engine::Gpu { .. }
             | Engine::GpuTables
             | Engine::GpuPipelined
-            | Engine::GpuMulti { .. }
             | Engine::GpuCluster { .. } => self.run_gpu(source, geom, cfg, engine, fingerprint),
         }
     }
 
-    /// The unified GPU path: open/replay the journal (when configured),
-    /// run the checkpoint-aware engine — single device or failover fleet —
-    /// and on unrecoverable failure salvage the committed slabs, handing
-    /// only the remainder to the CPU.
+    /// The one GPU path. Every GPU engine is a `nodes × devices_per_node`
+    /// topology — `1 × 1` for the single-device engines — run by the
+    /// cluster driver: open/replay the journal (when configured), run, and
+    /// on unrecoverable failure salvage the committed slabs, handing only
+    /// the remainder to the CPU.
     fn run_gpu(
         &self,
         source: &mut dyn SlabSource,
@@ -247,114 +218,97 @@ impl Pipeline {
         fingerprint: Option<u64>,
     ) -> Result<RunReport> {
         let (opts, depth) = engine.gpu_plan().expect("GPU engine");
+        let (nodes, per_node) = engine.topology().expect("GPU engine");
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
         let input_bytes = (dims.0 * dims.1 * dims.2 * 2) as u64;
         self.shared.cache.set_budget(self.table_cache_budget());
 
-        // --plan auto on a single-GPU engine: resolve the run-level plan up
-        // front from the device's cost model. The planner owns every knob
-        // of the planned run, so the per-slab modes are forced to their
-        // auto (cost-driven) settings and the fixed-mode flags are honoured
-        // only under --plan fixed. The fleet engine splits bands
-        // dynamically and keeps only the per-slab autos; CPU engines have
-        // no plan space — neither gets a run-level plan.
-        let plan_auto = cfg.plan == PlanMode::Auto
-            && !matches!(engine, Engine::GpuMulti { .. } | Engine::GpuCluster { .. });
-        let mut cfg_local = cfg.clone();
-        let mut run_plan: Option<RunPlan> = None;
-        let (opts, depth) = if plan_auto {
-            let table_key = TableKey::new(geom, cfg);
-            // Peek (not lookup): warmth must not perturb the cache the
-            // prediction is about. Device warmth only counts on the device
-            // this run will actually reuse.
-            let device_warm = self
-                .shared
-                .device
-                .lock()
-                .unwrap()
-                .as_ref()
-                .is_some_and(|d| {
-                    *d.props() == self.device && self.shared.cache.peek_device(d.id(), &table_key)
-                });
-            let warmth = TableWarmth {
-                host_warm: self.shared.cache.peek_host(&table_key),
-                device_warm,
-                resident_budget: self.table_cache_budget(),
-            };
-            let plan = plan_run(&self.device, &self.host, source, geom, cfg, warmth)?;
-            cfg_local.rows_per_slab = Some(plan.rows_per_slab);
-            cfg_local.pipeline_depth = None;
-            cfg_local.compaction = CompactionMode::Auto;
-            cfg_local.accumulation = AccumulationMode::Auto;
-            let chosen = (plan.options, plan.depth);
-            run_plan = Some(plan);
-            chosen
-        } else {
-            (opts, depth)
+        // Under --plan fixed the pipeline's reduction/overlap fields apply,
+        // with auto resolving to the defaults (tree, overlapped).
+        let mut copts = ClusterOptions {
+            topology: self.reduction.unwrap_or(ReductionTopology::Tree),
+            overlap: self.overlap.unwrap_or(true),
         };
-        // Cluster engines resolve their reduction knobs before the journal
-        // opens, so the topology can participate in its key. Under --plan
-        // auto the cost model prices node count × topology × overlap and
-        // owns the per-node plan too; under --plan fixed the pipeline's
-        // reduction/overlap fields apply, with auto resolving to the
-        // defaults (tree, overlapped).
-        let mut cluster_plan = None;
-        let copts = match engine {
-            Engine::GpuCluster {
-                nodes,
-                devices_per_node,
-            } => Some(if cfg.plan == PlanMode::Auto {
-                let table_key = TableKey::new(geom, cfg);
-                let warmth = TableWarmth {
-                    host_warm: self.shared.cache.peek_host(&table_key),
-                    // Cluster devices rebuild with the shape; never credit
-                    // residency the run may not actually have.
-                    device_warm: false,
-                    resident_budget: self.table_cache_budget(),
+        // --plan auto resolves the run-level plan up front from the cost
+        // model, and the planner owns every knob of the planned run: the
+        // per-slab modes are forced to their auto (cost-driven) settings
+        // and the fixed-mode flags are honoured only under --plan fixed. A
+        // 1 × 1 topology is priced by `plan_run`, crediting device warmth;
+        // every other topology by `plan_cluster`, which also picks the
+        // reduction topology and overlap.
+        let mut cfg_local = cfg.clone();
+        let mut explain = None;
+        let (opts, depth) = if cfg.plan == PlanMode::Auto {
+            let table_key = TableKey::new(geom, cfg);
+            let host_warm = self.shared.cache.peek_host(&table_key);
+            let resident_budget = self.table_cache_budget();
+            let (plan, planned) = if (nodes, per_node) == (1, 1) {
+                // Peek (not lookup): warmth must not perturb the cache the
+                // prediction is about. Device warmth only counts on the
+                // device this run will actually reuse.
+                let device_warm = match self.shared.devices.lock().unwrap().as_slice() {
+                    [node] if node.len() == 1 => {
+                        *node[0].props() == self.device
+                            && self.shared.cache.peek_device(node[0].id(), &table_key)
+                    }
+                    _ => false,
                 };
-                let plan = plan_cluster(
+                let warmth = TableWarmth {
+                    host_warm,
+                    device_warm,
+                    resident_budget,
+                };
+                let mut p = plan_run(&self.device, &self.host, source, geom, cfg, warmth)?;
+                let candidates = std::mem::take(&mut p.candidates);
+                let e = plan_explain(p.label.clone(), p.predicted_s, p.host_s, candidates);
+                (p, e)
+            } else {
+                let warmth = TableWarmth {
+                    host_warm,
+                    // Multi-device topologies rebuild with the shape; never
+                    // credit residency the run may not actually have.
+                    device_warm: false,
+                    resident_budget,
+                };
+                let p = plan_cluster(
                     &self.device,
                     &self.host,
                     &self.interconnect,
                     nodes,
-                    devices_per_node,
+                    per_node,
                     source,
                     geom,
                     cfg,
                     warmth,
                 )?;
-                cfg_local.rows_per_slab = Some(plan.per_node.rows_per_slab);
-                cfg_local.pipeline_depth = None;
-                cfg_local.compaction = CompactionMode::Auto;
-                cfg_local.accumulation = AccumulationMode::Auto;
-                let chosen = plan.options;
-                cluster_plan = Some(plan);
-                chosen
-            } else {
-                ClusterOptions {
-                    topology: self.reduction.unwrap_or(ReductionTopology::Tree),
-                    overlap: self.overlap.unwrap_or(true),
-                }
-            }),
-            _ => None,
-        };
-        let (opts, depth) = match &cluster_plan {
-            Some(p) => (p.per_node.options, p.per_node.depth),
-            None => (opts, depth),
+                copts = p.options;
+                let e = plan_explain(p.label, p.predicted_s, p.per_node.host_s, p.candidates);
+                (p.per_node, e)
+            };
+            cfg_local.rows_per_slab = Some(plan.rows_per_slab);
+            cfg_local.pipeline_depth = None;
+            cfg_local.compaction = CompactionMode::Auto;
+            cfg_local.accumulation = AccumulationMode::Auto;
+            explain = Some(planned);
+            (plan.options, plan.depth)
+        } else {
+            (opts, depth)
         };
         let cfg = &cfg_local;
-        let plan_token = match (&run_plan, &cluster_plan) {
-            (Some(p), _) => format!("auto:{}", p.label),
-            (None, Some(p)) => format!("auto:{}", p.label),
-            (None, None) => cfg.plan.label().to_string(),
+        let plan_token = match &explain {
+            Some(e) => format!("auto:{}", e.chosen),
+            None => cfg.plan.label().to_string(),
         };
 
-        // Open (or replay) the run journal.
+        // Open (or replay) the run journal. Cluster engines fold their
+        // reduction knobs into the key, so resuming under a different
+        // cluster shape restarts clean.
         let mut journal = None;
         let mut resume_info = None;
         let mut progress = match &self.journal_dir {
             Some(dir) => {
-                let key = journal_key(engine, cfg, dims, fingerprint, &plan_token, copts.as_ref());
+                let cluster_opts = matches!(engine, Engine::GpuCluster { .. }).then_some(&copts);
+                let key = journal_key(engine, cfg, dims, fingerprint, &plan_token, cluster_opts);
                 let jdims = (cfg.n_depth_bins, dims.1, dims.2);
                 let (j, slabs) = RunJournal::open(dir, &key, jdims, self.resume)?;
                 if !slabs.is_empty() {
@@ -369,75 +323,29 @@ impl Pipeline {
             None => SlabProgress::new(cfg.n_depth_bins, dims.1, dims.2),
         };
 
-        let devices_used: Vec<Arc<Device>>;
-        let outcome = match engine {
-            Engine::GpuMulti { devices } => {
-                let fleet = self.gpu_fleet(devices);
-                let refs: Vec<&Device> = fleet.iter().map(|d| d.as_ref()).collect();
-                let r = reconstruct_multi_checkpointed(
-                    &refs,
-                    source,
-                    geom,
-                    cfg,
-                    opts,
-                    depth,
-                    Some(&self.shared.cache),
-                    &mut progress,
-                    journal.as_mut(),
-                )
-                .map(GpuOutcome::Multi);
-                devices_used = fleet;
-                r
-            }
-            Engine::GpuCluster {
-                nodes,
-                devices_per_node,
-            } => {
-                let (fleet, net) = self.gpu_cluster(nodes, devices_per_node);
-                let refs: Vec<Vec<&Device>> = fleet
-                    .iter()
-                    .map(|node| node.iter().map(|d| d.as_ref()).collect())
-                    .collect();
-                let r = reconstruct_cluster_checkpointed(
-                    &refs,
-                    &net,
-                    source,
-                    geom,
-                    cfg,
-                    opts,
-                    depth,
-                    Some(&self.shared.cache),
-                    copts.expect("cluster options resolved for cluster engines"),
-                    &mut progress,
-                    journal.as_mut(),
-                )
-                .map(GpuOutcome::Cluster);
-                devices_used = fleet.into_iter().flatten().collect();
-                r
-            }
-            _ => {
-                let device = self.gpu_device();
-                let r = gpu::reconstruct_checkpointed(
-                    &device,
-                    source,
-                    geom,
-                    cfg,
-                    opts,
-                    depth,
-                    Some(&self.shared.cache),
-                    &mut progress,
-                    journal.as_mut(),
-                )
-                .map(GpuOutcome::Single);
-                devices_used = vec![device];
-                r
-            }
-        };
+        let (fleet, net) = self.gpu_topology(nodes, per_node);
+        let refs: Vec<Vec<&Device>> = fleet
+            .iter()
+            .map(|node| node.iter().map(|d| d.as_ref()).collect())
+            .collect();
+        let outcome = reconstruct_cluster_checkpointed(
+            &refs,
+            &net,
+            source,
+            geom,
+            cfg,
+            opts,
+            depth,
+            Some(&self.shared.cache),
+            copts,
+            &mut progress,
+            journal.as_mut(),
+        );
         // Fault-injection ground truth and trace-drop diagnostics, summed
         // over every device the run touched.
         let mut faults_injected: Option<cuda_sim::FaultStats> = None;
         let mut trace_dropped = 0u64;
-        for d in &devices_used {
+        for d in fleet.iter().flatten() {
             if let Some(fs) = d.fault_stats() {
                 faults_injected
                     .get_or_insert_with(Default::default)
@@ -445,154 +353,67 @@ impl Pipeline {
             }
             trace_dropped += d.trace_dropped();
         }
-        drop(devices_used);
+        drop(refs);
+        drop(fleet);
 
-        match outcome {
+        let mut report = match outcome {
             Ok(out) => {
                 // The run is complete; a later --resume must not replay it.
                 if let Some(j) = journal.take() {
                     j.remove()?;
                 }
-                let resolved_depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
                 let mut report = gpu_report(
                     engine,
                     out,
                     dims,
                     input_bytes,
-                    resolved_depth,
                     resume_info,
                     &self.interconnect.name,
                 );
-                report.faults_injected = faults_injected;
-                report.trace_dropped = trace_dropped;
                 // The explain block compares the prediction against the
                 // measured virtual makespan of the very run it planned.
-                report.plan = match (run_plan, cluster_plan) {
-                    (Some(p), _) => Some(PlanExplain {
-                        chosen: p.label,
-                        predicted_s: p.predicted_s,
-                        host_s: p.host_s,
-                        measured_s: report.total_time_s,
-                        candidates: p
-                            .candidates
-                            .into_iter()
-                            .map(|c| (c.label, c.predicted_s))
-                            .collect(),
-                    }),
-                    (None, Some(p)) => Some(PlanExplain {
-                        chosen: p.label,
-                        predicted_s: p.predicted_s,
-                        host_s: p.per_node.host_s,
-                        measured_s: report.total_time_s,
-                        candidates: p
-                            .candidates
-                            .into_iter()
-                            .map(|c| (c.label, c.predicted_s))
-                            .collect(),
-                    }),
-                    (None, None) => None,
-                };
-                Ok(report)
+                report.plan = explain.map(|e| PlanExplain {
+                    measured_s: report.total_time_s,
+                    ..e
+                });
+                report
             }
-            Err(e) => {
-                let mut report = self.degrade_salvage(
-                    source,
-                    geom,
-                    cfg,
-                    engine,
-                    e,
-                    &mut progress,
-                    journal,
-                    resume_info,
-                )?;
-                report.faults_injected = faults_injected;
-                report.trace_dropped = trace_dropped;
-                Ok(report)
-            }
-        }
-    }
-
-    /// The device a GPU engine will run on. The device persists across runs
-    /// (so resident depth tables stay warm) and is rebuilt only when
-    /// [`Pipeline::device`] changes; the fault schedule is (re)installed
-    /// fresh on every run.
-    fn gpu_device(&self) -> Arc<Device> {
-        let mut slot = self.shared.device.lock().unwrap();
-        let device = match slot.take() {
-            Some(d) if *d.props() == self.device => d,
-            stale => {
-                if let Some(old) = stale {
-                    // Resident tables on the discarded device are useless.
-                    let mut run = TableCacheStats::default();
-                    self.shared.cache.evict_device(old.id(), &mut run);
-                }
-                Arc::new(Device::new(self.device.clone()))
-            }
+            Err(e) => self.degrade_salvage(
+                source,
+                geom,
+                cfg,
+                engine,
+                e,
+                &mut progress,
+                journal,
+                resume_info,
+            )?,
         };
-        device.set_exec_mode(self.exec_mode);
-        let install = self.fault_device.is_none_or(|f| f == 0);
-        match (&self.fault_plan, install) {
-            (Some(plan), true) => device.set_fault_plan(plan.clone()),
-            _ => device.clear_fault_plan(),
-        }
-        *slot = Some(Arc::clone(&device));
-        device
+        report.faults_injected = faults_injected;
+        report.trace_dropped = trace_dropped;
+        Ok(report)
     }
 
-    /// The fleet a `gpu-multi` engine runs on. Devices persist across runs
-    /// like the single device does; the fleet is rebuilt when its size or
-    /// the device model changes. All fleet devices share one simulated
-    /// host, so their transfers contend for a single PCIe bus — the model
-    /// of a multi-GPU workstation, not of one machine per device. The
-    /// fault schedule is (re)installed fresh on every run — on every
-    /// device, or on [`Pipeline::fault_device`] only when that is set.
-    fn gpu_fleet(&self, n: usize) -> Vec<Arc<Device>> {
-        let mut slot = self.shared.fleet.lock().unwrap();
-        let reusable = slot.len() == n && slot.iter().all(|d| *d.props() == self.device);
-        if !reusable {
-            let mut run = TableCacheStats::default();
-            for old in slot.drain(..) {
-                self.shared.cache.evict_device(old.id(), &mut run);
-            }
-            let host = cuda_sim::Host::new_default();
-            *slot = (0..n)
-                .map(|_| Arc::new(Device::new_on_host(self.device.clone(), &host)))
-                .collect();
-        }
-        for (i, d) in slot.iter().enumerate() {
-            d.set_exec_mode(self.exec_mode);
-            let install = self.fault_device.is_none_or(|f| f == i);
-            match (&self.fault_plan, install) {
-                (Some(plan), true) => d.set_fault_plan(plan.clone()),
-                _ => d.clear_fault_plan(),
-            }
-        }
-        slot.clone()
-    }
-
-    /// The node fleets a `gpu-cluster` engine runs on, plus a fresh fabric.
-    /// Each node is its own simulated chassis — a private PCIe bus and host
-    /// CPU — so intra-node transfers never contend across nodes. The
-    /// devices persist across runs like the flat fleet's and rebuild when
-    /// the cluster shape or device model changes; the interconnect is
-    /// always fresh (its link pools carry no warm state). The fault
-    /// schedule is (re)installed on every run — on every device, or only
-    /// on the node-major flattened index [`Pipeline::fault_device`] names.
-    fn gpu_cluster(
+    /// The devices a GPU engine runs on, plus a fresh fabric. Each node is
+    /// its own simulated chassis: its devices share one PCIe bus and host
+    /// CPU, and nothing is shared across nodes. The devices persist across
+    /// runs (so resident depth tables stay warm) and rebuild when the
+    /// topology or the device model changes. The fault schedule is
+    /// (re)installed on every run — on every device, or only on the
+    /// node-major flattened index [`Pipeline::fault_device`] names.
+    fn gpu_topology(
         &self,
         nodes: usize,
         per_node: usize,
     ) -> (Vec<Vec<Arc<Device>>>, Arc<Interconnect>) {
-        let mut slot = self.shared.cluster.lock().unwrap();
+        let mut slot = self.shared.devices.lock().unwrap();
         let reusable = slot.len() == nodes
             && slot
                 .iter()
                 .all(|ds| ds.len() == per_node && ds.iter().all(|d| *d.props() == self.device));
         if !reusable {
-            let mut run = TableCacheStats::default();
-            for old in slot.drain(..).flatten() {
-                self.shared.cache.evict_device(old.id(), &mut run);
-            }
+            // Resident tables on the discarded devices are useless.
+            self.drop_devices(&mut slot);
             *slot = (0..nodes)
                 .map(|_| {
                     let host = cuda_sim::Host::new_default();
@@ -614,19 +435,11 @@ impl Pipeline {
         (slot.clone(), net)
     }
 
-    /// Forget every persistent device (single slot and fleet), evicting
-    /// their resident depth tables — called when a GPU run failed so a
-    /// later run never inherits a dead device.
-    fn drop_devices(&self) {
+    /// Forget every persistent device, evicting its resident depth tables.
+    fn drop_devices(&self, slot: &mut Vec<Vec<Arc<Device>>>) {
         let mut run = TableCacheStats::default();
-        if let Some(dead) = self.shared.device.lock().unwrap().take() {
-            self.shared.cache.evict_device(dead.id(), &mut run);
-        }
-        for dead in self.shared.fleet.lock().unwrap().drain(..) {
-            self.shared.cache.evict_device(dead.id(), &mut run);
-        }
-        for dead in self.shared.cluster.lock().unwrap().drain(..).flatten() {
-            self.shared.cache.evict_device(dead.id(), &mut run);
+        for old in slot.drain(..).flatten() {
+            self.shared.cache.evict_device(old.id(), &mut run);
         }
     }
 
@@ -657,7 +470,7 @@ impl Pipeline {
         // run: drop them (and any depth tables resident on them). The
         // journal stays on disk when we surface the error, so a later
         // --resume picks up from the last committed slab.
-        self.drop_devices();
+        self.drop_devices(&mut self.shared.devices.lock().unwrap());
         if self.on_gpu_failure != GpuFailurePolicy::FallbackCpu || !err.is_gpu_failure() {
             return Err(err.into());
         }
@@ -667,10 +480,6 @@ impl Pipeline {
         let cpu = match self.exec_mode {
             ExecMode::Threaded(n) => Engine::CpuThreaded { threads: n },
             _ => Engine::CpuSeq,
-        };
-        let cores = match cpu {
-            Engine::CpuThreaded { threads } => threads as u32,
-            _ => 1,
         };
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
         let salvaged = progress.committed_slabs();
@@ -682,13 +491,8 @@ impl Pipeline {
             let slab = source.read_slab(band.start, rows)?;
             let view = ScanView::new(&slab, dims.0, rows, dims.2)?;
             let band_geom = geom.crop(band.start, 0, rows, dims.2)?;
-            let out = match cpu {
-                Engine::CpuThreaded { threads } => {
-                    cpu::reconstruct_threaded(&view, &band_geom, cfg, threads)?
-                }
-                _ => cpu::reconstruct_seq(&view, &band_geom, cfg)?,
-            };
-            cpu_time += out.modeled_time_s(&self.host, cores);
+            let (out, t) = self.run_cpu(cpu, &view, &band_geom, cfg)?;
+            cpu_time += t;
             slab_densities.extend(out.slab_densities.iter().copied());
             let (image, mut tracker) = progress.split_mut();
             image.assign_rows(band.start, rows, &out.image.data)?;
@@ -702,37 +506,21 @@ impl Pipeline {
         if let Some(j) = journal.take() {
             j.remove()?;
         }
-        // When a fleet errored, every participating device had died (a
-        // partial loss fails over internally and succeeds).
-        let devices_lost = match failed {
-            Engine::GpuMulti { devices } => devices as u32,
-            Engine::GpuCluster {
-                nodes,
-                devices_per_node,
-            } => (nodes * devices_per_node) as u32,
-            _ => 0,
-        };
+        // The run errored, so every device of the topology had died (a
+        // partial loss fails over internally and succeeds). Whatever the
+        // GPU verified before dying is moot: the CPU recomputed the
+        // uncovered bands from the source directly, so the integrity
+        // report stays empty.
+        let devices_lost = failed.topology().map_or(0, |(n, m)| (n * m) as u32);
         Ok(RunReport {
             engine: cpu.label(),
-            image: progress.image.clone(),
+            image: std::mem::take(&mut progress.image),
             stats: progress.stats,
             total_time_s: cpu_time,
-            comm_time_s: 0.0,
-            bus_wait_s: 0.0,
-            host_table_time_s: 0.0,
             compute_time_s: cpu_time,
             input_bytes: (dims.0 * dims.1 * dims.2 * 2) as u64,
             dims,
-            rows_per_slab: 0,
-            n_slabs: 0,
-            transfers: 0,
-            gpu_replans: 0,
-            gpu_transfer_retries: 0,
-            pipeline_depth: 0,
-            table_cache: TableCacheStats::default(),
             slab_densities,
-            slab_privatized: Vec::new(),
-            plan: None,
             fallback: Some(format!(
                 "{} failed ({err}); completed on {}",
                 failed.label(),
@@ -744,140 +532,102 @@ impl Pipeline {
                 devices_lost,
                 resume,
             },
-            // Whatever the GPU verified before dying is moot: the CPU
-            // recomputed the uncovered bands from the source directly.
-            integrity: IntegrityReport::default(),
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: None,
+            ..RunReport::default()
         })
+    }
+
+    /// Run a CPU engine on `view`; returns the output and its modeled time
+    /// on [`Pipeline::host`].
+    fn run_cpu(
+        &self,
+        engine: Engine,
+        view: &ScanView<'_>,
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+    ) -> Result<(cpu::CpuReconstruction, f64)> {
+        let (out, cores) = match engine {
+            Engine::CpuThreaded { threads } => (
+                cpu::reconstruct_threaded(view, geom, cfg, threads)?,
+                threads as u32,
+            ),
+            _ => (cpu::reconstruct_seq(view, geom, cfg)?, 1),
+        };
+        let t = out.modeled_time_s(&self.host, cores);
+        Ok((out, t))
     }
 }
 
-/// How one GPU run came back: a single device, a fleet, or a cluster.
-enum GpuOutcome {
-    Single(GpuReconstruction),
-    Multi(MultiGpuReconstruction),
-    Cluster(ClusterReconstruction),
-}
-
-/// Assemble the [`RunReport`] of a successful GPU run. `fabric` names the
-/// interconnect preset (cluster engines only; ignored otherwise).
+/// Assemble the [`RunReport`] of a successful GPU run. The makespan
+/// includes the reduction's exposed tail; the comm/compute/transfer meters
+/// aggregate over every device in every chassis, so on a multi-device
+/// topology total ≤ comm + compute. `fabric` names the interconnect preset
+/// of the cluster report, which only `gpu-cluster` engines carry.
 fn gpu_report(
     engine: Engine,
-    out: GpuOutcome,
+    out: ClusterReconstruction,
     dims: (usize, usize, usize),
     input_bytes: u64,
-    depth: PipelineDepth,
     resume: Option<ResumeInfo>,
     fabric: &str,
 ) -> RunReport {
-    let recovery = |devices_lost| RecoveryAccounting {
-        salvaged_slabs: 0,
-        recomputed_slabs: 0,
-        devices_lost,
-        resume: resume.clone(),
-    };
-    match out {
-        GpuOutcome::Single(out) => RunReport {
-            engine: engine.label(),
-            image: out.image,
-            stats: out.stats,
-            total_time_s: out.elapsed_s,
-            comm_time_s: out.meters.comm_time_s,
-            bus_wait_s: out.meters.bus_wait_s,
-            host_table_time_s: out.host_table_time_s,
-            compute_time_s: out.meters.compute_time_s,
-            input_bytes,
-            dims,
-            rows_per_slab: out.rows_per_slab,
-            n_slabs: out.n_slabs,
-            transfers: out.meters.transfers,
-            gpu_replans: out.recovery.replans,
-            gpu_transfer_retries: out.recovery.transfer_retries,
-            pipeline_depth: out.pipeline_depth,
-            table_cache: out.table_cache,
-            slab_densities: out.slab_densities,
-            slab_privatized: out.slab_privatized,
-            plan: None,
-            fallback: None,
-            recovery: recovery(0),
-            integrity: out.integrity,
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: None,
+    let cluster = matches!(engine, Engine::GpuCluster { .. }).then(|| ClusterReport {
+        options: out.options.label(),
+        interconnect: fabric.to_string(),
+        compute_s: out.compute_s,
+        reduction_exposed_s: out.reduction_exposed_s,
+        net_wait_s: out.net_wait_s,
+        net_bytes: out.net_bytes,
+        net_messages: out.net_messages,
+        nodes_lost: out.nodes_lost,
+        nodes: out.nodes,
+    });
+    RunReport {
+        engine: engine.label(),
+        image: out.image,
+        stats: out.stats,
+        total_time_s: out.elapsed_s,
+        comm_time_s: out.per_device.iter().map(|m| m.comm_time_s).sum(),
+        bus_wait_s: out.per_device.iter().map(|m| m.bus_wait_s).sum(),
+        host_table_time_s: out.host_table_time_s,
+        compute_time_s: out.per_device.iter().map(|m| m.compute_time_s).sum(),
+        input_bytes,
+        dims,
+        rows_per_slab: out.rows_per_slab,
+        n_slabs: out.n_slabs,
+        transfers: out.per_device.iter().map(|m| m.transfers).sum(),
+        gpu_replans: out.recovery.replans,
+        gpu_transfer_retries: out.recovery.transfer_retries,
+        pipeline_depth: out.pipeline_depth,
+        table_cache: out.table_cache,
+        slab_densities: out.slab_densities,
+        slab_privatized: out.slab_privatized,
+        recovery: RecoveryAccounting {
+            devices_lost: out.devices_lost,
+            resume,
+            ..RecoveryAccounting::default()
         },
-        GpuOutcome::Multi(out) => RunReport {
-            engine: engine.label(),
-            image: out.image,
-            stats: out.stats,
-            // The makespan is the slowest device; comm/compute/transfers
-            // aggregate over the fleet, so total ≤ comm + compute here.
-            total_time_s: out.elapsed_s,
-            comm_time_s: out.per_device.iter().map(|m| m.comm_time_s).sum(),
-            bus_wait_s: out.per_device.iter().map(|m| m.bus_wait_s).sum(),
-            host_table_time_s: out.host_table_time_s,
-            compute_time_s: out.per_device.iter().map(|m| m.compute_time_s).sum(),
-            input_bytes,
-            dims,
-            rows_per_slab: 0,
-            n_slabs: out.n_slabs,
-            transfers: out.per_device.iter().map(|m| m.transfers).sum(),
-            gpu_replans: out.recovery.replans,
-            gpu_transfer_retries: out.recovery.transfer_retries,
-            pipeline_depth: depth.0,
-            table_cache: out.table_cache,
-            slab_densities: out.slab_densities,
-            slab_privatized: out.slab_privatized,
-            plan: None,
-            fallback: None,
-            recovery: recovery(out.devices_lost),
-            integrity: out.integrity,
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: None,
-        },
-        GpuOutcome::Cluster(out) => RunReport {
-            engine: engine.label(),
-            image: out.image,
-            stats: out.stats,
-            // The makespan includes the reduction's exposed tail; the
-            // comm/compute/transfer meters aggregate over every device in
-            // every chassis.
-            total_time_s: out.elapsed_s,
-            comm_time_s: out.per_device.iter().map(|m| m.comm_time_s).sum(),
-            bus_wait_s: out.per_device.iter().map(|m| m.bus_wait_s).sum(),
-            host_table_time_s: out.host_table_time_s,
-            compute_time_s: out.per_device.iter().map(|m| m.compute_time_s).sum(),
-            input_bytes,
-            dims,
-            rows_per_slab: 0,
-            n_slabs: out.n_slabs,
-            transfers: out.per_device.iter().map(|m| m.transfers).sum(),
-            gpu_replans: out.recovery.replans,
-            gpu_transfer_retries: out.recovery.transfer_retries,
-            pipeline_depth: depth.0,
-            table_cache: out.table_cache,
-            slab_densities: out.slab_densities,
-            slab_privatized: out.slab_privatized,
-            plan: None,
-            fallback: None,
-            recovery: recovery(out.devices_lost),
-            integrity: out.integrity,
-            faults_injected: None,
-            trace_dropped: 0,
-            cluster: Some(ClusterReport {
-                options: out.options.label(),
-                interconnect: fabric.to_string(),
-                compute_s: out.compute_s,
-                reduction_exposed_s: out.reduction_exposed_s,
-                net_wait_s: out.net_wait_s,
-                net_bytes: out.net_bytes,
-                net_messages: out.net_messages,
-                nodes_lost: out.nodes_lost,
-                nodes: out.nodes,
-            }),
-        },
+        integrity: out.integrity,
+        cluster,
+        ..RunReport::default()
+    }
+}
+
+/// The plan-explain block of a `--plan auto` run, before it is measured.
+fn plan_explain(
+    chosen: String,
+    predicted_s: f64,
+    host_s: f64,
+    candidates: Vec<PlannedCandidate>,
+) -> PlanExplain {
+    PlanExplain {
+        chosen,
+        predicted_s,
+        host_s,
+        measured_s: 0.0,
+        candidates: candidates
+            .into_iter()
+            .map(|c| (c.label, c.predicted_s))
+            .collect(),
     }
 }
 
@@ -887,9 +637,9 @@ fn gpu_report(
 /// engine. The slab plan deliberately participates too, so changing it
 /// invalidates old journals even though replay would still be correct.
 /// Under `--plan auto` the token carries the *resolved* plan label, so a
-/// plan flip (flag or outcome) forces a clean restart. Cluster engines
-/// additionally fold their reduction topology and overlap setting in, so
-/// resuming under a different cluster shape restarts clean.
+/// plan flip (flag or outcome) forces a clean restart. `gpu-cluster`
+/// engines additionally fold their reduction topology and overlap setting
+/// in, so resuming under a different cluster shape restarts clean.
 fn journal_key(
     engine: Engine,
     cfg: &ReconstructionConfig,
@@ -1210,13 +960,23 @@ mod tests {
         c.rows_per_slab = Some(2);
         let single = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
         let multi = p
-            .run_scan_file(&path, &c, Engine::GpuMulti { devices: 3 })
+            .run_scan_file(
+                &path,
+                &c,
+                Engine::GpuCluster {
+                    nodes: 1,
+                    devices_per_node: 3,
+                },
+            )
             .unwrap();
-        assert_eq!(multi.engine, "gpu-multi(3)");
+        assert_eq!(multi.engine, "gpu-cluster(1x3)");
         assert_eq!(multi.image.data, single.image.data);
         assert_eq!(multi.stats, single.stats);
         assert!(multi.n_slabs >= 3);
         assert_eq!(multi.recovery.devices_lost, 0);
+        // The counters carry the slab plan that ran, not placeholders.
+        assert_eq!(multi.rows_per_slab, 2);
+        assert_eq!(multi.pipeline_depth, single.pipeline_depth);
         // The fleet shares one half-duplex PCIe bus, and this tiny scan is
         // transfer-bound: the extra devices mostly queue on the link, so
         // — honestly — three devices do NOT beat one pipelined device
@@ -1567,7 +1327,199 @@ mod tests {
             "the CPU recomputes one remaining band"
         );
         assert!(r.fallback.is_some());
-        assert!(r.summary().contains("salvage:"), "{}", r.summary());
+        assert_eq!(r.recovery.devices_lost, 1, "the one device was lost");
+        let summary = r.summary();
+        assert!(summary.contains("salvage:"), "{summary}");
+        assert!(summary.contains("1 device(s) lost mid-run;"), "{summary}");
+        assert!(!summary.contains("requeued onto survivors"), "{summary}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reports_carry_the_ring_depth_that_ran() {
+        let (path, _) = scan_file("depth_ran");
+        let mut c = cfg();
+        c.rows_per_slab = Some(1);
+        let clean = Pipeline::default()
+            .run_scan_file(&path, &c, Engine::GpuPipelined)
+            .unwrap();
+        // An OOM on single-row slabs can only shallow the ring: every
+        // device finishes serial, below the 3-slot ring gpu-pipe asks for.
+        let p = Pipeline {
+            fault_plan: Some(cuda_sim::FaultPlan::new(3).fail_nth_alloc(3)),
+            ..Pipeline::default()
+        };
+        for engine in [
+            Engine::GpuPipelined,
+            Engine::GpuCluster {
+                nodes: 1,
+                devices_per_node: 2,
+            },
+            Engine::GpuCluster {
+                nodes: 2,
+                devices_per_node: 1,
+            },
+        ] {
+            let r = p.run_scan_file(&path, &c, engine).unwrap();
+            let label = engine.label();
+            assert!(r.gpu_replans >= 1, "{label} re-planned");
+            assert_eq!(r.pipeline_depth, 1, "{label} reports the ring that ran");
+            assert_eq!(r.rows_per_slab, 1, "{label}");
+            assert_eq!(r.image.data, clean.image.data, "{label}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Every GPU engine is a topology on the one cluster driver: a 1 × 1
+    /// run must be indistinguishable from a direct ring call on the same
+    /// device, and `gpu-multi:N` is `gpu-cluster:1xN`.
+    #[test]
+    fn one_by_one_topology_degenerates_to_the_direct_ring() {
+        use crate::cli::parse_engine;
+        use laue_core::gpu;
+        use laue_wire::ScanFile;
+
+        let scan = SyntheticScanBuilder::new(24, 16, 12)
+            .scatterers(12)
+            .noise(1.0)
+            .background(20.0)
+            .seed(7)
+            .build()
+            .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("pipeline_{}_degenerate.mh5", std::process::id()));
+        write_scan(&path, &scan.geometry, &scan.images, None, 8).unwrap();
+        // Device memory scaled down so the scan streams many slabs.
+        let props = DeviceProps {
+            total_mem: 384 * 1024,
+            ..DeviceProps::tesla_m2070()
+        };
+        let pipeline = || Pipeline {
+            device: props.clone(),
+            ..Pipeline::default()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for plan in [PlanMode::Fixed, PlanMode::Auto] {
+            let mut c = cfg();
+            c.plan = plan;
+            let run = pipeline()
+                .run_scan_file(&path, &c, Engine::GpuPipelined)
+                .unwrap();
+            assert!(
+                run.n_slabs > run.pipeline_depth,
+                "{plan:?}: {} slab(s) must stream through the ring",
+                run.n_slabs
+            );
+
+            // The direct call, on the plan the pipeline resolved.
+            let mut file = ScanFile::open(&path).unwrap();
+            let geom = file.geometry().clone();
+            let (mut opts, mut depth) = Engine::GpuPipelined.gpu_plan().unwrap();
+            let mut direct_cfg = c.clone();
+            if plan == PlanMode::Auto {
+                let warmth = TableWarmth {
+                    host_warm: false,
+                    device_warm: false,
+                    resident_budget: props.total_mem / 4,
+                };
+                let rp = plan_run(
+                    &props,
+                    &HostProps::xeon_e5630(),
+                    &mut file,
+                    &geom,
+                    &c,
+                    warmth,
+                )
+                .unwrap();
+                assert_eq!(run.plan.as_ref().unwrap().chosen, rp.label);
+                direct_cfg.rows_per_slab = Some(rp.rows_per_slab);
+                direct_cfg.compaction = CompactionMode::Auto;
+                direct_cfg.accumulation = AccumulationMode::Auto;
+                (opts, depth) = (rp.options, rp.depth);
+            }
+            let device = Device::new(props.clone());
+            let cache = DepthTableCache::new(props.total_mem / 4);
+            let direct = gpu::reconstruct_pipelined(
+                &device,
+                &mut file,
+                &geom,
+                &direct_cfg,
+                opts,
+                depth,
+                Some(&cache),
+            )
+            .unwrap();
+            assert_eq!(bits(&run.image.data), bits(&direct.image.data), "{plan:?}");
+            let times = |t: f64, comm: f64, comp: f64, bus: f64| {
+                [t.to_bits(), comm.to_bits(), comp.to_bits(), bus.to_bits()]
+            };
+            assert_eq!(
+                times(
+                    run.total_time_s,
+                    run.comm_time_s,
+                    run.compute_time_s,
+                    run.bus_wait_s
+                ),
+                times(
+                    direct.elapsed_s,
+                    direct.meters.comm_time_s,
+                    direct.meters.compute_time_s,
+                    direct.meters.bus_wait_s
+                ),
+                "{plan:?}"
+            );
+            assert_eq!(
+                (run.n_slabs, run.rows_per_slab, run.pipeline_depth),
+                (direct.n_slabs, direct.rows_per_slab, direct.pipeline_depth),
+                "{plan:?}"
+            );
+            assert!(
+                run.cluster.is_none(),
+                "only gpu-cluster engines report a cluster"
+            );
+
+            // The CLI's gpu-multi:2 is one chassis of two devices.
+            let multi_engine = parse_engine("gpu-multi:2").unwrap();
+            let cluster_engine = Engine::GpuCluster {
+                nodes: 1,
+                devices_per_node: 2,
+            };
+            assert_eq!(multi_engine, cluster_engine);
+            let multi = pipeline().run_scan_file(&path, &c, multi_engine).unwrap();
+            let cluster = pipeline().run_scan_file(&path, &c, cluster_engine).unwrap();
+            assert_eq!(
+                bits(&multi.image.data),
+                bits(&cluster.image.data),
+                "{plan:?}"
+            );
+            assert_eq!(bits(&multi.image.data), bits(&run.image.data), "{plan:?}");
+            assert_eq!(
+                times(
+                    multi.total_time_s,
+                    multi.comm_time_s,
+                    multi.compute_time_s,
+                    multi.bus_wait_s
+                ),
+                times(
+                    cluster.total_time_s,
+                    cluster.comm_time_s,
+                    cluster.compute_time_s,
+                    cluster.bus_wait_s
+                ),
+                "{plan:?}"
+            );
+            assert_eq!(
+                (multi.n_slabs, multi.rows_per_slab, multi.pipeline_depth),
+                (
+                    cluster.n_slabs,
+                    cluster.rows_per_slab,
+                    cluster.pipeline_depth
+                ),
+                "{plan:?}"
+            );
+            assert!(multi.rows_per_slab > 0 && multi.n_slabs > multi.pipeline_depth);
+            assert!(multi.cluster.is_some());
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1798,7 +1750,10 @@ mod tests {
     #[test]
     fn multi_gpu_scrub_repairs_and_reports_fleet_integrity() {
         let (path, _) = scan_file("multi_scrub");
-        let engine = Engine::GpuMulti { devices: 2 };
+        let engine = Engine::GpuCluster {
+            nodes: 1,
+            devices_per_node: 2,
+        };
         let clean = Pipeline::default()
             .run_scan_file(&path, &cfg(), engine)
             .unwrap();

@@ -578,7 +578,10 @@ proptest! {
         cfg.compaction = c.compaction;
         cfg.accumulation = c.accumulation;
         let engine = if c.fleet {
-            Engine::GpuMulti { devices: 2 }
+            Engine::GpuCluster {
+                nodes: 1,
+                devices_per_node: 2,
+            }
         } else {
             Engine::GpuPipelined
         };

@@ -184,11 +184,14 @@ fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
 fn fleet_losing_any_one_device_completes_on_survivors() {
     let path = write_demo_scan("failover");
     let cfg = cfg();
-    let fleet = Engine::GpuMulti { devices: 4 };
+    let fleet = Engine::GpuCluster {
+        nodes: 1,
+        devices_per_node: 4,
+    };
     let clean = Pipeline::default()
         .run_scan_file(&path, &cfg, fleet)
         .unwrap();
-    assert_eq!(clean.engine, "gpu-multi(4)");
+    assert_eq!(clean.engine, "gpu-cluster(1x4)");
     assert_eq!(clean.recovery.devices_lost, 0);
 
     for victim in 0..4 {
@@ -230,7 +233,14 @@ fn losing_every_device_salvages_committed_slabs_on_the_cpu() {
         ..Pipeline::default()
     };
     let r = p
-        .run_scan_file(&path, &cfg, Engine::GpuMulti { devices: 4 })
+        .run_scan_file(
+            &path,
+            &cfg,
+            Engine::GpuCluster {
+                nodes: 1,
+                devices_per_node: 4,
+            },
+        )
         .unwrap();
     assert_eq!(r.recovery.devices_lost, 4);
     assert!(
@@ -239,7 +249,7 @@ fn losing_every_device_salvages_committed_slabs_on_the_cpu() {
         r.recovery
     );
     assert!(r.recovery.recomputed_slabs >= 1, "{:?}", r.recovery);
-    assert!(r.fallback.as_deref().unwrap().contains("gpu-multi(4)"));
+    assert!(r.fallback.as_deref().unwrap().contains("gpu-cluster(1x4)"));
     assert_eq!(r.image.data, cpu.image.data);
     assert_eq!(r.stats, cpu.stats);
     assert!(r.summary().contains("DEGRADED"), "{}", r.summary());
@@ -253,7 +263,10 @@ fn interrupted_fleet_run_resumes_on_a_healthy_fleet() {
     let path = write_demo_scan("fleet_resume");
     let mut cfg = cfg();
     cfg.pipeline_depth = Some(1);
-    let fleet = Engine::GpuMulti { devices: 4 };
+    let fleet = Engine::GpuCluster {
+        nodes: 1,
+        devices_per_node: 4,
+    };
     let baseline = Pipeline::default()
         .run_scan_file(&path, &cfg, fleet)
         .unwrap();
@@ -371,7 +384,7 @@ fn cli_checkpoint_resume_round_trip() {
     let err = cli::parse(&sv(&["reconstruct", "--input", &scan_s, "--resume"])).unwrap_err();
     assert!(err.contains("--journal-dir"), "{err}");
 
-    // The fleet engine parses and runs from the CLI too.
+    // The fleet shorthand parses and runs from the CLI too, as one chassis.
     let cmd = cli::parse(&sv(&[
         "reconstruct",
         "--input",
@@ -385,7 +398,7 @@ fn cli_checkpoint_resume_round_trip() {
     let mut buf = Vec::new();
     cli::run(&cmd, &mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
-    assert!(text.contains("gpu-multi(3)"), "{text}");
+    assert!(text.contains("gpu-cluster(1x3)"), "{text}");
     assert!(cli::parse(&sv(&[
         "reconstruct",
         "--input",
