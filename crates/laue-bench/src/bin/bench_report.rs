@@ -23,7 +23,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use cuda_sim::{Device, DeviceProps};
-use laue_bench::{delta_percentile, standard_config, Workload};
+use laue_bench::{
+    delta_percentile, pinned, standard_config, Workload, SERIAL_1D, SERIAL_3D, SERIAL_TABLES,
+};
 use laue_core::cache::TableCacheStats;
 use laue_core::gpu::{self, GpuOptions, PipelineDepth};
 use laue_core::{AccumulationMode, CompactionMode, IntegrityMode, PlanMode};
@@ -72,15 +74,10 @@ fn main() {
         let mut cpu_total = 0.0;
         let mut serial = (0.0, 0.0, 0.0); // (total, comm, compute)
         let mut pipe_total = 0.0;
-        for (key, engine) in [
-            ("cpu_seq", Engine::CpuSeq),
-            (
-                "gpu_serial",
-                Engine::Gpu {
-                    layout: laue_core::gpu::Layout::Flat1d,
-                },
-            ),
-            ("gpu_pipe", Engine::GpuPipelined),
+        for (key, engine, cfg) in [
+            ("cpu_seq", Engine::CpuSeq, cfg.clone()),
+            ("gpu_serial", Engine::GpuPipelined, pinned(&cfg, SERIAL_1D)),
+            ("gpu_pipe", Engine::GpuPipelined, cfg.clone()),
         ] {
             let mut source = w.source();
             let r = pipeline
@@ -206,10 +203,16 @@ fn main() {
     // 3. Depth-table cache: a cold run computes and uploads the tables, a
     // warm run on the same pipeline reuses the resident copy.
     let cache_pipeline = Pipeline::default();
+    let tables_cfg = pinned(&cfg, SERIAL_TABLES);
     let run_tables = || {
         let mut source = w.source();
         cache_pipeline
-            .run_source(&mut source, &w.scan.geometry, &cfg, Engine::GpuTables)
+            .run_source(
+                &mut source,
+                &w.scan.geometry,
+                &tables_cfg,
+                Engine::GpuPipelined,
+            )
             .expect("gpu-tables run")
     };
     let cold = run_tables();
@@ -248,21 +251,18 @@ fn main() {
     );
     assert_eq!(degraded_fleet.recovery.devices_lost, 1);
 
-    // 5. Sparsity compaction: dense vs compacted gpu-1d at the paper's
+    // 5. Sparsity compaction: dense vs compacted serial 1-D at the paper's
     // ~25 %-active operating point (Fig 9's sparsest column). The compact
     // run must stay bit-identical and — prescan cost included — cut the
     // modeled kernel time; `--check` turns the ratio into a CI gate.
     let sparse_cutoff = delta_percentile(w, 0.75);
-    let gpu1d = Engine::Gpu {
-        layout: laue_core::gpu::Layout::Flat1d,
-    };
     let run_mode = |mode: CompactionMode| {
-        let mut c = standard_config();
+        let mut c = pinned(&standard_config(), SERIAL_1D);
         c.intensity_cutoff = sparse_cutoff;
         c.compaction = mode;
         let mut source = w.source();
         Pipeline::default()
-            .run_source(&mut source, &w.scan.geometry, &c, gpu1d)
+            .run_source(&mut source, &w.scan.geometry, &c, Engine::GpuPipelined)
             .expect("compaction run")
     };
     let dense = run_mode(CompactionMode::Off);
@@ -286,16 +286,16 @@ fn main() {
     let compact_ratio = compact.compute_time_s / dense.compute_time_s;
 
     // 6. Accumulation strategy: the paper's CAS-loop atomicAdd(double) vs
-    // the shared-memory privatized tiles, dense gpu-1d on the same stack.
+    // the shared-memory privatized tiles, dense serial 1-D on the same stack.
     // The privatized run must stay bit-identical and cut the modeled
     // kernel time; `--check` gates the ratio when the baseline file holds
     // a second float.
     let run_accum = |mode: AccumulationMode| {
-        let mut c = standard_config();
+        let mut c = pinned(&standard_config(), SERIAL_1D);
         c.accumulation = mode;
         let mut source = w.source();
         Pipeline::default()
-            .run_source(&mut source, &w.scan.geometry, &c, gpu1d)
+            .run_source(&mut source, &w.scan.geometry, &c, Engine::GpuPipelined)
             .expect("accumulation run")
     };
     let atomic = run_accum(AccumulationMode::Atomic);
@@ -315,14 +315,13 @@ fn main() {
     // track the measured one, and auto must stay within a few percent of
     // the best fixed contender; `--check` gates the ratio when the baseline
     // file holds a fourth float.
-    let run_fixed = |engine: Engine, depth: Option<usize>| {
-        let mut c = standard_config();
+    let run_fixed = |plan: &str| {
+        let mut c = pinned(&standard_config(), plan);
         c.compaction = CompactionMode::Auto;
         c.accumulation = AccumulationMode::Auto;
-        c.pipeline_depth = depth;
         let mut source = w.source();
         Pipeline::default()
-            .run_source(&mut source, &w.scan.geometry, &c, engine)
+            .run_source(&mut source, &w.scan.geometry, &c, Engine::GpuPipelined)
             .expect("fixed plan run")
     };
     let mut c = standard_config();
@@ -335,20 +334,14 @@ fn main() {
         .expect("plan auto run");
     let explain = auto_plan.plan.clone().expect("plan auto explain block");
     let mut best_fixed: Option<(&str, f64)> = None;
-    for (label, engine, depth) in [
-        ("gpu-1d", gpu1d, None),
-        (
-            "gpu-3d",
-            Engine::Gpu {
-                layout: laue_core::gpu::Layout::Pointer3d,
-            },
-            None,
-        ),
-        ("gpu-tables", Engine::GpuTables, None),
-        ("gpu-pipe-k2", Engine::GpuPipelined, Some(2)),
-        ("gpu-pipe-k3", Engine::GpuPipelined, Some(3)),
+    for (label, plan) in [
+        ("gpu-1d", SERIAL_1D),
+        ("gpu-3d", SERIAL_3D),
+        ("gpu-tables", SERIAL_TABLES),
+        ("gpu-pipe-k2", "flat1d/inkernel/k2"),
+        ("gpu-pipe-k3", "flat1d/inkernel/k3"),
     ] {
-        let r = run_fixed(engine, depth);
+        let r = run_fixed(plan);
         assert_eq!(
             auto_plan.image.data, r.image.data,
             "plan auto diverges from {label}"

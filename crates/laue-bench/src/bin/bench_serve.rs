@@ -40,7 +40,8 @@ fn report_row(label: &str, rate_hz: f64, r: &ServeReport) -> String {
         "    {{\"label\": \"{label}\", \"offered_rate_hz\": {rate_hz:.6}, \
          \"completed\": {}, \"goodput_jobs_per_s\": {:.6}, \
          \"p50_s\": {:.9}, \"p99_s\": {:.9}, \"makespan_s\": {:.9}, \
-         \"utilization\": {:.6}, \"preemptions\": {}, \"migrations\": {}, \
+         \"utilization\": {:.6}, \"preemptions\": {}, \"quantum_expiries\": {}, \
+         \"migrations\": {}, \
          \"fused_jobs\": {}, \"batches\": {}, \"mean_batch\": {:.3}, \
          \"singles\": {}, \"cache_host_hits\": {}, \"cache_host_misses\": {}, \
          \"cache_device_hits\": {}, \"cache_device_misses\": {}}}",
@@ -51,6 +52,7 @@ fn report_row(label: &str, rate_hz: f64, r: &ServeReport) -> String {
         r.makespan_s,
         r.utilization,
         r.preemptions,
+        r.quantum_expiries,
         r.migrations,
         r.batch.fused_jobs,
         r.batch.batches,

@@ -9,9 +9,9 @@
 //!
 //! Run: `cargo run --release -p laue-bench --bin fig4_layout`
 
-use laue_bench::{assert_same_image, ms, print_table, standard_config, Workload};
-use laue_core::gpu::Layout;
-use laue_pipeline::Engine;
+use laue_bench::{
+    assert_same_image, ms, print_table, standard_config, Workload, SERIAL_1D, SERIAL_3D,
+};
 
 fn main() {
     let w = Workload::of_megabytes(5.2, 404);
@@ -24,18 +24,8 @@ fn main() {
         w.side()
     );
 
-    let flat = w.run(
-        &cfg,
-        Engine::Gpu {
-            layout: Layout::Flat1d,
-        },
-    );
-    let ptr = w.run(
-        &cfg,
-        Engine::Gpu {
-            layout: Layout::Pointer3d,
-        },
-    );
+    let flat = w.run_pinned(&cfg, SERIAL_1D);
+    let ptr = w.run_pinned(&cfg, SERIAL_3D);
     assert_same_image(&flat, &ptr);
 
     print_table(
@@ -47,11 +37,11 @@ fn main() {
             "transfers",
             "slabs",
         ],
-        &[&flat, &ptr]
+        &[("gpu-1d", &flat), ("gpu-3d", &ptr)]
             .iter()
-            .map(|r| {
+            .map(|(label, r)| {
                 vec![
-                    r.engine.clone(),
+                    label.to_string(),
                     ms(r.total_time_s),
                     ms(r.compute_time_s),
                     ms(r.comm_time_s),

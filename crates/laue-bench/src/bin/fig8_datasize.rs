@@ -8,8 +8,7 @@
 //!
 //! Run: `cargo run --release -p laue-bench --bin fig8_datasize`
 
-use laue_bench::{assert_same_image, ms, print_table, standard_config, Workload};
-use laue_core::gpu::Layout;
+use laue_bench::{assert_same_image, ms, print_table, standard_config, Workload, SERIAL_1D};
 use laue_pipeline::Engine;
 
 fn main() {
@@ -20,12 +19,7 @@ fn main() {
     let mut last_pair = (0.0f64, 0.0f64);
     for w in Workload::fig8_set() {
         let cpu = w.run(&cfg, Engine::CpuSeq);
-        let gpu = w.run(
-            &cfg,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        );
+        let gpu = w.run_pinned(&cfg, SERIAL_1D);
         assert_same_image(&cpu, &gpu);
         let ratio = gpu.total_time_s / cpu.total_time_s;
         rows.push(vec![

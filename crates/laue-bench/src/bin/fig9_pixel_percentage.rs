@@ -8,8 +8,9 @@
 //!
 //! Run: `cargo run --release -p laue-bench --bin fig9_pixel_percentage`
 
-use laue_bench::{assert_same_image, delta_percentile, ms, print_table, standard_config, Workload};
-use laue_core::gpu::Layout;
+use laue_bench::{
+    assert_same_image, delta_percentile, ms, print_table, standard_config, Workload, SERIAL_1D,
+};
 use laue_core::CompactionMode;
 use laue_pipeline::Engine;
 
@@ -29,20 +30,10 @@ fn main() {
         let mut cfg = standard_config();
         cfg.intensity_cutoff = cutoff;
         let cpu = w.run(&cfg, Engine::CpuSeq);
-        let gpu = w.run(
-            &cfg,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        );
+        let gpu = w.run_pinned(&cfg, SERIAL_1D);
         let mut sparse_cfg = cfg.clone();
         sparse_cfg.compaction = CompactionMode::On;
-        let compact = w.run(
-            &sparse_cfg,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        );
+        let compact = w.run_pinned(&sparse_cfg, SERIAL_1D);
         assert_same_image(&cpu, &gpu);
         assert_same_image(&gpu, &compact);
         rows.push(vec![

@@ -13,8 +13,9 @@
 //! Run: `cargo run --release -p laue-bench --bin plan_validation`
 
 use laue_bench::devices::era_matrix;
-use laue_bench::{ms, print_table, standard_config, Workload};
-use laue_core::gpu::Layout;
+use laue_bench::{
+    ms, pinned, print_table, standard_config, Workload, SERIAL_1D, SERIAL_3D, SERIAL_TABLES,
+};
 use laue_core::{AccumulationMode, CompactionMode, PlanMode};
 use laue_pipeline::{Engine, Pipeline, RunReport};
 
@@ -23,29 +24,16 @@ const MAX_PREDICTION_ERROR: f64 = 0.15;
 /// Planner budget: auto total time over the best fixed total time.
 const MAX_AUTO_REGRET: f64 = 1.05;
 
-/// The fixed configurations auto competes against: every GPU engine the
-/// CLI exposes, plus the deeper ring depths of the pipelined engine.
-fn fixed_field() -> Vec<(&'static str, Engine, Option<usize>)> {
-    vec![
-        (
-            "gpu-1d",
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-            None,
-        ),
-        (
-            "gpu-3d",
-            Engine::Gpu {
-                layout: Layout::Pointer3d,
-            },
-            None,
-        ),
-        ("gpu-tables", Engine::GpuTables, None),
-        ("gpu-pipe-k2", Engine::GpuPipelined, Some(2)),
-        ("gpu-pipe-k3", Engine::GpuPipelined, Some(3)),
-    ]
-}
+/// The fixed configurations auto competes against, as `(label, pin)`: the
+/// paper's serial 1-D, 3-D and host-table design points, plus the deeper
+/// ring depths of the default schedule.
+const FIXED_FIELD: [(&str, &str); 5] = [
+    ("gpu-1d", SERIAL_1D),
+    ("gpu-3d", SERIAL_3D),
+    ("gpu-tables", SERIAL_TABLES),
+    ("gpu-pipe-k2", "flat1d/inkernel/k2"),
+    ("gpu-pipe-k3", "flat1d/inkernel/k3"),
+];
 
 /// Run one engine on one device with a cold cache (fresh `Pipeline`), so
 /// every contender pays the same table-building costs the planner models.
@@ -96,10 +84,8 @@ fn main() {
             }
 
             let mut best: Option<(&'static str, f64)> = None;
-            for (label, engine, depth) in fixed_field() {
-                let mut cfg = base.clone();
-                cfg.pipeline_depth = depth;
-                let fixed = run_cold(&props, w, &cfg, engine);
+            for (label, plan) in FIXED_FIELD {
+                let fixed = run_cold(&props, w, &pinned(&base, plan), Engine::GpuPipelined);
                 assert_eq!(
                     auto.image.data, fixed.image.data,
                     "auto and {label} diverge on {} / {}",

@@ -30,6 +30,21 @@ use laue_wire::{builder::dims_for_bytes, SyntheticScan, SyntheticScanBuilder};
 /// Wire steps used by every figure workload.
 pub const N_STEPS: usize = 64;
 
+/// The paper's serial single-device design points as `--plan` pins: the
+/// 1-D flat layout, the 3-D pointer-table layout, and host-shipped depth
+/// tables, each on the one-slot pipeline.
+pub const SERIAL_1D: &str = "flat1d/inkernel/k1";
+pub const SERIAL_3D: &str = "ptr3d/inkernel/k1";
+pub const SERIAL_TABLES: &str = "flat1d/tables/k1";
+
+/// `cfg` pinned to the `--plan` label `plan` (its optional `/rN` sets the
+/// slab rows).
+pub fn pinned(cfg: &ReconstructionConfig, plan: &str) -> ReconstructionConfig {
+    let mut cfg = cfg.clone();
+    cfg.set_plan(plan).expect("a valid plan pin");
+    cfg
+}
+
 /// A generated benchmark workload.
 pub struct Workload {
     /// Human label (e.g. `2.1 MB`).
@@ -113,6 +128,11 @@ impl Workload {
         Pipeline::default()
             .run_source(&mut source, &self.scan.geometry, cfg, engine)
             .expect("pipeline run")
+    }
+
+    /// Run `gpu-pipe` over this workload with `cfg` pinned to `plan`.
+    pub fn run_pinned(&self, cfg: &ReconstructionConfig, plan: &str) -> RunReport {
+        self.run(&pinned(cfg, plan), Engine::GpuPipelined)
     }
 
     /// Detector side length.

@@ -555,9 +555,7 @@ pub fn reconstruct_cluster_checkpointed(
         host_table_time_s,
         n_slabs: progress.committed_slabs(),
         rows_per_slab: bands.rows_per_slab,
-        pipeline_depth: bands
-            .depth_used
-            .unwrap_or(cfg.pipeline_depth.unwrap_or(depth.0)),
+        pipeline_depth: bands.depth_used.unwrap_or(depth.0),
         slab_densities: bands.slab_densities,
         slab_privatized: bands.slab_privatized,
         integrity,

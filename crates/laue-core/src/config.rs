@@ -1,6 +1,7 @@
 //! Reconstruction parameters.
 
 use crate::error::CoreError;
+use crate::gpu::{GpuOptions, Layout, PipelineDepth, ThreadMapping, Triangulation};
 use crate::Result;
 use laue_geometry::WireEdge;
 
@@ -114,42 +115,119 @@ impl IntegrityMode {
     }
 }
 
-/// How the execution strategy for a run is chosen.
+/// One run-level GPU schedule: the paper's design points as coordinates
+/// of a single plan — data layout (Fig 4), where triangulation happens
+/// (in-kernel or host-shipped `edge`/`gpuPointArray` tables), and the ring
+/// depth of the transfer/compute pipeline.
 ///
-/// Every plan produces bit-identical images — layout, pipeline depth,
-/// compaction, and accumulation are all correctness-free choices — so the
-/// planner only moves modeled cost around.
+/// Its label uses the planner's grammar `LAYOUT/TRI/kN[/rN]`, e.g.
+/// `flat1d/inkernel/k3` or `ptr3d/tables/k1/r16`. The optional `/rN`
+/// segment is not part of the pin: it is the run's
+/// [`ReconstructionConfig::rows_per_slab`], the only place slab rows live.
+/// The default pin is the `gpu-pipe` schedule, `flat1d/inkernel/k3`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// Honour the explicitly configured flags (`--engine`, `--compaction`,
-    /// `--accumulation`, `--pipeline-depth`, …) verbatim. Per-flag `auto`
-    /// modes still resolve per slab via the cost model.
-    #[default]
-    Fixed,
-    /// Enumerate candidate execution plans (layout × table placement ×
-    /// pipeline depth, with per-slab compaction/accumulation resolved by
-    /// the same cost model), predict each candidate's virtual cost with
-    /// the calibrated cuda-sim model, and run the argmin. The chosen plan
-    /// and its predicted cost are reported in the run's explain block.
-    Auto,
+pub struct PlanPin {
+    /// Device data layout.
+    pub layout: Layout,
+    /// Where the edge-depth triangulation happens.
+    pub triangulation: Triangulation,
+    /// Ring depth requested of the pipeline (memory pressure may shallow
+    /// it; the run report carries the depth that ran).
+    pub depth: PipelineDepth,
 }
 
-impl PlanMode {
-    /// Stable lower-case label used by the CLI and the run journal.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlanMode::Fixed => "fixed",
-            PlanMode::Auto => "auto",
+impl PlanPin {
+    /// Kernel options of this schedule (linear thread mapping).
+    pub fn options(self) -> GpuOptions {
+        GpuOptions {
+            layout: self.layout,
+            triangulation: self.triangulation,
+            mapping: ThreadMapping::Linear,
         }
     }
 
-    /// Parse a CLI spelling (`fixed`, `auto`).
-    pub fn parse(s: &str) -> Option<PlanMode> {
-        match s {
-            "fixed" => Some(PlanMode::Fixed),
-            "auto" => Some(PlanMode::Auto),
-            _ => None,
+    /// The `LAYOUT/TRI/kN[/rN]` label of this pin with `rows_per_slab`.
+    pub fn label(self, rows_per_slab: Option<usize>) -> String {
+        let (layout, tri, k) = (
+            self.layout.label(),
+            self.triangulation.label(),
+            self.depth.0,
+        );
+        let rows = rows_per_slab.map_or(String::new(), |r| format!("/r{r}"));
+        format!("{layout}/{tri}/k{k}{rows}")
+    }
+
+    /// Parse a `LAYOUT/TRI/kN[/rN]` label into the pin and its slab rows.
+    pub fn parse(s: &str) -> Result<(PlanPin, Option<usize>)> {
+        let bad = || {
+            CoreError::InvalidConfig(format!(
+                "bad --plan {s:?}: want auto or LAYOUT/TRI/kN[/rN] with LAYOUT \
+                 flat1d|ptr3d, TRI inkernel|tables and N >= 1, e.g. flat1d/inkernel/k3"
+            ))
+        };
+        let count = |seg: &str, prefix: char| -> Result<usize> {
+            seg.strip_prefix(prefix)
+                .and_then(|n| n.parse().ok())
+                .filter(|&n| n >= 1)
+                .ok_or_else(bad)
+        };
+        let parts: Vec<&str> = s.split('/').collect();
+        let (layout, tri, depth, rows) = match parts.as_slice() {
+            [l, t, k] => (l, t, k, None),
+            [l, t, k, r] => (l, t, k, Some(r)),
+            _ => return Err(bad()),
+        };
+        let pin = PlanPin {
+            layout: Layout::ALL
+                .into_iter()
+                .find(|l| l.label() == *layout)
+                .ok_or_else(bad)?,
+            triangulation: Triangulation::ALL
+                .into_iter()
+                .find(|t| t.label() == *tri)
+                .ok_or_else(bad)?,
+            depth: PipelineDepth(count(depth, 'k')?),
+        };
+        let rows = rows.map(|r| count(r, 'r')).transpose()?;
+        Ok((pin, rows))
+    }
+}
+
+/// How the run-level GPU schedule is chosen.
+///
+/// Every plan produces bit-identical images — layout, triangulation, ring
+/// depth, slab rows, compaction, and accumulation are all correctness-free
+/// choices — so the planner only moves modeled cost around.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanMode {
+    /// Enumerate candidate execution plans (layout × table placement ×
+    /// pipeline depth × slab rows, with compaction and accumulation both
+    /// resolved per slab by the same cost model), predict each candidate's
+    /// virtual cost with the calibrated cuda-sim model, and run the
+    /// argmin. The chosen plan and its predicted cost are reported in the
+    /// run's explain block.
+    Auto,
+    /// Run this schedule as given, with the configured compaction and
+    /// accumulation modes. The default pin is the `gpu-pipe` schedule,
+    /// `flat1d/inkernel/k3`.
+    Pin(PlanPin),
+}
+
+impl Default for PlanMode {
+    fn default() -> Self {
+        PlanMode::Pin(PlanPin::default())
+    }
+}
+
+impl PlanMode {
+    /// Parse a `--plan` spelling: `auto`, or a pin `LAYOUT/TRI/kN[/rN]`
+    /// together with its optional slab rows.
+    pub fn parse(s: &str) -> Result<(PlanMode, Option<usize>)> {
+        if s == "auto" {
+            return Ok((PlanMode::Auto, None));
         }
+        let (pin, rows) = PlanPin::parse(s)?;
+        Ok((PlanMode::Pin(pin), rows))
     }
 }
 
@@ -242,10 +320,6 @@ pub struct ReconstructionConfig {
     /// passes 2 of 6 rows at a time). `None` lets the GPU engine pick the
     /// largest slab that fits device memory.
     pub rows_per_slab: Option<usize>,
-    /// Ring depth of the GPU transfer/compute pipeline: how many slab slots
-    /// may be in flight at once (1 = the paper's serial pipeline, 2 =
-    /// double buffering). `None` lets the engine choose per its defaults.
-    pub pipeline_depth: Option<usize>,
     /// Sparsity strategy: wire-shadow row culling plus active-pair
     /// compaction. Defaults to [`CompactionMode::Off`] (dense traversal).
     pub compaction: CompactionMode,
@@ -253,9 +327,10 @@ pub struct ReconstructionConfig {
     /// to [`AccumulationMode::Atomic`] (the paper-faithful CAS loop); CPU
     /// engines ignore it.
     pub accumulation: AccumulationMode,
-    /// Whether the execution plan is taken from the flags verbatim
-    /// ([`PlanMode::Fixed`], the default) or chosen by the cost-model
-    /// planner ([`PlanMode::Auto`]).
+    /// The run-level GPU schedule: a pinned [`PlanPin`] (the default is
+    /// the `gpu-pipe` schedule) or [`PlanMode::Auto`], chosen by the
+    /// cost-model planner. Set both it and slab rows from a `--plan`
+    /// spelling with [`ReconstructionConfig::set_plan`].
     pub plan: PlanMode,
     /// End-to-end data-integrity policy (checksummed transfers, ABFT
     /// depth-sum verification, launch watchdog, scrub/re-execute).
@@ -278,7 +353,6 @@ impl ReconstructionConfig {
             intensity_cutoff: 0.0,
             wire_edge: WireEdge::Leading,
             rows_per_slab: None,
-            pipeline_depth: None,
             compaction: CompactionMode::default(),
             accumulation: AccumulationMode::default(),
             plan: PlanMode::default(),
@@ -314,10 +388,8 @@ impl ReconstructionConfig {
         if self.rows_per_slab == Some(0) {
             return Err(CoreError::InvalidConfig("rows_per_slab must be ≥ 1".into()));
         }
-        if self.pipeline_depth == Some(0) {
-            return Err(CoreError::InvalidConfig(
-                "pipeline_depth must be ≥ 1".into(),
-            ));
+        if matches!(self.plan, PlanMode::Pin(pin) if pin.depth.0 == 0) {
+            return Err(CoreError::InvalidConfig("ring depth must be ≥ 1".into()));
         }
         if !self.watchdog_multiplier.is_finite() || self.watchdog_multiplier <= 1.0 {
             return Err(CoreError::InvalidConfig(format!(
@@ -326,6 +398,31 @@ impl ReconstructionConfig {
             )));
         }
         Ok(())
+    }
+
+    /// Apply a `--plan` spelling: `auto`, or a pin `LAYOUT/TRI/kN[/rN]`
+    /// whose optional `/rN` sets [`ReconstructionConfig::rows_per_slab`]
+    /// (without it, slab rows stay as configured).
+    pub fn set_plan(&mut self, s: &str) -> Result<()> {
+        let (plan, rows) = PlanMode::parse(s)?;
+        self.plan = plan;
+        if rows.is_some() {
+            self.rows_per_slab = rows;
+        }
+        Ok(())
+    }
+
+    /// The configuration a GPU run executes: a pin runs as given; under
+    /// [`PlanMode::Auto`] the planner owns every knob, so compaction and
+    /// accumulation both resolve per slab by cost — and it prices exactly
+    /// this configuration.
+    pub fn executed(&self) -> ReconstructionConfig {
+        let mut cfg = self.clone();
+        if cfg.plan == PlanMode::Auto {
+            cfg.compaction = CompactionMode::Auto;
+            cfg.accumulation = AccumulationMode::Auto;
+        }
+        cfg
     }
 
     /// Width of one depth bin, µm.
@@ -379,9 +476,12 @@ mod tests {
         c.rows_per_slab = Some(0);
         assert!(c.validate().is_err());
         let mut c = base.clone();
-        c.pipeline_depth = Some(0);
+        c.plan = PlanMode::Pin(PlanPin {
+            depth: PipelineDepth(0),
+            ..PlanPin::default()
+        });
         assert!(c.validate().is_err());
-        c.pipeline_depth = Some(3);
+        c.set_plan("flat1d/inkernel/k3").unwrap();
         assert!(c.validate().is_ok());
         assert!(base.validate().is_ok());
     }
@@ -449,13 +549,51 @@ mod tests {
     }
 
     #[test]
-    fn plan_mode_round_trips_and_defaults_fixed() {
+    fn plan_defaults_to_the_gpu_pipe_pin() {
         let c = ReconstructionConfig::new(-100.0, 100.0, 50);
-        assert_eq!(c.plan, PlanMode::Fixed);
-        for m in [PlanMode::Fixed, PlanMode::Auto] {
-            assert_eq!(PlanMode::parse(m.label()), Some(m));
+        assert_eq!(c.plan, PlanMode::Pin(PlanPin::default()));
+        assert_eq!(PlanPin::default().label(None), "flat1d/inkernel/k3");
+    }
+
+    #[test]
+    fn set_plan_sets_the_pin_and_its_slab_rows() {
+        let mut c = ReconstructionConfig::new(-100.0, 100.0, 50);
+        c.set_plan("ptr3d/tables/k1/r4").unwrap();
+        let expected = PlanPin {
+            layout: Layout::Pointer3d,
+            triangulation: Triangulation::HostTables,
+            depth: PipelineDepth(1),
+        };
+        assert_eq!(c.plan, PlanMode::Pin(expected));
+        assert_eq!(c.rows_per_slab, Some(4));
+        // Without `/rN` the configured slab rows stay.
+        c.set_plan("auto").unwrap();
+        assert_eq!((c.plan, c.rows_per_slab), (PlanMode::Auto, Some(4)));
+        c.rows_per_slab = None;
+        c.set_plan("flat1d/inkernel/k2").unwrap();
+        assert_eq!(c.rows_per_slab, None);
+    }
+
+    #[test]
+    fn malformed_pins_are_rejected_naming_the_flag() {
+        for bad in [
+            "flat1d/inkernel",
+            "k0",
+            "flat1d/inkernel/k0",
+            "flat1d/inkernel/k2/r0",
+            "r0",
+            "ptr2d/inkernel/k1",
+            "flat1d/gpuPointArray/k1",
+            "flat1d/inkernel/3",
+            "flat1d/inkernel/k1/r4/x",
+            "fixed",
+            "",
+        ] {
+            let err = PlanPin::parse(bad).unwrap_err().to_string();
+            assert!(err.contains("--plan"), "{bad:?}: {err}");
+            let mut c = ReconstructionConfig::new(-100.0, 100.0, 50);
+            assert!(c.set_plan(bad).is_err(), "{bad:?}");
         }
-        assert_eq!(PlanMode::parse("best"), None);
     }
 
     #[test]

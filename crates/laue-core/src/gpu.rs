@@ -60,13 +60,27 @@ use crate::stats::ReconStats;
 use crate::Result;
 
 /// Device data layout for the image stack and output (the paper's Fig 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Layout {
     /// One flat buffer per slab; kernels do 1-D↔3-D index arithmetic.
+    #[default]
     Flat1d,
     /// One allocation per image / per output bin plus device pointer
     /// tables; more transfers, extra pointer chases.
     Pointer3d,
+}
+
+impl Layout {
+    /// Every layout, in the planner's enumeration order.
+    pub const ALL: [Layout; 2] = [Layout::Flat1d, Layout::Pointer3d];
+
+    /// Stable label used in plan labels and pins (`flat1d`, `ptr3d`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Layout::Flat1d => "flat1d",
+            Layout::Pointer3d => "ptr3d",
+        }
+    }
 }
 
 /// Where the edge-depth triangulation happens.
@@ -75,9 +89,10 @@ pub enum Layout {
 /// `gpuPointArray` tables, i.e. parts of the triangulation are done on the
 /// host and traded against PCIe transfer. The two modes below bracket that
 /// design space; both produce bit-identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Triangulation {
     /// Each kernel thread triangulates its own pair (compute on device).
+    #[default]
     InKernel,
     /// The host precomputes the per-(pixel, step) depth table and ships it
     /// with each slab (transfer instead of device compute; host pays the
@@ -85,12 +100,26 @@ pub enum Triangulation {
     HostTables,
 }
 
+impl Triangulation {
+    /// Every placement, in the planner's enumeration order.
+    pub const ALL: [Triangulation; 2] = [Triangulation::InKernel, Triangulation::HostTables];
+
+    /// Stable label used in plan labels and pins (`inkernel`, `tables`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Triangulation::InKernel => "inkernel",
+            Triangulation::HostTables => "tables",
+        }
+    }
+}
+
 /// How kernel threads are mapped onto the `(row, col, pair)` domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreadMapping {
     /// 1-D launch with in-kernel index arithmetic — the layout-independent
     /// mapping this reproduction defaults to (deposit order matches the CPU
     /// loop nest, enabling bitwise equivalence).
+    #[default]
     Linear,
     /// The paper's Fig 6 mapping: 3-D blocks over `(rows, cols, pairs)`
     /// (its example launches a `(2, 9, 4)` block). Fermi forbids `grid.z
@@ -99,22 +128,12 @@ pub enum ThreadMapping {
     Grid3d,
 }
 
-/// Full GPU-engine options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Full GPU-engine options (default: flat, in-kernel, linear).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GpuOptions {
     pub layout: Layout,
     pub triangulation: Triangulation,
     pub mapping: ThreadMapping,
-}
-
-impl Default for GpuOptions {
-    fn default() -> Self {
-        GpuOptions {
-            layout: Layout::Flat1d,
-            triangulation: Triangulation::InKernel,
-            mapping: ThreadMapping::Linear,
-        }
-    }
 }
 
 /// Ring depth `k` of the transfer/compute pipeline: how many slab slots may
@@ -1793,9 +1812,8 @@ pub fn reconstruct(
 }
 
 /// As [`reconstruct`], with the full option set (layout × triangulation).
-/// Runs the ring at `k = 1` (serial pipeline) unless
-/// [`ReconstructionConfig::pipeline_depth`] says otherwise, with no
-/// depth-table cache attached.
+/// Runs the ring at `k = 1` (serial pipeline), with no depth-table cache
+/// attached.
 pub fn reconstruct_with_options(
     device: &Device,
     source: &mut dyn SlabSource,
@@ -2222,9 +2240,8 @@ pub(crate) fn run_ring(
 /// Reconstruct with the k-deep transfer/compute ring and, optionally, a
 /// persistent depth-table cache.
 ///
-/// `depth` is the default ring depth; [`ReconstructionConfig::pipeline_depth`]
-/// overrides it when set. The cache only participates in
-/// [`Triangulation::HostTables`] mode.
+/// `depth` is the requested ring depth (memory pressure may shallow it).
+/// The cache only participates in [`Triangulation::HostTables`] mode.
 pub fn reconstruct_pipelined(
     device: &Device,
     source: &mut dyn SlabSource,
@@ -2237,7 +2254,6 @@ pub fn reconstruct_pipelined(
     validate_inputs(source, geom, cfg)?;
     let mapper = geom.mapper()?;
     let (n_images, n_rows, n_cols) = (source.n_images(), source.n_rows(), source.n_cols());
-    let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
 
     device.reset_meters();
     let mut recovery = RecoveryLog::default();
@@ -2436,7 +2452,6 @@ pub fn reconstruct_checkpointed_bounded(
     validate_inputs(source, geom, cfg)?;
     let mapper = geom.mapper()?;
     let n_rows = source.n_rows();
-    let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
 
     device.reset_meters();
     let mut quantum = max_rows;
@@ -2505,6 +2520,26 @@ mod tests {
 
     fn big_device() -> Device {
         Device::new(DeviceProps::tiny(64 * 1024 * 1024))
+    }
+
+    /// The default kernel options on a `k`-deep ring, no table cache.
+    fn ring(
+        device: &Device,
+        source: &mut dyn SlabSource,
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        k: usize,
+    ) -> GpuReconstruction {
+        reconstruct_pipelined(
+            device,
+            source,
+            geom,
+            cfg,
+            GpuOptions::default(),
+            PipelineDepth(k),
+            None,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -2743,10 +2778,9 @@ mod tests {
     fn ring_pipeline_retries_transfers() {
         let (geom, mut cfg, data) = demo();
         cfg.rows_per_slab = Some(2);
-        cfg.pipeline_depth = Some(3);
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let clean = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let clean = ring(&device, &mut source, &geom, &cfg, 3);
         assert_eq!(clean.pipeline_depth, 3);
 
         let device = big_device();
@@ -2757,7 +2791,7 @@ mod tests {
                 .h2d_fault_rate(0.25),
         );
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = ring(&device, &mut source, &geom, &cfg, 3);
         assert!(out.recovery.transfer_retries > 0);
         assert_eq!(out.image.data, clean.image.data);
     }
@@ -2787,10 +2821,8 @@ mod tests {
         cfg.rows_per_slab = Some(1); // many slabs → pipelining matters
         let device = big_device();
         let run_depth = |k: usize| {
-            let mut cfg = cfg.clone();
-            cfg.pipeline_depth = Some(k);
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap()
+            ring(&device, &mut source, &geom, &cfg, k)
         };
         let serial = run_depth(1);
         let double = run_depth(2);
@@ -2821,16 +2853,15 @@ mod tests {
     fn ring_survives_injected_oom_mid_flight() {
         // OOM while slots are in flight: the ring must drain, halve the
         // plan, and still converge bit-identically.
-        let (geom, mut cfg, data) = demo();
-        cfg.pipeline_depth = Some(3);
+        let (geom, cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let clean = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let clean = ring(&device, &mut source, &geom, &cfg, 3);
 
         let device = big_device();
         device.set_fault_plan(cuda_sim::FaultPlan::new(1).fail_nth_alloc(3));
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = ring(&device, &mut source, &geom, &cfg, 3);
         assert!(out.recovery.replans >= 1, "OOM must trigger a re-plan");
         assert_eq!(out.image.data, clean.image.data);
         assert_eq!(out.stats, clean.stats);
@@ -2844,10 +2875,8 @@ mod tests {
         let need_1 = slab_bytes(1, 10, 6, 40, GpuOptions::default(), 1, CompactionMode::Off);
         // Headroom: the planner reserves 10 % + the wire table.
         let device = Device::new(DeviceProps::tiny(2 * need_1));
-        let mut cfg = cfg.clone();
-        cfg.pipeline_depth = Some(4);
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = ring(&device, &mut source, &geom, &cfg, 4);
         assert!(
             out.pipeline_depth < 4,
             "requested depth cannot fit: {}",

@@ -59,7 +59,9 @@ pub mod stats;
 pub mod uncertainty;
 
 pub use cluster::{ClusterOptions, ClusterReconstruction, NodeOutcome, ReductionTopology};
-pub use config::{AccumulationMode, CompactionMode, IntegrityMode, PlanMode, ReconstructionConfig};
+pub use config::{
+    AccumulationMode, CompactionMode, IntegrityMode, PlanMode, PlanPin, ReconstructionConfig,
+};
 pub use error::CoreError;
 pub use geometry::ScanGeometry;
 pub use input::{InMemorySlabSource, RoiSlabSource, ScanView, SlabSource};

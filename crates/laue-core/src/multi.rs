@@ -149,10 +149,7 @@ pub fn reconstruct_multi(
         table_cache: run.bands.table_cache,
         devices_lost: run.devices_lost,
         rows_per_slab: run.bands.rows_per_slab,
-        pipeline_depth: run
-            .bands
-            .depth_used
-            .unwrap_or(cfg.pipeline_depth.unwrap_or(1)),
+        pipeline_depth: run.bands.depth_used.unwrap_or(PipelineDepth::SERIAL.0),
         slab_densities: run.bands.slab_densities,
         slab_privatized: run.bands.slab_privatized,
         integrity: run.bands.integrity,
@@ -235,7 +232,6 @@ pub(crate) fn reconstruct_multi_scoped(
     }
     validate_inputs(source, geom, cfg)?;
     let mapper = geom.mapper()?;
-    let depth = cfg.pipeline_depth.map(PipelineDepth).unwrap_or(depth);
 
     let mut bands = BandTally::default();
     let mut devices_lost = 0u32;

@@ -45,7 +45,7 @@ use laue_geometry::DepthMapper;
 use crate::cluster::{
     node_bands, reduction_segment_bytes, route_hops, ClusterOptions, ReductionTopology,
 };
-use crate::config::{AccumulationMode, CompactionMode, ReconstructionConfig};
+use crate::config::{AccumulationMode, CompactionMode, PlanPin, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
 use crate::gpu::{
@@ -587,44 +587,24 @@ pub struct PlannedCandidate {
 /// The run-level plan [`plan_run`] selected.
 #[derive(Debug, Clone)]
 pub struct RunPlan {
-    /// GPU options of the winning candidate (mapping is always
-    /// [`ThreadMapping::Linear`]; `Grid3d` has identical modeled cost).
-    pub options: GpuOptions,
-    /// Ring depth of the winning candidate.
-    pub depth: PipelineDepth,
+    /// Schedule of the winning candidate.
+    pub pin: PlanPin,
     /// Slab rows of the winning candidate (feasible by construction).
     pub rows_per_slab: usize,
     /// Predicted virtual makespan of the winner, seconds.
     pub predicted_s: f64,
     /// Modeled host-CPU seconds of the winner.
     pub host_s: f64,
-    /// The winner's label (also folded into the journal key under
-    /// `--plan auto`, so a plan flip forces a clean restart).
-    pub label: String,
     /// Every scored candidate, enumeration order.
     pub candidates: Vec<PlannedCandidate>,
-}
-
-fn layout_label(layout: Layout) -> &'static str {
-    match layout {
-        Layout::Flat1d => "flat1d",
-        Layout::Pointer3d => "ptr3d",
-    }
-}
-
-fn triangulation_label(t: Triangulation) -> &'static str {
-    match t {
-        Triangulation::InKernel => "inkernel",
-        Triangulation::HostTables => "tables",
-    }
 }
 
 /// Enumerate and score run-level execution plans for `source` on the
 /// device described by `props`, returning the predicted-cheapest feasible
 /// one. Per-slab knobs (compaction, accumulation) are resolved inside each
 /// candidate via [`plan_slab`] under the modes in `cfg` — under
-/// `--plan auto` the pipeline forces both to `Auto` so the planner owns
-/// every knob.
+/// `--plan auto` the pipeline sets both to `Auto` before planning, so the
+/// program priced is the program that runs.
 pub fn plan_run(
     props: &DeviceProps,
     host: &HostProps,
@@ -678,28 +658,24 @@ pub fn plan_run(
     let cull_host_flops = cull.as_ref().map_or(0, |c| c.host_flops);
 
     let mut candidates = Vec::new();
-    let mut best: Option<(GpuOptions, PipelineDepth, usize, f64, f64, String)> = None;
+    let mut best: Option<(PlanPin, usize, f64, f64)> = None;
     let mut last_fit_error = None;
-    for layout in [Layout::Flat1d, Layout::Pointer3d] {
-        for triangulation in [Triangulation::InKernel, Triangulation::HostTables] {
+    for layout in Layout::ALL {
+        for triangulation in Triangulation::ALL {
             let table_mode = triangulation == Triangulation::HostTables;
             let resident =
                 table_mode && (warmth.device_warm || warmth.resident_budget >= table_bytes);
-            let opts = GpuOptions {
-                layout,
-                triangulation,
-                mapping: ThreadMapping::Linear,
-            };
             // Mirror `run_ring`: a resident table leaves the per-slab
             // working set, and the budget excludes what is already
             // allocated (wires, resident table).
-            let sizing_opts = if resident {
-                GpuOptions {
-                    triangulation: Triangulation::InKernel,
-                    ..opts
-                }
-            } else {
-                opts
+            let sizing_opts = GpuOptions {
+                layout,
+                triangulation: if resident {
+                    Triangulation::InKernel
+                } else {
+                    triangulation
+                },
+                mapping: ThreadMapping::Linear,
             };
             let mut used = round_alloc(wire_bytes);
             if resident {
@@ -864,47 +840,32 @@ pub fn plan_run(
                         },
                         1,
                     );
-                    let label = format!(
-                        "{}/{}/k{}/r{}",
-                        layout_label(layout),
-                        triangulation_label(triangulation),
-                        depth,
-                        rows_per_slab
-                    );
+                    let pin = PlanPin {
+                        layout,
+                        triangulation,
+                        depth: PipelineDepth(depth),
+                    };
                     candidates.push(PlannedCandidate {
-                        label: label.clone(),
+                        label: pin.label(Some(rows_per_slab)),
                         predicted_s,
                         host_s,
                     });
-                    let better = match &best {
-                        None => true,
-                        Some((_, _, _, b, _, _)) => predicted_s < *b,
-                    };
-                    if better {
-                        best = Some((
-                            opts,
-                            PipelineDepth(depth),
-                            rows_per_slab,
-                            predicted_s,
-                            host_s,
-                            label,
-                        ));
+                    if best.is_none_or(|(_, _, b, _)| predicted_s < b) {
+                        best = Some((pin, rows_per_slab, predicted_s, host_s));
                     }
                 }
             }
         }
     }
-    let Some((options, depth, rows_per_slab, predicted_s, host_s, label)) = best else {
+    let Some((pin, rows_per_slab, predicted_s, host_s)) = best else {
         return Err(last_fit_error
             .unwrap_or_else(|| CoreError::InvalidConfig("no feasible execution plan".into())));
     };
     Ok(RunPlan {
-        options,
-        depth,
+        pin,
         rows_per_slab,
         predicted_s,
         host_s,
-        label,
         candidates,
     })
 }
@@ -929,8 +890,8 @@ pub struct ClusterPlan {
     pub compute_s: f64,
     /// Predicted reduction time not hidden behind compute, seconds.
     pub reduction_exposed_s: f64,
-    /// Stable label, e.g. `n8x1/tree+overlap`, folded into the journal
-    /// key under `--plan auto`.
+    /// Stable label, e.g. `n8x1/tree+overlap` (the explain block's chosen
+    /// plan; the journal key names the per-node pin instead).
     pub label: String,
     /// The underlying single-device run plan the per-node estimate scales.
     pub per_node: RunPlan,
@@ -1185,6 +1146,59 @@ mod tests {
             .all(|c| (c.predicted_s - plan.per_node.predicted_s).abs() < 1e-12));
     }
 
+    /// The pin grammar is the planner's own: every run-level label either
+    /// planner emits parses to a pin that prints back the same string.
+    #[test]
+    fn every_emitted_plan_label_parses_to_the_same_pin() {
+        let (geom, stack) = test_scene();
+        let (p, m, n) = (
+            geom.wire.n_steps,
+            geom.detector.n_rows,
+            geom.detector.n_cols,
+        );
+        let mut cfg = ReconstructionConfig::new(-400.0, 400.0, 40);
+        cfg.compaction = CompactionMode::Auto;
+        cfg.accumulation = AccumulationMode::Auto;
+        // Small enough that the row variants differ per candidate.
+        let props = DeviceProps::tiny(256 * 1024);
+        let host = HostProps::xeon_e5630();
+        let mut source = InMemorySlabSource::new(stack, p, m, n).unwrap();
+        let run = plan_run(
+            &props,
+            &host,
+            &mut source,
+            &geom,
+            &cfg,
+            TableWarmth::default(),
+        )
+        .unwrap();
+        let cluster = plan_cluster(
+            &props,
+            &host,
+            &InterconnectProps::ib_qdr(),
+            2,
+            2,
+            &mut source,
+            &geom,
+            &cfg,
+            TableWarmth::default(),
+        )
+        .unwrap();
+        let mut labels: Vec<String> = run.candidates.iter().map(|c| c.label.clone()).collect();
+        labels.extend(cluster.per_node.candidates.iter().map(|c| c.label.clone()));
+        labels.push(run.pin.label(Some(run.rows_per_slab)));
+        let per_node = &cluster.per_node;
+        labels.push(per_node.pin.label(Some(per_node.rows_per_slab)));
+        assert!(labels.len() >= 2 * 12 + 2);
+        for label in &labels {
+            let (pin, rows) = PlanPin::parse(label).unwrap();
+            assert!(rows.is_some(), "{label}: the planner always sizes slabs");
+            assert_eq!(&pin.label(rows), label);
+        }
+        let (pin, rows) = PlanPin::parse(&labels[labels.len() - 2]).unwrap();
+        assert_eq!((pin, rows), (run.pin, Some(run.rows_per_slab)));
+    }
+
     #[test]
     fn reduction_estimate_rewards_overlap_when_compute_dominates() {
         // Fabric sized so the drain is a visible fraction of compute but
@@ -1418,7 +1432,8 @@ mod tests {
         assert!(plan
             .candidates
             .iter()
-            .any(|c| c.label == plan.label && c.predicted_s == plan.predicted_s));
+            .any(|c| c.label == plan.pin.label(Some(plan.rows_per_slab))
+                && c.predicted_s == plan.predicted_s));
         // Warm table cache can only help candidates, never hurt them.
         let mut source2 = source.clone();
         let warm = plan_run(

@@ -11,7 +11,6 @@
 use std::collections::BTreeMap;
 
 use cuda_sim::{FaultPlan, InterconnectProps};
-use laue_core::gpu::Layout;
 use laue_core::{
     AccumulationMode, CompactionMode, IntegrityMode, PlanMode, ReconstructionConfig,
     ReductionTopology,
@@ -72,19 +71,20 @@ pub struct ReconstructArgs {
     /// (`--accumulation atomic|privatized|auto`; default `atomic` = the
     /// paper's CAS-loop `atomicAdd(double)`).
     pub accumulation: AccumulationMode,
-    /// Execution planning (`--plan fixed|auto`; default `fixed`). Under
-    /// `auto` the cost-model planner picks layout, table placement, ring
-    /// depth, and slab rows, and resolves compaction/accumulation per slab.
+    /// Run-level GPU schedule (`--plan auto|LAYOUT/TRI/kN[/rN]`; default
+    /// the `gpu-pipe` pin `flat1d/inkernel/k3`). Under `auto` the
+    /// cost-model planner picks layout, table placement, ring depth, and
+    /// slab rows, and resolves compaction/accumulation per slab.
     pub plan: PlanMode,
+    /// Slab rows: the pin's optional `/rN` segment (`None` fits slabs to
+    /// device memory).
+    pub rows_per_slab: Option<usize>,
     /// End-to-end data-integrity policy
     /// (`--integrity off|verify|scrub`; default `off`).
     pub integrity: IntegrityMode,
     /// Launch-watchdog deadline multiplier (`--watchdog-multiplier`;
     /// `None` keeps the config default).
     pub watchdog_multiplier: Option<f64>,
-    pub rows_per_slab: Option<usize>,
-    /// Ring depth of the GPU transfer/compute pipeline (`--pipeline-depth`).
-    pub pipeline_depth: Option<usize>,
     /// Device-resident depth-table cache budget, MiB (`--table-cache-mb`;
     /// 0 disables residency).
     pub table_cache_mb: Option<u64>,
@@ -125,11 +125,6 @@ pub fn parse_engine(s: &str) -> std::result::Result<Engine, String> {
             .map_err(|_| format!("bad thread count in engine {s:?}"))?;
         return Ok(Engine::CpuThreaded { threads });
     }
-    if let Some(t) = s.strip_prefix("gpu-multi:") {
-        // Shorthand for one chassis of N devices.
-        return parse_engine(&format!("gpu-cluster:1x{t}"))
-            .map_err(|e| format!("{e} (from {s:?})"));
-    }
     if let Some(t) = s.strip_prefix("gpu-cluster:") {
         // N nodes of M devices each: `gpu-cluster:4` or `gpu-cluster:4x2`.
         let (n, m) = match t.split_once('x') {
@@ -157,17 +152,10 @@ pub fn parse_engine(s: &str) -> std::result::Result<Engine, String> {
     }
     match s {
         "cpu" | "cpu-seq" => Ok(Engine::CpuSeq),
-        "gpu" | "gpu-1d" => Ok(Engine::Gpu {
-            layout: Layout::Flat1d,
-        }),
-        "gpu-3d" => Ok(Engine::Gpu {
-            layout: Layout::Pointer3d,
-        }),
-        "gpu-tables" => Ok(Engine::GpuTables),
         "gpu-pipe" => Ok(Engine::GpuPipelined),
         other => Err(format!(
-            "unknown engine {other:?} (try cpu, cpu-threaded:N, gpu-1d, gpu-3d, gpu-tables, \
-             gpu-pipe, gpu-multi:N, gpu-cluster:N[xM])"
+            "unknown engine {other:?} (try cpu, cpu-threaded:N, gpu-pipe, gpu-cluster:N[xM]; \
+             pick the GPU schedule with --plan)"
         )),
     }
 }
@@ -191,7 +179,7 @@ pub fn parse_sim_workers(s: &str) -> std::result::Result<usize, String> {
 }
 
 /// Parse a `--reduction` value: a routing topology, or `auto` to let the
-/// plan mode decide (tree under `--plan fixed`, the cost model's argmin
+/// plan mode decide (tree under a pinned plan, the cost model's argmin
 /// under `--plan auto`).
 pub fn parse_reduction(s: &str) -> std::result::Result<Option<ReductionTopology>, String> {
     if s == "auto" {
@@ -425,9 +413,7 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                 .ok_or("batch needs --dir <directory>")?
                 .clone();
             let engine = match flags.get("engine") {
-                None => Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
+                None => Engine::GpuPipelined,
                 Some(e) => parse_engine(e)?,
             };
             let args = ReconstructArgs {
@@ -444,10 +430,9 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                 compaction: CompactionMode::default(),
                 accumulation: AccumulationMode::default(),
                 plan: PlanMode::default(),
+                rows_per_slab: None,
                 integrity: IntegrityMode::default(),
                 watchdog_multiplier: None,
-                rows_per_slab: None,
-                pipeline_depth: None,
                 table_cache_mb: None,
                 sim_workers: None,
                 roi: None,
@@ -485,8 +470,6 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                     "plan",
                     "integrity",
                     "watchdog-multiplier",
-                    "rows-per-slab",
-                    "pipeline-depth",
                     "table-cache-mb",
                     "sim-workers",
                     "roi",
@@ -505,9 +488,7 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                 .ok_or(format!("{cmd} needs --input <file>"))?
                 .clone();
             let engine = match flags.get("engine") {
-                None => Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
+                None => Engine::GpuPipelined,
                 Some(e) => parse_engine(e)?,
             };
             let roi = match flags.get("roi") {
@@ -522,6 +503,10 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                     };
                     Some((*r0, *c0, *rows, *cols))
                 }
+            };
+            let (plan, rows_per_slab) = match flags.get("plan") {
+                None => (PlanMode::default(), None),
+                Some(s) => PlanMode::parse(s).map_err(|e| e.to_string())?,
             };
             let args = ReconstructArgs {
                 input,
@@ -545,11 +530,8 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                         format!("bad --accumulation {s:?} (try atomic, privatized, auto)")
                     })?,
                 },
-                plan: match flags.get("plan") {
-                    None => PlanMode::default(),
-                    Some(s) => PlanMode::parse(s)
-                        .ok_or_else(|| format!("bad --plan {s:?} (try fixed, auto)"))?,
-                },
+                plan,
+                rows_per_slab,
                 integrity: match flags.get("integrity") {
                     None => IntegrityMode::default(),
                     Some(s) => IntegrityMode::parse(s)
@@ -560,17 +542,6 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, String> {
                     .map(|v| {
                         v.parse()
                             .map_err(|_| format!("bad --watchdog-multiplier: {v:?}"))
-                    })
-                    .transpose()?,
-                rows_per_slab: flags
-                    .get("rows-per-slab")
-                    .map(|v| v.parse().map_err(|_| format!("bad --rows-per-slab: {v:?}")))
-                    .transpose()?,
-                pipeline_depth: flags
-                    .get("pipeline-depth")
-                    .map(|v| {
-                        v.parse()
-                            .map_err(|_| format!("bad --pipeline-depth: {v:?}"))
                     })
                     .transpose()?,
                 table_cache_mb: flags
@@ -646,9 +617,8 @@ USAGE:
                    [--depth-start UM] [--depth-end UM] [--bins N]
                    [--cutoff C] [--compaction off|auto|on]
                    [--accumulation atomic|privatized|auto]
-                   [--plan fixed|auto]
+                   [--plan auto|LAYOUT/TRI/kN[/rN]]
                    [--integrity off|verify|scrub] [--watchdog-multiplier X]
-                   [--rows-per-slab R] [--pipeline-depth K]
                    [--table-cache-mb M] [--sim-workers N|0|auto]
                    [--on-gpu-failure abort|fallback-cpu]
                    [--inject-gpu-fault k=v,…] [--fault-device I]
@@ -661,14 +631,12 @@ USAGE:
   laue inspect     <file.mh5>
 
 ENGINES:
-  cpu | cpu-threaded:N | gpu-1d | gpu-3d | gpu-tables | gpu-pipe | gpu-multi:N
-  | gpu-cluster:N[xM]
-  (cpu-threaded:0 = one thread per available host core. Every GPU engine is
-  an N-chassis × M-device topology on one driver: gpu-1d, gpu-3d,
-  gpu-tables and gpu-pipe are 1x1; gpu-cluster:N[xM] runs N chassis of M
-  devices each — M defaults to 1 — joined by a metered fabric; gpu-multi:N
-  is shorthand for gpu-cluster:1xN, one chassis whose N devices share a
-  PCIe bus)
+  cpu | cpu-threaded:N | gpu-pipe (default) | gpu-cluster:N[xM]
+  (cpu-threaded:0 = one thread per available host core. A GPU engine names
+  only its topology, N chassis × M devices on one driver: gpu-pipe is 1x1;
+  gpu-cluster:N[xM] runs N chassis of M devices each — M defaults to 1 —
+  joined by a metered fabric, and gpu-cluster:1xN is one chassis whose N
+  devices share a PCIe bus. What each device runs is the --plan.)
 
 SPARSITY:
   --compaction off    dense traversal: every (pixel, pair) visited (default)
@@ -689,19 +657,32 @@ ACCUMULATION:
   --accumulation auto        per-slab: privatize when the cost model prices
                              the tiled kernel cheaper than the atomic one
 
-PLANNER:
-  --plan fixed  honour the configured engine/flags verbatim (default)
-  --plan auto   GPU engines: enumerate layout × table placement × ring
-                depth × slab rows, predict each candidate's virtual cost
-                with the device's calibrated cost model, and run the
-                argmin; compaction and accumulation resolve per slab by the
-                same model. A 1x1 topology credits depth tables already
-                resident on its device; every other topology also prices
-                the reduction topology and overlap (see CLUSTER). The
-                chosen plan, its predicted cost, and the prediction error
-                land in the run report's plan block. The resolved plan is
-                part of the journal key: a flip forces a clean restart. CPU
-                engines ignore --plan auto.
+PLAN (GPU engines; CPU engines ignore it):
+  --plan LAYOUT/TRI/kN[/rN]  run this schedule as given (default
+                flat1d/inkernel/k3). LAYOUT is flat1d (one flat buffer per
+                slab) or ptr3d (per-image allocations plus pointer tables,
+                the paper's Fig 4); TRI is inkernel (each thread
+                triangulates) or tables (host-shipped edge/gpuPointArray
+                depth tables); kN is the ring depth, the slab slots in
+                flight (k1 = the paper's serial pipeline); the optional rN
+                fixes N detector rows per slab (default: the largest slab
+                that fits device memory). The paper's serial 1-D, 3-D and
+                table design points are flat1d/inkernel/k1,
+                ptr3d/inkernel/k1 and flat1d/tables/k1.
+  --plan auto   enumerate layout × table placement × ring depth × slab
+                rows, predict each candidate's virtual cost with the
+                device's calibrated cost model, and run the argmin;
+                compaction and accumulation resolve per slab by the same
+                model, and the planner prices exactly that. A 1x1 topology
+                credits depth tables already resident on its device; every
+                other topology also prices the reduction topology and
+                overlap (see CLUSTER). The chosen plan, its predicted cost,
+                and the prediction error land in the run report's plan
+                block.
+  Every GPU run reports its resolved plan label, and that label is the
+  journal key's plan token: an auto run resumes under --plan <its label>
+  (with --compaction auto --accumulation auto), and any other plan forces a
+  clean restart.
 
 CHECKPOINT / RESUME:
   --journal-dir <dir>  journal every committed GPU slab under <dir>; an
@@ -712,8 +693,6 @@ CHECKPOINT / RESUME:
                        run; needs --journal-dir)
 
 GPU PIPELINE:
-  --pipeline-depth K   ring depth: slab slots in flight (1 = serial;
-                       gpu-pipe defaults to 3, other GPU engines to 1)
   --table-cache-mb M   device-resident depth-table budget in MiB
                        (default: a quarter of device memory; 0 disables)
   --sim-workers N      simulated-kernel worker threads (0 or auto = all
@@ -732,13 +711,13 @@ DATA INTEGRITY:
   --watchdog-multiplier X  treat a launch slower than X times its cost-model
                       prediction as hung (default 4)
 
-CLUSTER (gpu-cluster:N[xM], gpu-multi:N):
+CLUSTER (gpu-cluster:N[xM]):
   --interconnect P     fabric preset joining the nodes: ib-qdr (default),
                        ib-fdr, nvlink, or gige; each link is a metered
                        shared resource, so concurrent reduction segments
                        queue and the wait lands in the run report
   --reduction T        inter-node depth-image routing: tree (hierarchical
-                       gather, default under --plan fixed), ring (neighbour
+                       gather, default under a pinned plan), ring (neighbour
                        relay — less head-link pressure on big clusters), or
                        auto (the cost model picks; implies pricing both)
   --overlap V          on (default) starts each node's reduction sends as
@@ -777,7 +756,6 @@ fn recon_config(args: &ReconstructArgs) -> ReconstructionConfig {
         cfg.watchdog_multiplier = w;
     }
     cfg.rows_per_slab = args.rows_per_slab;
-    cfg.pipeline_depth = args.pipeline_depth;
     cfg
 }
 
@@ -903,14 +881,26 @@ pub fn run<W: std::io::Write>(cmd: &Command, out: &mut W) -> Result<()> {
                 writeln!(out, "wrote {path} (per-bin variance; σ = sqrt)")?;
             }
             if let Some(path) = &a.trace {
-                // Re-run the engine's own schedule (layout, ring depth) on a
-                // dedicated device to capture the op timeline.
-                if let Some((opts, depth)) = a.engine.gpu_plan() {
+                // Re-run the resolved plan (layout, triangulation, ring
+                // depth, slab rows) on a dedicated device to capture the op
+                // timeline.
+                if a.engine.topology().is_some() {
+                    let mut trace_cfg = cfg.executed();
+                    trace_cfg.set_plan(&report.plan_label)?;
+                    let laue_core::PlanMode::Pin(pin) = trace_cfg.plan else {
+                        unreachable!("a resolved plan label is a pin");
+                    };
                     let device = cuda_sim::Device::new(pipeline.device.clone());
                     let mut scan = laue_wire::ScanFile::open(&a.input)?;
                     let geometry = scan.geometry().clone();
                     laue_core::gpu::reconstruct_pipelined(
-                        &device, &mut scan, &geometry, &cfg, opts, depth, None,
+                        &device,
+                        &mut scan,
+                        &geometry,
+                        &trace_cfg,
+                        pin.options(),
+                        pin.depth,
+                        None,
                     )?;
                     std::fs::write(path, device.export_chrome_trace())?;
                     writeln!(out, "wrote {path} (open in chrome://tracing)")?;
@@ -1025,20 +1015,12 @@ mod tests {
             parse_engine("cpu-threaded:0").unwrap(),
             Engine::CpuThreaded { threads: 0 }
         );
-        assert_eq!(
-            parse_engine("gpu").unwrap(),
-            Engine::Gpu {
-                layout: Layout::Flat1d
-            }
-        );
-        assert_eq!(
-            parse_engine("gpu-3d").unwrap(),
-            Engine::Gpu {
-                layout: Layout::Pointer3d
-            }
-        );
-        assert_eq!(parse_engine("gpu-tables").unwrap(), Engine::GpuTables);
         assert_eq!(parse_engine("gpu-pipe").unwrap(), Engine::GpuPipelined);
+        // Schedules are `--plan` pins, not engine names.
+        for gone in ["gpu", "gpu-1d", "gpu-3d", "gpu-tables", "gpu-multi:2"] {
+            let err = parse_engine(gone).unwrap_err();
+            assert!(err.contains("--plan"), "{gone}: {err}");
+        }
         assert!(parse_engine("tpu").is_err());
         assert!(
             parse_engine("gpu-overlap").is_err(),
@@ -1067,18 +1049,6 @@ mod tests {
         assert!(parse_engine("gpu-cluster:2x0").is_err());
         assert!(parse_engine("gpu-cluster:").is_err());
         assert!(parse_engine("gpu-cluster:2xtwo").is_err());
-        // gpu-multi:N is shorthand for one chassis of N devices.
-        assert_eq!(
-            parse_engine("gpu-multi:3").unwrap(),
-            Engine::GpuCluster {
-                nodes: 1,
-                devices_per_node: 3
-            }
-        );
-        let err = parse_engine("gpu-multi:0").unwrap_err();
-        assert!(err.contains("gpu-multi:0"), "{err}");
-        assert!(parse_engine("gpu-multi:two").is_err());
-        assert!(parse_engine("gpu-multi:").is_err());
     }
 
     #[test]
@@ -1167,8 +1137,6 @@ mod tests {
             "scan.mh5",
             "--engine",
             "gpu-pipe",
-            "--pipeline-depth",
-            "4",
             "--table-cache-mb",
             "64",
             "--sim-workers",
@@ -1179,7 +1147,6 @@ mod tests {
             panic!("wrong command")
         };
         assert_eq!(a.engine, Engine::GpuPipelined);
-        assert_eq!(a.pipeline_depth, Some(4));
         assert_eq!(a.table_cache_mb, Some(64));
         assert_eq!(a.sim_workers, Some(3));
 
@@ -1196,18 +1163,13 @@ mod tests {
         let Command::Reconstruct(a) = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(a.pipeline_depth, None);
         assert_eq!(a.table_cache_mb, None);
         assert_eq!(a.sim_workers, None);
-        assert!(parse(&sv(&[
-            "reconstruct",
-            "--input",
-            "x",
-            "--pipeline-depth",
-            "deep"
-        ]))
-        .unwrap_err()
-        .contains("pipeline-depth"));
+        // Ring depth and slab rows are segments of the `--plan` pin.
+        for gone in ["--pipeline-depth", "--rows-per-slab"] {
+            let err = parse(&sv(&["reconstruct", "--input", "x", gone, "2"])).unwrap_err();
+            assert!(err.contains("unknown flag"), "{gone}: {err}");
+        }
     }
 
     #[test]
@@ -1290,26 +1252,42 @@ mod tests {
 
     #[test]
     fn plan_flag_parses() {
-        for (spec, mode) in [("fixed", PlanMode::Fixed), ("auto", PlanMode::Auto)] {
+        use laue_core::gpu::{Layout, PipelineDepth, Triangulation};
+        use laue_core::PlanPin;
+        let ptr3d = PlanPin {
+            layout: Layout::Pointer3d,
+            triangulation: Triangulation::HostTables,
+            depth: PipelineDepth(1),
+        };
+        for (spec, mode, rows) in [
+            ("auto", PlanMode::Auto, None),
+            (
+                "flat1d/inkernel/k3",
+                PlanMode::Pin(PlanPin::default()),
+                None,
+            ),
+            ("ptr3d/tables/k1/r2", PlanMode::Pin(ptr3d), Some(2)),
+        ] {
             let cmd = parse(&sv(&["reconstruct", "--input", "scan.mh5", "--plan", spec])).unwrap();
             let Command::Reconstruct(a) = cmd else {
                 panic!("wrong command")
             };
-            assert_eq!(a.plan, mode);
-            assert_eq!(recon_config(&a).plan, mode);
+            assert_eq!((a.plan, a.rows_per_slab), (mode, rows));
+            let cfg = recon_config(&a);
+            assert_eq!((cfg.plan, cfg.rows_per_slab), (mode, rows));
         }
 
-        // Default stays fixed; bad values are parse errors.
+        // The default is the gpu-pipe pin; bad values are parse errors
+        // that name the flag.
         let cmd = parse(&sv(&["validate", "--input", "scan.mh5"])).unwrap();
         let Command::Validate(a) = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(a.plan, PlanMode::Fixed);
-        assert!(
-            parse(&sv(&["reconstruct", "--input", "x", "--plan", "best"]))
-                .unwrap_err()
-                .contains("--plan")
-        );
+        assert_eq!(a.plan, PlanMode::Pin(PlanPin::default()));
+        for bad in ["best", "fixed", "flat1d/inkernel", "flat1d/inkernel/k0"] {
+            let err = parse(&sv(&["reconstruct", "--input", "x", "--plan", bad])).unwrap_err();
+            assert!(err.contains("--plan"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -1399,24 +1377,17 @@ mod tests {
             "reconstruct",
             "--input",
             "scan.mh5",
-            "--engine",
-            "gpu-3d",
+            "--plan",
+            "ptr3d/inkernel/k1/r2",
             "--bins",
             "128",
-            "--rows-per-slab",
-            "2",
         ]))
         .unwrap();
         let Command::Reconstruct(a) = cmd else {
             panic!("wrong command")
         };
         assert_eq!(a.input, "scan.mh5");
-        assert_eq!(
-            a.engine,
-            Engine::Gpu {
-                layout: Layout::Pointer3d
-            }
-        );
+        assert_eq!(a.engine, Engine::GpuPipelined, "the default engine");
         assert_eq!(a.bins, 128);
         assert_eq!(a.rows_per_slab, Some(2));
         assert_eq!(a.cutoff, 0.0);
@@ -1539,8 +1510,8 @@ mod tests {
             &scan_s,
             "--out",
             &recon_s,
-            "--engine",
-            "gpu-1d",
+            "--plan",
+            "flat1d/inkernel/k1",
             "--depth-start",
             "-1500",
             "--depth-end",
@@ -1551,7 +1522,10 @@ mod tests {
         .unwrap();
         run(&cmd, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("gpu-1d"), "{text}");
+        assert!(
+            text.contains("engine gpu-pipe (plan flat1d/inkernel/k1)"),
+            "{text}"
+        );
         assert!(std::fs::metadata(&recon).is_ok());
 
         let mut buf = Vec::new();

@@ -263,7 +263,7 @@ mod tests {
         // The outcome half can come straight from a RunReport.
         let mut fresh = JobRecord::submitted(9, 1, "batch", 0.0, 1, (8, 6, 6), 40);
         let report = crate::report::RunReport {
-            engine: "gpu-1d".into(),
+            engine: "gpu-pipe".into(),
             image: laue_core::DepthImage::zeroed(1, 1, 1),
             stats: laue_core::ReconStats::default(),
             total_time_s: 0.25,
@@ -273,7 +273,7 @@ mod tests {
             ..RunReport::default()
         };
         fresh.absorb_report(&report);
-        assert_eq!(fresh.engine, "gpu-1d");
+        assert_eq!(fresh.engine, "gpu-pipe");
         assert_eq!(fresh.total_time_s, 0.25);
         assert_eq!(fresh.quanta, 1);
     }

@@ -11,9 +11,10 @@
 //! use laue_core::ReconstructionConfig;
 //!
 //! let pipeline = Pipeline::default();
-//! let cfg = ReconstructionConfig::new(-1500.0, 1500.0, 400);
+//! let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 400);
+//! cfg.set_plan("flat1d/inkernel/k1").unwrap(); // the paper's serial 1-D design
 //! let report = pipeline
-//!     .run_scan_file("scan.mh5", &cfg, Engine::Gpu { layout: laue_core::gpu::Layout::Flat1d })
+//!     .run_scan_file("scan.mh5", &cfg, Engine::GpuPipelined)
 //!     .unwrap();
 //! println!("{}", report.summary());
 //! ```

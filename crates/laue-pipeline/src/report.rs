@@ -97,8 +97,12 @@ pub struct ClusterReport {
 /// report with every counter zero, for building reports field by field.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Engine label (e.g. `cpu-seq`, `gpu-1d`).
+    /// Engine label (e.g. `cpu-seq`, `gpu-pipe`, `gpu-cluster(2x1)`).
     pub engine: String,
+    /// The resolved `LAYOUT/TRI/kN[/rN]` plan a GPU run executed (the
+    /// journal key's plan token; empty for CPU engines). Pinning `--plan`
+    /// to it reruns the same schedule.
+    pub plan_label: String,
     /// The depth-resolved output.
     pub image: DepthImage,
     /// Outcome counters.
@@ -174,8 +178,12 @@ impl RunReport {
     /// A one-paragraph human-readable summary.
     pub fn summary(&self) -> String {
         let (p, m, n) = self.dims;
+        let plan = match self.plan_label.as_str() {
+            "" => String::new(),
+            label => format!(" (plan {label})"),
+        };
         let mut s = format!(
-            "engine {} reconstructed a {p}×{m}×{n} stack ({:.1} MiB) in {:.4} s \
+            "engine {}{plan} reconstructed a {p}×{m}×{n} stack ({:.1} MiB) in {:.4} s \
              (compute {:.4} s, transfers {:.4} s)",
             self.engine,
             self.input_bytes as f64 / (1024.0 * 1024.0),
@@ -366,7 +374,8 @@ mod tests {
         stats.record(laue_core::stats::PairOutcome::Deposited { bins: 2 });
         stats.record(laue_core::stats::PairOutcome::BelowCutoff);
         RunReport {
-            engine: "gpu-1d".into(),
+            engine: "gpu-pipe".into(),
+            plan_label: "flat1d/inkernel/k1".into(),
             image: DepthImage::zeroed(2, 2, 2),
             stats,
             total_time_s: 2.0,
@@ -385,7 +394,10 @@ mod tests {
     #[test]
     fn summary_mentions_the_essentials() {
         let s = report().summary();
-        assert!(s.contains("gpu-1d"));
+        assert!(
+            s.contains("engine gpu-pipe (plan flat1d/inkernel/k1)"),
+            "{s}"
+        );
         assert!(s.contains("8×64×64"));
         assert!(s.contains("4.0 MiB"));
         assert!(s.contains("slab"));
@@ -468,8 +480,8 @@ mod tests {
         r.gpu_transfer_retries = 5;
         let s = r.summary();
         assert!(s.contains("2 re-plan(s)") && s.contains("5 transfer retry(ies)"));
-        r.fallback = Some("gpu-1d failed: device lost; completed on cpu-seq".into());
-        assert!(r.summary().contains("DEGRADED: gpu-1d failed"));
+        r.fallback = Some("gpu-pipe failed: device lost; completed on cpu-seq".into());
+        assert!(r.summary().contains("DEGRADED: gpu-pipe failed"));
     }
 
     #[test]

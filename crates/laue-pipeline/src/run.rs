@@ -10,8 +10,8 @@ use laue_core::cluster::{reconstruct_cluster_checkpointed, ClusterReconstruction
 use laue_core::journal::{JournalKey, RunJournal, SlabProgress};
 use laue_core::planner::{plan_cluster, plan_run, PlannedCandidate, TableWarmth};
 use laue_core::{
-    cpu, AccumulationMode, ClusterOptions, CompactionMode, PlanMode, ReconstructionConfig,
-    ReductionTopology, ScanGeometry, ScanView, SlabSource,
+    cpu, ClusterOptions, PlanMode, ReconstructionConfig, ReductionTopology, ScanGeometry, ScanView,
+    SlabSource,
 };
 use laue_wire::ScanFile;
 
@@ -96,11 +96,11 @@ pub struct Pipeline {
     /// default: InfiniBand QDR).
     pub interconnect: InterconnectProps,
     /// Inter-node reduction routing (`gpu-cluster` engines). `None` =
-    /// auto: tree under `--plan fixed`, the planner's argmin under
+    /// auto: tree under a pinned plan, the planner's argmin under
     /// `--plan auto`.
     pub reduction: Option<ReductionTopology>,
     /// Overlap the reduction with the compute tail (`gpu-cluster`
-    /// engines). `None` = auto: on under `--plan fixed`, the planner's
+    /// engines). `None` = auto: on under a pinned plan, the planner's
     /// argmin under `--plan auto`.
     pub overlap: Option<bool>,
     /// Cross-run persistent state (devices + depth-table cache).
@@ -197,18 +197,17 @@ impl Pipeline {
                     ..RunReport::default()
                 })
             }
-            Engine::Gpu { .. }
-            | Engine::GpuTables
-            | Engine::GpuPipelined
-            | Engine::GpuCluster { .. } => self.run_gpu(source, geom, cfg, engine, fingerprint),
+            Engine::GpuPipelined | Engine::GpuCluster { .. } => {
+                self.run_gpu(source, geom, cfg, engine, fingerprint)
+            }
         }
     }
 
     /// The one GPU path. Every GPU engine is a `nodes × devices_per_node`
-    /// topology — `1 × 1` for the single-device engines — run by the
-    /// cluster driver: open/replay the journal (when configured), run, and
-    /// on unrecoverable failure salvage the committed slabs, handing only
-    /// the remainder to the CPU.
+    /// topology — `1 × 1` for `gpu-pipe` — run by the cluster driver:
+    /// resolve the plan, open/replay the journal (when configured), run,
+    /// and on unrecoverable failure salvage the committed slabs, handing
+    /// only the remainder to the CPU.
     fn run_gpu(
         &self,
         source: &mut dyn SlabSource,
@@ -217,88 +216,84 @@ impl Pipeline {
         engine: Engine,
         fingerprint: Option<u64>,
     ) -> Result<RunReport> {
-        let (opts, depth) = engine.gpu_plan().expect("GPU engine");
         let (nodes, per_node) = engine.topology().expect("GPU engine");
         let dims = (source.n_images(), source.n_rows(), source.n_cols());
         let input_bytes = (dims.0 * dims.1 * dims.2 * 2) as u64;
         self.shared.cache.set_budget(self.table_cache_budget());
 
-        // Under --plan fixed the pipeline's reduction/overlap fields apply,
-        // with auto resolving to the defaults (tree, overlapped).
+        // The pipeline's reduction/overlap fields apply unless the planner
+        // prices them, with auto resolving to the defaults (tree,
+        // overlapped).
         let mut copts = ClusterOptions {
             topology: self.reduction.unwrap_or(ReductionTopology::Tree),
             overlap: self.overlap.unwrap_or(true),
         };
-        // --plan auto resolves the run-level plan up front from the cost
-        // model, and the planner owns every knob of the planned run: the
-        // per-slab modes are forced to their auto (cost-driven) settings
-        // and the fixed-mode flags are honoured only under --plan fixed. A
-        // 1 × 1 topology is priced by `plan_run`, crediting device warmth;
-        // every other topology by `plan_cluster`, which also picks the
-        // reduction topology and overlap.
-        let mut cfg_local = cfg.clone();
+        // Resolve the plan once. A pin runs as given. Under --plan auto the
+        // planner prices the executed config — compaction and accumulation
+        // already on their per-slab cost-driven modes — so the program
+        // planned is the program that runs. A 1 × 1 topology is priced by
+        // `plan_run`, crediting device warmth; every other topology by
+        // `plan_cluster`, which also picks the reduction topology and
+        // overlap.
+        let mut cfg = cfg.executed();
         let mut explain = None;
-        let (opts, depth) = if cfg.plan == PlanMode::Auto {
-            let table_key = TableKey::new(geom, cfg);
-            let host_warm = self.shared.cache.peek_host(&table_key);
-            let resident_budget = self.table_cache_budget();
-            let (plan, planned) = if (nodes, per_node) == (1, 1) {
-                // Peek (not lookup): warmth must not perturb the cache the
-                // prediction is about. Device warmth only counts on the
-                // device this run will actually reuse.
-                let device_warm = match self.shared.devices.lock().unwrap().as_slice() {
-                    [node] if node.len() == 1 => {
-                        *node[0].props() == self.device
-                            && self.shared.cache.peek_device(node[0].id(), &table_key)
-                    }
-                    _ => false,
+        let pin = match cfg.plan {
+            PlanMode::Pin(pin) => pin,
+            PlanMode::Auto => {
+                let table_key = TableKey::new(geom, &cfg);
+                let host_warm = self.shared.cache.peek_host(&table_key);
+                let resident_budget = self.table_cache_budget();
+                let (plan, planned) = if (nodes, per_node) == (1, 1) {
+                    // Peek (not lookup): warmth must not perturb the cache
+                    // the prediction is about. Device warmth only counts on
+                    // the device this run will actually reuse.
+                    let device_warm = match self.shared.devices.lock().unwrap().as_slice() {
+                        [node] if node.len() == 1 => {
+                            *node[0].props() == self.device
+                                && self.shared.cache.peek_device(node[0].id(), &table_key)
+                        }
+                        _ => false,
+                    };
+                    let warmth = TableWarmth {
+                        host_warm,
+                        device_warm,
+                        resident_budget,
+                    };
+                    let mut p = plan_run(&self.device, &self.host, source, geom, &cfg, warmth)?;
+                    let candidates = std::mem::take(&mut p.candidates);
+                    let label = p.pin.label(Some(p.rows_per_slab));
+                    let e = plan_explain(label, p.predicted_s, p.host_s, candidates);
+                    (p, e)
+                } else {
+                    let warmth = TableWarmth {
+                        host_warm,
+                        // Multi-device topologies rebuild with the shape;
+                        // never credit residency the run may not have.
+                        device_warm: false,
+                        resident_budget,
+                    };
+                    let p = plan_cluster(
+                        &self.device,
+                        &self.host,
+                        &self.interconnect,
+                        nodes,
+                        per_node,
+                        source,
+                        geom,
+                        &cfg,
+                        warmth,
+                    )?;
+                    copts = p.options;
+                    let e = plan_explain(p.label, p.predicted_s, p.per_node.host_s, p.candidates);
+                    (p.per_node, e)
                 };
-                let warmth = TableWarmth {
-                    host_warm,
-                    device_warm,
-                    resident_budget,
-                };
-                let mut p = plan_run(&self.device, &self.host, source, geom, cfg, warmth)?;
-                let candidates = std::mem::take(&mut p.candidates);
-                let e = plan_explain(p.label.clone(), p.predicted_s, p.host_s, candidates);
-                (p, e)
-            } else {
-                let warmth = TableWarmth {
-                    host_warm,
-                    // Multi-device topologies rebuild with the shape; never
-                    // credit residency the run may not actually have.
-                    device_warm: false,
-                    resident_budget,
-                };
-                let p = plan_cluster(
-                    &self.device,
-                    &self.host,
-                    &self.interconnect,
-                    nodes,
-                    per_node,
-                    source,
-                    geom,
-                    cfg,
-                    warmth,
-                )?;
-                copts = p.options;
-                let e = plan_explain(p.label, p.predicted_s, p.per_node.host_s, p.candidates);
-                (p.per_node, e)
-            };
-            cfg_local.rows_per_slab = Some(plan.rows_per_slab);
-            cfg_local.pipeline_depth = None;
-            cfg_local.compaction = CompactionMode::Auto;
-            cfg_local.accumulation = AccumulationMode::Auto;
-            explain = Some(planned);
-            (plan.options, plan.depth)
-        } else {
-            (opts, depth)
+                cfg.rows_per_slab = Some(plan.rows_per_slab);
+                explain = Some(planned);
+                plan.pin
+            }
         };
-        let cfg = &cfg_local;
-        let plan_token = match &explain {
-            Some(e) => format!("auto:{}", e.chosen),
-            None => cfg.plan.label().to_string(),
-        };
+        let cfg = &cfg;
+        let plan_label = pin.label(cfg.rows_per_slab);
 
         // Open (or replay) the run journal. Cluster engines fold their
         // reduction knobs into the key, so resuming under a different
@@ -308,7 +303,7 @@ impl Pipeline {
         let mut progress = match &self.journal_dir {
             Some(dir) => {
                 let cluster_opts = matches!(engine, Engine::GpuCluster { .. }).then_some(&copts);
-                let key = journal_key(engine, cfg, dims, fingerprint, &plan_token, cluster_opts);
+                let key = journal_key(engine, cfg, dims, fingerprint, &plan_label, cluster_opts);
                 let jdims = (cfg.n_depth_bins, dims.1, dims.2);
                 let (j, slabs) = RunJournal::open(dir, &key, jdims, self.resume)?;
                 if !slabs.is_empty() {
@@ -334,8 +329,8 @@ impl Pipeline {
             source,
             geom,
             cfg,
-            opts,
-            depth,
+            pin.options(),
+            pin.depth,
             Some(&self.shared.cache),
             copts,
             &mut progress,
@@ -370,6 +365,7 @@ impl Pipeline {
                     resume_info,
                     &self.interconnect.name,
                 );
+                report.plan_label = plan_label;
                 // The explain block compares the prediction against the
                 // measured virtual makespan of the very run it planned.
                 report.plan = explain.map(|e| PlanExplain {
@@ -382,6 +378,7 @@ impl Pipeline {
                 source,
                 geom,
                 cfg,
+                &format!("{} ({plan_label})", engine.label()),
                 engine,
                 e,
                 &mut progress,
@@ -460,6 +457,7 @@ impl Pipeline {
         source: &mut dyn SlabSource,
         geom: &ScanGeometry,
         cfg: &ReconstructionConfig,
+        failed_label: &str,
         failed: Engine,
         err: laue_core::CoreError,
         progress: &mut SlabProgress,
@@ -522,8 +520,7 @@ impl Pipeline {
             dims,
             slab_densities,
             fallback: Some(format!(
-                "{} failed ({err}); completed on {}",
-                failed.label(),
+                "{failed_label} failed ({err}); completed on {}",
                 cpu.label()
             )),
             recovery: RecoveryAccounting {
@@ -633,19 +630,19 @@ fn plan_explain(
 
 /// The identity a journal is keyed on: everything that must match for a
 /// resume to be sound — scan fingerprint, dimensions, the full
-/// reconstruction configuration (floats by exact bit pattern), and the
-/// engine. The slab plan deliberately participates too, so changing it
-/// invalidates old journals even though replay would still be correct.
-/// Under `--plan auto` the token carries the *resolved* plan label, so a
-/// plan flip (flag or outcome) forces a clean restart. `gpu-cluster`
-/// engines additionally fold their reduction topology and overlap setting
-/// in, so resuming under a different cluster shape restarts clean.
+/// reconstruction configuration (floats by exact bit pattern), the engine,
+/// and the resolved plan. The plan token is the `LAYOUT/TRI/kN[/rN]` label
+/// of what runs, so a `--plan auto` run and a run pinned to its resolved
+/// label share a key, while any other schedule — or slab size — restarts
+/// clean even though replay would still be correct. `gpu-cluster` engines
+/// additionally fold their reduction topology and overlap setting in, so
+/// resuming under a different cluster shape restarts clean.
 fn journal_key(
     engine: Engine,
     cfg: &ReconstructionConfig,
     dims: (usize, usize, usize),
     fingerprint: Option<u64>,
-    plan_token: &str,
+    plan_label: &str,
     copts: Option<&ClusterOptions>,
 ) -> JournalKey {
     let mut d = String::new();
@@ -668,13 +665,10 @@ fn journal_key(
     );
     let _ = write!(
         d,
-        "slab={:?};ring={:?};engine={};compaction={};accumulation={};plan={};integrity={}",
-        cfg.rows_per_slab,
-        cfg.pipeline_depth,
+        "engine={};plan={plan_label};compaction={};accumulation={};integrity={}",
         engine.label(),
         cfg.compaction.label(),
         cfg.accumulation.label(),
-        plan_token,
         cfg.integrity.label()
     );
     if let Some(c) = copts {
@@ -691,7 +685,7 @@ fn journal_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laue_core::gpu::Layout;
+    use laue_core::{AccumulationMode, CompactionMode};
     use laue_wire::{write_scan, SyntheticScanBuilder};
     use std::path::PathBuf;
 
@@ -710,25 +704,32 @@ mod tests {
         ReconstructionConfig::new(-1500.0, 1500.0, 100)
     }
 
+    /// The paper's serial 1-D schedule: flat layout, in-kernel
+    /// triangulation, a one-slot ring.
+    const SERIAL: &str = "flat1d/inkernel/k1";
+
+    /// `cfg()` pinned to `plan`.
+    fn pinned(plan: &str) -> ReconstructionConfig {
+        let mut c = cfg();
+        c.set_plan(plan).unwrap();
+        c
+    }
+
     #[test]
     fn all_engines_agree_on_a_file() {
         let (path, _) = scan_file("agree");
         let p = Pipeline::default();
-        let engines = [
-            Engine::CpuSeq,
-            Engine::CpuThreaded { threads: 3 },
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-            Engine::Gpu {
-                layout: Layout::Pointer3d,
-            },
-            Engine::GpuTables,
-            Engine::GpuPipelined,
+        let runs = [
+            (Engine::CpuSeq, cfg()),
+            (Engine::CpuThreaded { threads: 3 }, cfg()),
+            (Engine::GpuPipelined, pinned(SERIAL)),
+            (Engine::GpuPipelined, pinned("ptr3d/inkernel/k1")),
+            (Engine::GpuPipelined, pinned("flat1d/tables/k1")),
+            (Engine::GpuPipelined, cfg()),
         ];
-        let reports: Vec<RunReport> = engines
+        let reports: Vec<RunReport> = runs
             .iter()
-            .map(|&e| p.run_scan_file(&path, &cfg(), e).unwrap())
+            .map(|(e, c)| p.run_scan_file(&path, c, *e).unwrap())
             .collect();
         for r in &reports[1..] {
             assert_eq!(
@@ -746,20 +747,18 @@ mod tests {
         let (path, _) = scan_file("meters");
         let p = Pipeline::default();
         let r = p
-            .run_scan_file(
-                &path,
-                &cfg(),
-                Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
-            )
+            .run_scan_file(&path, &pinned(SERIAL), Engine::GpuPipelined)
             .unwrap();
         assert!(r.comm_time_s > 0.0);
         assert!(r.compute_time_s > 0.0);
         assert!((r.total_time_s - (r.comm_time_s + r.compute_time_s)).abs() < 1e-9);
         assert!(r.n_slabs >= 1);
         assert!(r.rows_per_slab >= 1);
-        assert!(r.summary().contains("gpu-1d"));
+        assert!(
+            r.summary().contains("gpu-pipe (plan flat1d/inkernel/k1)"),
+            "{}",
+            r.summary()
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -782,13 +781,7 @@ mod tests {
         let p = Pipeline::default();
         let cpu_r = p.run_scan_file(&path, &cfg(), Engine::CpuSeq).unwrap();
         let gpu_r = p
-            .run_scan_file(
-                &path,
-                &cfg(),
-                Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
-            )
+            .run_scan_file(&path, &pinned(SERIAL), Engine::GpuPipelined)
             .unwrap();
         let ratio = gpu_r.total_time_s / cpu_r.total_time_s;
         // This mid-size stack is still fairly transfer-heavy; the calibrated
@@ -803,13 +796,7 @@ mod tests {
         let (tiny_path, _) = scan_file("speedup_tiny");
         let cpu_t = p.run_scan_file(&tiny_path, &cfg(), Engine::CpuSeq).unwrap();
         let gpu_t = p
-            .run_scan_file(
-                &tiny_path,
-                &cfg(),
-                Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
-            )
+            .run_scan_file(&tiny_path, &pinned(SERIAL), Engine::GpuPipelined)
             .unwrap();
         assert!(
             gpu_t.total_time_s > cpu_t.total_time_s,
@@ -832,10 +819,8 @@ mod tests {
             fault_plan: Some(dead_plan.clone()),
             ..Pipeline::default()
         };
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
-        assert!(abort.run_scan_file(&path, &cfg(), gpu).is_err());
+        let gpu = Engine::GpuPipelined;
+        assert!(abort.run_scan_file(&path, &pinned(SERIAL), gpu).is_err());
 
         // …and fallback-cpu completes on the CPU engine with the degradation
         // recorded. Sequential executor → bitwise equal to cpu-seq.
@@ -844,10 +829,10 @@ mod tests {
             on_gpu_failure: GpuFailurePolicy::FallbackCpu,
             ..Pipeline::default()
         };
-        let r = degrade.run_scan_file(&path, &cfg(), gpu).unwrap();
+        let r = degrade.run_scan_file(&path, &pinned(SERIAL), gpu).unwrap();
         let note = r.fallback.as_deref().expect("degradation recorded");
         assert!(
-            note.contains("gpu-1d") && note.contains("cpu-seq"),
+            note.contains("gpu-pipe (flat1d/inkernel/k1) failed") && note.contains("cpu-seq"),
             "{note}"
         );
         assert_eq!(r.image.data, cpu.image.data);
@@ -860,17 +845,15 @@ mod tests {
     fn injected_oom_replans_without_fallback() {
         let (path, _) = scan_file("replan");
         let clean = Pipeline::default();
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
-        let baseline = clean.run_scan_file(&path, &cfg(), gpu).unwrap();
+        let gpu = Engine::GpuPipelined;
+        let baseline = clean.run_scan_file(&path, &pinned(SERIAL), gpu).unwrap();
         assert_eq!(baseline.gpu_replans, 0);
 
         let p = Pipeline {
             fault_plan: Some(cuda_sim::FaultPlan::new(3).fail_nth_alloc(3)),
             ..Pipeline::default()
         };
-        let r = p.run_scan_file(&path, &cfg(), gpu).unwrap();
+        let r = p.run_scan_file(&path, &pinned(SERIAL), gpu).unwrap();
         assert!(r.gpu_replans >= 1, "the engine must have re-planned");
         assert!(r.fallback.is_none(), "recovered without degrading");
         assert_eq!(r.image.data, baseline.image.data);
@@ -882,22 +865,22 @@ mod tests {
     fn pipelined_engine_overlaps_and_matches_serial() {
         let (path, _) = scan_file("pipe");
         let p = Pipeline::default();
-        let mut c = cfg();
-        c.rows_per_slab = Some(2); // several slabs so the ring can overlap
+        // Two-row slabs, so the ring has several to overlap.
         let serial = p
             .run_scan_file(
                 &path,
-                &c,
-                Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
+                &pinned("flat1d/inkernel/k1/r2"),
+                Engine::GpuPipelined,
             )
             .unwrap();
-        let piped = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
-        assert_eq!(
-            piped.pipeline_depth, 3,
-            "gpu-pipe defaults to a 3-slot ring"
-        );
+        let piped = p
+            .run_scan_file(
+                &path,
+                &pinned("flat1d/inkernel/k3/r2"),
+                Engine::GpuPipelined,
+            )
+            .unwrap();
+        assert_eq!(piped.pipeline_depth, 3);
         assert_eq!(serial.pipeline_depth, 1);
         assert_eq!(piped.image.data, serial.image.data);
         assert!(
@@ -906,10 +889,15 @@ mod tests {
             piped.total_time_s,
             serial.total_time_s
         );
-        // cfg.pipeline_depth overrides the engine default.
-        c.pipeline_depth = Some(2);
-        let two = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
+        let two = p
+            .run_scan_file(
+                &path,
+                &pinned("flat1d/inkernel/k2/r2"),
+                Engine::GpuPipelined,
+            )
+            .unwrap();
         assert_eq!(two.pipeline_depth, 2);
+        assert_eq!(two.image.data, serial.image.data);
         std::fs::remove_file(&path).ok();
     }
 
@@ -917,12 +905,17 @@ mod tests {
     fn warm_table_cache_speeds_up_the_second_run() {
         let (path, _) = scan_file("warm");
         let p = Pipeline::default();
-        let cold = p.run_scan_file(&path, &cfg(), Engine::GpuTables).unwrap();
+        let tables = pinned("flat1d/tables/k1");
+        let cold = p
+            .run_scan_file(&path, &tables, Engine::GpuPipelined)
+            .unwrap();
         assert_eq!(cold.table_cache.host_misses, 1);
         assert_eq!(cold.table_cache.device_misses, 1);
         // Same pipeline, same scan: tables are found host-side and already
         // resident on the persistent device.
-        let warm = p.run_scan_file(&path, &cfg(), Engine::GpuTables).unwrap();
+        let warm = p
+            .run_scan_file(&path, &tables, Engine::GpuPipelined)
+            .unwrap();
         assert_eq!(warm.table_cache.host_hits, 1);
         assert_eq!(warm.table_cache.device_hits, 1);
         assert_eq!(warm.image.data, cold.image.data);
@@ -940,10 +933,10 @@ mod tests {
             ..Pipeline::default()
         };
         let r1 = no_res
-            .run_scan_file(&path, &cfg(), Engine::GpuTables)
+            .run_scan_file(&path, &tables, Engine::GpuPipelined)
             .unwrap();
         let r2 = no_res
-            .run_scan_file(&path, &cfg(), Engine::GpuTables)
+            .run_scan_file(&path, &tables, Engine::GpuPipelined)
             .unwrap();
         assert_eq!(r1.table_cache.device_hits, 0);
         assert_eq!(r2.table_cache.device_hits, 0);
@@ -999,16 +992,10 @@ mod tests {
         let (path, _) = scan_file("resume");
         let jdir = std::env::temp_dir().join(format!("pipeline_{}_resume_jrn", std::process::id()));
         let _ = std::fs::remove_dir_all(&jdir);
-        let mut c = cfg();
+        let mut c = pinned(SERIAL);
         c.rows_per_slab = Some(2);
         let baseline = Pipeline::default()
-            .run_scan_file(
-                &path,
-                &c,
-                Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
-            )
+            .run_scan_file(&path, &c, Engine::GpuPipelined)
             .unwrap();
 
         // The device dies at its third slab launch; abort policy surfaces
@@ -1019,13 +1006,7 @@ mod tests {
             ..Pipeline::default()
         };
         assert!(dying
-            .run_scan_file(
-                &path,
-                &c,
-                Engine::Gpu {
-                    layout: Layout::Flat1d,
-                }
-            )
+            .run_scan_file(&path, &c, Engine::GpuPipelined)
             .is_err());
         assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
 
@@ -1037,13 +1018,7 @@ mod tests {
             ..Pipeline::default()
         };
         let r = resumed_pipeline
-            .run_scan_file(
-                &path,
-                &c,
-                Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
-            )
+            .run_scan_file(&path, &c, Engine::GpuPipelined)
             .unwrap();
         assert_eq!(r.image.data, baseline.image.data);
         assert_eq!(r.stats, baseline.stats);
@@ -1061,175 +1036,178 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Changing any journal-key component — each pin segment, compaction,
+    /// accumulation, integrity — forces a clean restart, while the
+    /// unchanged config still replays the stale journal. The key names what
+    /// ran, not how it was chosen: a `--plan auto` run and a run pinned to
+    /// its resolved label (with the same per-slab modes) share a key.
     #[test]
-    fn flipping_compaction_mode_forces_a_clean_restart() {
-        use laue_core::CompactionMode;
-        let (path, _) = scan_file("modeflip");
+    fn journal_key_components_force_a_clean_restart() {
+        use laue_core::{AccumulationMode, CompactionMode, IntegrityMode};
+        let (path, _) = scan_file("keyflip");
         let jdir =
-            std::env::temp_dir().join(format!("pipeline_{}_modeflip_jrn", std::process::id()));
+            std::env::temp_dir().join(format!("pipeline_{}_keyflip_jrn", std::process::id()));
         let _ = std::fs::remove_dir_all(&jdir);
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
-        let baseline = Pipeline::default().run_scan_file(&path, &c, gpu).unwrap();
-
-        // Interrupt a dense run after two committed slabs.
-        let dying = Pipeline {
-            fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
+        let gpu = Engine::GpuPipelined;
+        let base = pinned("flat1d/inkernel/k1/r2");
+        let baseline = Pipeline::default()
+            .run_scan_file(&path, &base, gpu)
+            .unwrap();
+        let journaled = |resume: bool, fault: Option<cuda_sim::FaultPlan>| Pipeline {
+            fault_plan: fault,
             journal_dir: Some(jdir.clone()),
+            resume,
             ..Pipeline::default()
         };
-        assert!(dying.run_scan_file(&path, &c, gpu).is_err());
+        let dies_after = |launches| Some(cuda_sim::FaultPlan::new(0).fail_after_launches(launches));
+
+        // Interrupt the serial run after two committed slabs.
+        assert!(journaled(false, dies_after(2))
+            .run_scan_file(&path, &base, gpu)
+            .is_err());
         assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
 
-        // Resuming under a different sparsity mode must NOT replay those
-        // slabs: the compaction mode is part of the journal key, so the run
-        // restarts clean (and still matches the dense baseline bitwise).
-        let mut flipped = c.clone();
-        flipped.compaction = CompactionMode::On;
-        let resumed = Pipeline {
-            journal_dir: Some(jdir.clone()),
-            resume: true,
-            ..Pipeline::default()
+        let with = |f: &dyn Fn(&mut ReconstructionConfig)| {
+            let mut c = base.clone();
+            f(&mut c);
+            c
         };
-        let r = resumed.run_scan_file(&path, &flipped, gpu).unwrap();
-        assert!(
-            r.recovery.resume.is_none(),
-            "a journal from another sparsity mode must not be replayed"
-        );
-        assert_eq!(r.image.data, baseline.image.data);
-        assert!(
-            !r.slab_densities.is_empty(),
-            "compacted run reports density"
-        );
-        assert!(r.summary().contains("sparsity"), "{}", r.summary());
+        let flips = [
+            ("layout", pinned("ptr3d/inkernel/k1/r2")),
+            ("triangulation", pinned("flat1d/tables/k1/r2")),
+            ("ring depth", pinned("flat1d/inkernel/k2/r2")),
+            ("slab rows", pinned("flat1d/inkernel/k1/r3")),
+            ("compaction", with(&|c| c.compaction = CompactionMode::On)),
+            (
+                "accumulation",
+                with(&|c| c.accumulation = AccumulationMode::Privatized),
+            ),
+            ("integrity", with(&|c| c.integrity = IntegrityMode::Verify)),
+        ];
+        for (what, flipped) in &flips {
+            let r = journaled(true, None)
+                .run_scan_file(&path, flipped, gpu)
+                .unwrap();
+            assert!(
+                r.recovery.resume.is_none(),
+                "a {what} flip must restart clean"
+            );
+            assert_eq!(r.image.data, baseline.image.data, "{what}");
+        }
 
-        // Same mode, same key: the stale dense journal is still replayable.
-        let r = resumed.run_scan_file(&path, &c, gpu).unwrap();
-        let resume = r.recovery.resume.as_ref().expect("same-mode resume");
+        // Same key: the stale journal is still replayable.
+        let r = journaled(true, None)
+            .run_scan_file(&path, &base, gpu)
+            .unwrap();
+        let resume = r.recovery.resume.as_ref().expect("same-key resume");
         assert_eq!(resume.slabs_replayed, 2);
+        assert_eq!(r.image.data, baseline.image.data);
+        assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 0);
+
+        // An interrupted auto run resumes under its resolved pin. Device
+        // memory is scaled down so the planned run streams several slabs,
+        // and the device dies midway: the auto modes launch a prescan
+        // before every slab's main kernel, so `n_slabs` launches cover
+        // about half of the run.
+        let small = DeviceProps {
+            total_mem: 24 * 1024,
+            ..DeviceProps::tesla_m2070()
+        };
+        let mut auto = cfg();
+        auto.plan = PlanMode::Auto;
+        let planned = Pipeline {
+            device: small.clone(),
+            ..Pipeline::default()
+        }
+        .run_scan_file(&path, &auto, gpu)
+        .unwrap();
+        assert_eq!(
+            planned.plan_label,
+            planned.plan.as_ref().expect("explain block").chosen
+        );
+        assert!(
+            planned.n_slabs > planned.pipeline_depth,
+            "{} slab(s) under {}",
+            planned.n_slabs,
+            planned.plan_label
+        );
+        let launches = planned.n_slabs as u64;
+        assert!(Pipeline {
+            device: small.clone(),
+            ..journaled(false, dies_after(launches))
+        }
+        .run_scan_file(&path, &auto, gpu)
+        .is_err());
+        let mut resolved = cfg();
+        resolved.set_plan(&planned.plan_label).unwrap();
+        resolved.compaction = CompactionMode::Auto;
+        resolved.accumulation = AccumulationMode::Auto;
+        let r = Pipeline {
+            device: small,
+            ..journaled(true, None)
+        }
+        .run_scan_file(&path, &resolved, gpu)
+        .unwrap();
+        let resume = r
+            .recovery
+            .resume
+            .as_ref()
+            .expect("auto and its pin share a key");
+        assert!(resume.slabs_replayed >= 1);
+        assert!(r.plan.is_none(), "a pinned run plans nothing");
+        assert_eq!(r.plan_label, planned.plan_label);
         assert_eq!(r.image.data, baseline.image.data);
 
         std::fs::remove_dir_all(&jdir).ok();
         std::fs::remove_file(&path).ok();
     }
 
+    /// `--plan auto` prices the program the run executes. The config keeps
+    /// the default off/atomic per-slab modes, but the planned run resolves
+    /// both per slab (and culls and compacts this sparse scan), so the
+    /// planner must price that run, not a dense one.
     #[test]
-    fn flipping_accumulation_mode_forces_a_clean_restart() {
-        use laue_core::AccumulationMode;
-        let (path, _) = scan_file("accumflip");
-        let jdir =
-            std::env::temp_dir().join(format!("pipeline_{}_accumflip_jrn", std::process::id()));
-        let _ = std::fs::remove_dir_all(&jdir);
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
-        let baseline = Pipeline::default().run_scan_file(&path, &c, gpu).unwrap();
-        assert!(
-            baseline.slab_privatized.is_empty(),
-            "atomic run records no accumulation attribution"
+    fn plan_auto_predicts_the_run_it_executes() {
+        let scan = SyntheticScanBuilder::new(24, 24, 24)
+            .scatterers(9)
+            .background(0.0)
+            .noise(1.0)
+            .seed(1)
+            .build()
+            .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("pipeline_{}_plan_sparse.mh5", std::process::id()));
+        write_scan(&path, &scan.geometry, &scan.images, None, 8).unwrap();
+        let mut c = ReconstructionConfig::new(-4000.0, 4000.0, 200);
+        c.intensity_cutoff = 2.5;
+        c.plan = PlanMode::Auto;
+        assert_eq!(
+            (c.compaction, c.accumulation),
+            (CompactionMode::Off, AccumulationMode::Atomic)
         );
-
-        // Interrupt an atomic run after two committed slabs.
-        let dying = Pipeline {
-            fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
-            journal_dir: Some(jdir.clone()),
+        // Device memory scaled down so the scan streams several slabs.
+        let p = Pipeline {
+            device: DeviceProps {
+                total_mem: 64 * 1024,
+                ..DeviceProps::tesla_m2070()
+            },
             ..Pipeline::default()
         };
-        assert!(dying.run_scan_file(&path, &c, gpu).is_err());
-        assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
-
-        // Resuming under a different accumulation strategy must NOT replay
-        // those slabs: the strategy is part of the journal key, so the run
-        // restarts clean (and still matches the atomic baseline bitwise).
-        let mut flipped = c.clone();
-        flipped.accumulation = AccumulationMode::Privatized;
-        let resumed = Pipeline {
-            journal_dir: Some(jdir.clone()),
-            resume: true,
-            ..Pipeline::default()
-        };
-        let r = resumed.run_scan_file(&path, &flipped, gpu).unwrap();
+        let r = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
+        assert!(r.n_slabs > 1, "{} slab(s)", r.n_slabs);
         assert!(
-            r.recovery.resume.is_none(),
-            "a journal from another accumulation strategy must not be replayed"
+            r.stats.culled_rows > 0 || r.stats.compacted_pairs > 0,
+            "the planned run takes the sparsity pass: {:?}",
+            r.stats
         );
-        assert_eq!(r.image.data, baseline.image.data);
+        let plan = r.plan.as_ref().expect("explain block");
         assert!(
-            !r.slab_privatized.is_empty() && r.slab_privatized.iter().all(|&p| p),
-            "100 bins fit the M2070 tile, so every slab privatizes"
+            plan.prediction_error() < 0.15,
+            "predicted {} s, measured {} s ({:.4} off)",
+            plan.predicted_s,
+            plan.measured_s,
+            plan.prediction_error()
         );
-        assert_eq!(r.stats.privatized_pairs, r.stats.pairs_total);
-        assert!(
-            r.summary().contains("accumulation: privatized"),
-            "{}",
-            r.summary()
-        );
-
-        // Same mode, same key: the stale atomic journal is still replayable.
-        let r = resumed.run_scan_file(&path, &c, gpu).unwrap();
-        let resume = r.recovery.resume.as_ref().expect("same-mode resume");
-        assert_eq!(resume.slabs_replayed, 2);
-        assert_eq!(r.image.data, baseline.image.data);
-
-        std::fs::remove_dir_all(&jdir).ok();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn flipping_plan_mode_forces_a_clean_restart() {
-        use laue_core::PlanMode;
-        let (path, _) = scan_file("planflip");
-        let jdir =
-            std::env::temp_dir().join(format!("pipeline_{}_planflip_jrn", std::process::id()));
-        let _ = std::fs::remove_dir_all(&jdir);
-        let mut c = cfg();
-        c.rows_per_slab = Some(2);
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
-        let baseline = Pipeline::default().run_scan_file(&path, &c, gpu).unwrap();
-
-        // Interrupt a fixed-plan run after two committed slabs.
-        let dying = Pipeline {
-            fault_plan: Some(cuda_sim::FaultPlan::new(0).fail_after_launches(2)),
-            journal_dir: Some(jdir.clone()),
-            ..Pipeline::default()
-        };
-        assert!(dying.run_scan_file(&path, &c, gpu).is_err());
-        assert_eq!(std::fs::read_dir(&jdir).unwrap().count(), 1);
-
-        // Resuming under --plan auto must NOT replay those slabs: the
-        // resolved plan is part of the journal key, so the run restarts
-        // clean (and still matches the fixed baseline bitwise — planner
-        // choices only relabel work, never change arithmetic).
-        let mut flipped = c.clone();
-        flipped.plan = PlanMode::Auto;
-        let resumed = Pipeline {
-            journal_dir: Some(jdir.clone()),
-            resume: true,
-            ..Pipeline::default()
-        };
-        let r = resumed.run_scan_file(&path, &flipped, gpu).unwrap();
-        assert!(
-            r.recovery.resume.is_none(),
-            "a journal from another execution plan must not be replayed"
-        );
-        assert_eq!(r.image.data, baseline.image.data);
-        let explain = r.plan.as_ref().expect("plan auto records an explain block");
-        assert!(!explain.candidates.is_empty());
-
-        // Same mode, same key: the stale fixed-plan journal is replayable.
-        let r = resumed.run_scan_file(&path, &c, gpu).unwrap();
-        let resume = r.recovery.resume.as_ref().expect("same-mode resume");
-        assert_eq!(resume.slabs_replayed, 2);
-        assert_eq!(r.image.data, baseline.image.data);
-
-        std::fs::remove_dir_all(&jdir).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1237,12 +1215,13 @@ mod tests {
     fn plan_auto_matches_fixed_bitwise_and_explains_itself() {
         use laue_core::PlanMode;
         let (path, _) = scan_file("planauto");
-        let c = cfg();
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
+        let c = pinned(SERIAL);
+        let gpu = Engine::GpuPipelined;
         let fixed = Pipeline::default().run_scan_file(&path, &c, gpu).unwrap();
-        assert!(fixed.plan.is_none(), "fixed plan records no explain block");
+        assert!(
+            fixed.plan.is_none(),
+            "a pinned plan records no explain block"
+        );
 
         let mut auto_cfg = c.clone();
         auto_cfg.plan = PlanMode::Auto;
@@ -1297,7 +1276,7 @@ mod tests {
     #[test]
     fn fallback_salvages_gpu_committed_slabs() {
         let (path, _) = scan_file("salvage");
-        let mut c = cfg();
+        let mut c = pinned(SERIAL);
         c.rows_per_slab = Some(2);
         let cpu = Pipeline::default()
             .run_scan_file(&path, &c, Engine::CpuSeq)
@@ -1307,15 +1286,7 @@ mod tests {
             on_gpu_failure: GpuFailurePolicy::FallbackCpu,
             ..Pipeline::default()
         };
-        let r = p
-            .run_scan_file(
-                &path,
-                &c,
-                Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
-            )
-            .unwrap();
+        let r = p.run_scan_file(&path, &c, Engine::GpuPipelined).unwrap();
         assert_eq!(r.image.data, cpu.image.data);
         assert_eq!(r.stats, cpu.stats);
         assert_eq!(
@@ -1372,11 +1343,13 @@ mod tests {
 
     /// Every GPU engine is a topology on the one cluster driver: a 1 × 1
     /// run must be indistinguishable from a direct ring call on the same
-    /// device, and `gpu-multi:N` is `gpu-cluster:1xN`.
+    /// device running the resolved plan — which, under `--plan auto`, is
+    /// planned with the per-slab modes the run executes.
     #[test]
     fn one_by_one_topology_degenerates_to_the_direct_ring() {
         use crate::cli::parse_engine;
         use laue_core::gpu;
+        use laue_core::PlanPin;
         use laue_wire::ScanFile;
 
         let scan = SyntheticScanBuilder::new(24, 16, 12)
@@ -1399,7 +1372,7 @@ mod tests {
             ..Pipeline::default()
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for plan in [PlanMode::Fixed, PlanMode::Auto] {
+        for plan in [PlanMode::default(), PlanMode::Auto] {
             let mut c = cfg();
             c.plan = plan;
             let run = pipeline()
@@ -1414,9 +1387,11 @@ mod tests {
             // The direct call, on the plan the pipeline resolved.
             let mut file = ScanFile::open(&path).unwrap();
             let geom = file.geometry().clone();
-            let (mut opts, mut depth) = Engine::GpuPipelined.gpu_plan().unwrap();
             let mut direct_cfg = c.clone();
+            let mut pin = PlanPin::default();
             if plan == PlanMode::Auto {
+                direct_cfg.compaction = CompactionMode::Auto;
+                direct_cfg.accumulation = AccumulationMode::Auto;
                 let warmth = TableWarmth {
                     host_warm: false,
                     device_warm: false,
@@ -1427,16 +1402,18 @@ mod tests {
                     &HostProps::xeon_e5630(),
                     &mut file,
                     &geom,
-                    &c,
+                    &direct_cfg,
                     warmth,
                 )
                 .unwrap();
-                assert_eq!(run.plan.as_ref().unwrap().chosen, rp.label);
+                assert_eq!(
+                    run.plan.as_ref().unwrap().chosen,
+                    rp.pin.label(Some(rp.rows_per_slab))
+                );
                 direct_cfg.rows_per_slab = Some(rp.rows_per_slab);
-                direct_cfg.compaction = CompactionMode::Auto;
-                direct_cfg.accumulation = AccumulationMode::Auto;
-                (opts, depth) = (rp.options, rp.depth);
+                pin = rp.pin;
             }
+            assert_eq!(run.plan_label, pin.label(direct_cfg.rows_per_slab));
             let device = Device::new(props.clone());
             let cache = DepthTableCache::new(props.total_mem / 4);
             let direct = gpu::reconstruct_pipelined(
@@ -1444,8 +1421,8 @@ mod tests {
                 &mut file,
                 &geom,
                 &direct_cfg,
-                opts,
-                depth,
+                pin.options(),
+                pin.depth,
                 Some(&cache),
             )
             .unwrap();
@@ -1478,47 +1455,20 @@ mod tests {
                 "only gpu-cluster engines report a cluster"
             );
 
-            // The CLI's gpu-multi:2 is one chassis of two devices.
-            let multi_engine = parse_engine("gpu-multi:2").unwrap();
-            let cluster_engine = Engine::GpuCluster {
-                nodes: 1,
-                devices_per_node: 2,
-            };
-            assert_eq!(multi_engine, cluster_engine);
-            let multi = pipeline().run_scan_file(&path, &c, multi_engine).unwrap();
-            let cluster = pipeline().run_scan_file(&path, &c, cluster_engine).unwrap();
+            // One chassis of two devices shares the bus and stays
+            // bit-identical to the single device.
+            let engine = parse_engine("gpu-cluster:1x2").unwrap();
             assert_eq!(
-                bits(&multi.image.data),
-                bits(&cluster.image.data),
-                "{plan:?}"
+                engine,
+                Engine::GpuCluster {
+                    nodes: 1,
+                    devices_per_node: 2,
+                }
             );
-            assert_eq!(bits(&multi.image.data), bits(&run.image.data), "{plan:?}");
-            assert_eq!(
-                times(
-                    multi.total_time_s,
-                    multi.comm_time_s,
-                    multi.compute_time_s,
-                    multi.bus_wait_s
-                ),
-                times(
-                    cluster.total_time_s,
-                    cluster.comm_time_s,
-                    cluster.compute_time_s,
-                    cluster.bus_wait_s
-                ),
-                "{plan:?}"
-            );
-            assert_eq!(
-                (multi.n_slabs, multi.rows_per_slab, multi.pipeline_depth),
-                (
-                    cluster.n_slabs,
-                    cluster.rows_per_slab,
-                    cluster.pipeline_depth
-                ),
-                "{plan:?}"
-            );
-            assert!(multi.rows_per_slab > 0 && multi.n_slabs > multi.pipeline_depth);
-            assert!(multi.cluster.is_some());
+            let cluster = pipeline().run_scan_file(&path, &c, engine).unwrap();
+            assert_eq!(bits(&cluster.image.data), bits(&run.image.data), "{plan:?}");
+            assert!(cluster.rows_per_slab > 0 && cluster.n_slabs > cluster.pipeline_depth);
+            assert!(cluster.cluster.is_some());
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1534,14 +1484,12 @@ mod tests {
     #[test]
     fn scrub_repairs_injected_transfer_corruption_bit_identically() {
         let (path, _) = scan_file("scrub_h2d");
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
+        let gpu = Engine::GpuPipelined;
         let clean = Pipeline::default()
-            .run_scan_file(&path, &cfg(), gpu)
+            .run_scan_file(&path, &pinned(SERIAL), gpu)
             .unwrap();
 
-        let mut c = cfg();
+        let mut c = pinned(SERIAL);
         c.integrity = laue_core::IntegrityMode::Scrub;
         let p = Pipeline {
             fault_plan: Some(cuda_sim::FaultPlan::new(5).flip_nth_h2d(2)),
@@ -1569,14 +1517,12 @@ mod tests {
     #[test]
     fn scrub_reexecutes_a_slab_after_a_silent_kernel_flip() {
         let (path, _) = scan_file("scrub_kernel");
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
+        let gpu = Engine::GpuPipelined;
         let clean = Pipeline::default()
-            .run_scan_file(&path, &cfg(), gpu)
+            .run_scan_file(&path, &pinned(SERIAL), gpu)
             .unwrap();
 
-        let mut c = cfg();
+        let mut c = pinned(SERIAL);
         c.integrity = laue_core::IntegrityMode::Scrub;
         let p = Pipeline {
             fault_plan: Some(
@@ -1608,7 +1554,7 @@ mod tests {
     #[test]
     fn verify_aborts_on_silent_corruption_instead_of_exporting_it() {
         let (path, _) = scan_file("verify_abort");
-        let mut c = cfg();
+        let mut c = pinned(SERIAL);
         c.integrity = laue_core::IntegrityMode::Verify;
         let p = Pipeline {
             fault_plan: Some(
@@ -1619,13 +1565,7 @@ mod tests {
             ..Pipeline::default()
         };
         let err = p
-            .run_scan_file(
-                &path,
-                &c,
-                Engine::Gpu {
-                    layout: Layout::Flat1d,
-                },
-            )
+            .run_scan_file(&path, &c, Engine::GpuPipelined)
             .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("integrity"), "{msg}");
@@ -1636,14 +1576,12 @@ mod tests {
     #[test]
     fn watchdog_condemns_a_stalled_launch_under_scrub() {
         let (path, _) = scan_file("watchdog");
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
+        let gpu = Engine::GpuPipelined;
         let clean = Pipeline::default()
-            .run_scan_file(&path, &cfg(), gpu)
+            .run_scan_file(&path, &pinned(SERIAL), gpu)
             .unwrap();
 
-        let mut c = cfg();
+        let mut c = pinned(SERIAL);
         c.integrity = laue_core::IntegrityMode::Scrub;
         let p = Pipeline {
             // A stall far past any cost-model prediction: the kernel
@@ -1668,20 +1606,17 @@ mod tests {
     #[test]
     fn fault_ordinals_are_stable_across_pipeline_depths() {
         let (path, _) = scan_file("ordinal_depth");
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
+        let gpu = Engine::GpuPipelined;
         let clean = Pipeline::default()
-            .run_scan_file(&path, &cfg(), gpu)
+            .run_scan_file(&path, &pinned(SERIAL), gpu)
             .unwrap();
 
         let spec = cuda_sim::FaultPlan::new(0)
             .h2d_fault_rate(0.25)
             .flip_nth_d2h(2);
         let run_at_depth = |depth: usize| {
-            let mut c = cfg();
+            let mut c = pinned(&format!("flat1d/inkernel/k{depth}"));
             c.integrity = laue_core::IntegrityMode::Scrub;
-            c.pipeline_depth = Some(depth);
             let p = Pipeline {
                 fault_plan: Some(spec.clone()),
                 ..Pipeline::default()
@@ -1712,12 +1647,10 @@ mod tests {
     #[test]
     fn integrity_mode_participates_in_the_journal_key() {
         let mut c = cfg();
-        let gpu = Engine::Gpu {
-            layout: Layout::Flat1d,
-        };
-        let off = journal_key(gpu, &c, (12, 8, 8), Some(1), "fixed", None);
+        let gpu = Engine::GpuPipelined;
+        let off = journal_key(gpu, &c, (12, 8, 8), Some(1), SERIAL, None);
         c.integrity = laue_core::IntegrityMode::Scrub;
-        let scrub = journal_key(gpu, &c, (12, 8, 8), Some(1), "fixed", None);
+        let scrub = journal_key(gpu, &c, (12, 8, 8), Some(1), SERIAL, None);
         assert_ne!(
             off.hash, scrub.hash,
             "an integrity flip must force a clean restart"
@@ -1732,7 +1665,7 @@ mod tests {
             devices_per_node: 1,
         };
         let key = |copts: ClusterOptions| {
-            journal_key(engine, &c, (12, 8, 8), Some(1), "fixed", Some(&copts))
+            journal_key(engine, &c, (12, 8, 8), Some(1), SERIAL, Some(&copts))
         };
         let tree = key(ClusterOptions::default());
         let ring = key(ClusterOptions {
@@ -1894,11 +1827,9 @@ mod tests {
         let jdir =
             std::env::temp_dir().join(format!("pipeline_{}_clusterflip_jrn", std::process::id()));
         let _ = std::fs::remove_dir_all(&jdir);
-        let mut c = cfg();
         // Serial single-row slabs: each node commits its first slab to the
         // journal before the scripted fault kills its second launch.
-        c.rows_per_slab = Some(1);
-        c.pipeline_depth = Some(1);
+        let c = pinned("flat1d/inkernel/k1/r1");
         let engine = Engine::GpuCluster {
             nodes: 2,
             devices_per_node: 1,

@@ -96,8 +96,13 @@ pub struct ServeReport {
     pub makespan_s: f64,
     /// Busy device-seconds over available device-seconds.
     pub utilization: f64,
-    /// Quanta that ended with the job unfinished (requeued).
+    /// Quantum expiries after which another job was dispatched on the
+    /// device before the expired job ran again: the job was displaced.
     pub preemptions: u64,
+    /// Quantum expiries after which the expired job itself ran next
+    /// (nothing else was waiting for its device): a checkpoint, not a
+    /// preemption.
+    pub quantum_expiries: u64,
     /// Resumes on a different device than the previous quantum.
     pub migrations: u64,
     /// Fleet-wide depth-table cache accounting.
@@ -166,6 +171,8 @@ pub fn serve(cfg: &ServeConfig, workload: Workload) -> Result<ServeReport> {
         admission: AdmissionStats::default(),
         batch: BatchStats::default(),
         preemptions: 0,
+        quantum_expiries: 0,
+        expired: vec![None; cfg.n_devices],
         migrations: 0,
     };
 
@@ -232,6 +239,7 @@ pub fn serve(cfg: &ServeConfig, workload: Workload) -> Result<ServeReport> {
         makespan_s,
         utilization,
         preemptions: state.preemptions,
+        quantum_expiries: state.quantum_expiries,
         migrations: state.migrations,
         cache,
     })
@@ -246,10 +254,29 @@ struct ServeState<'a> {
     admission: AdmissionStats,
     batch: BatchStats,
     preemptions: u64,
+    quantum_expiries: u64,
+    /// Per device, the job whose quantum last expired there and that is
+    /// not yet settled as a preemption or a plain expiry.
+    expired: Vec<Option<u64>>,
     migrations: u64,
 }
 
 impl ServeState<'_> {
+    /// Settle pending quantum expiries at a dispatch of `ids` on `dev`. An
+    /// expired job that runs again (on any device) before its device
+    /// served anyone else was not preempted; a device handed to another
+    /// job first preempted the one that expired there.
+    fn settle_expiries(&mut self, dev: usize, ids: &[u64]) {
+        for (d, slot) in self.expired.iter_mut().enumerate() {
+            match *slot {
+                Some(id) if ids.contains(&id) => self.quantum_expiries += 1,
+                Some(_) if d == dev => self.preemptions += 1,
+                _ => continue,
+            }
+            *slot = None;
+        }
+    }
+
     /// Fuse the head job with every ready eligible job that fits, run
     /// the batch as one launch, and complete every member. Returns the
     /// members' finish times (for closed-loop resubmission).
@@ -268,6 +295,8 @@ impl ServeState<'_> {
             });
             members.extend(extra);
         }
+        let ids: Vec<u64> = members.iter().map(|m| m.spec.id).collect();
+        self.settle_expiries(dev, &ids);
 
         let scans: Vec<_> = members.iter().map(|m| m.spec.materialize()).collect();
         let job_cfgs: Vec<_> = members.iter().map(|m| m.spec.config()).collect();
@@ -334,6 +363,7 @@ impl ServeState<'_> {
         now: f64,
     ) -> Result<Vec<f64>> {
         let spec = job.spec.clone();
+        self.settle_expiries(dev, &[spec.id]);
         let scan = spec.materialize();
         let job_cfg = spec.config();
         let mut source = InMemorySlabSource::new(
@@ -398,7 +428,7 @@ impl ServeState<'_> {
             });
             Ok(vec![span.end_s])
         } else {
-            self.preemptions += 1;
+            self.expired[dev] = Some(spec.id);
             job.progress = Some(progress);
             job.ready_s = span.end_s;
             self.queues.push(job);

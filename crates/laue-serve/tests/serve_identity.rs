@@ -88,12 +88,13 @@ proptest! {
 }
 
 /// A deterministic scenario tuned to force preemption *and* migration:
-/// two devices, a tiny quantum, a mixed workload. The property above
-/// covers it statistically; this pins it so a regression can't hide
-/// behind proptest sampling.
+/// two devices, a tiny quantum, a mixed workload arriving fast enough that
+/// jobs queue behind each other (so an expired quantum really hands its
+/// device to another job). The property above covers it statistically;
+/// this pins it so a regression can't hide behind proptest sampling.
 #[test]
 fn preempted_and_migrated_jobs_stay_standalone_identical() {
-    let spec = WorkloadSpec::mixed(10, 3000.0, 21);
+    let spec = WorkloadSpec::mixed(10, 10000.0, 21);
     let workload = spec.generate();
     let specs = workload.initial.clone();
     let mut cfg = ServeConfig::for_tenants(spec.n_tenants);
@@ -104,6 +105,7 @@ fn preempted_and_migrated_jobs_stay_standalone_identical() {
         report.preemptions > 0,
         "mixed load with a 4-row quantum must preempt"
     );
+    assert!(report.migrations > 0, "and resume on the other device");
     assert_outcomes_standalone(&report.outcomes, &specs);
     // Determinism of the whole service: run it again, same everything.
     let again = serve(&cfg, spec.generate()).unwrap();
@@ -115,6 +117,27 @@ fn preempted_and_migrated_jobs_stay_standalone_identical() {
         assert_eq!(a.finish_s.to_bits(), b.finish_s.to_bits());
         assert_eq!(a.image.data, b.image.data);
     }
+}
+
+/// A quantum that expires with nothing else waiting for the device is a
+/// checkpoint, not a preemption: one large job alone on one device runs
+/// quantum after quantum and is never displaced.
+#[test]
+fn a_lone_job_expires_quanta_without_being_preempted() {
+    let mut spec = WorkloadSpec::mixed(1, 100.0, 3);
+    spec.small_fraction = 0.0;
+    let workload = spec.generate();
+    let specs = workload.initial.clone();
+    let mut cfg = ServeConfig::for_tenants(spec.n_tenants);
+    cfg.n_devices = 1;
+    cfg.quantum_rows = 4;
+    let report = serve(&cfg, workload).unwrap();
+    assert_eq!(report.outcomes.len(), 1);
+    let quanta = report.outcomes[0].quanta as u64;
+    assert!(quanta > 1, "a large job spans several quanta");
+    assert_eq!(report.preemptions, 0, "nothing else ever ran on the device");
+    assert_eq!(report.quantum_expiries, quanta - 1);
+    assert_outcomes_standalone(&report.outcomes, &specs);
 }
 
 /// Closed-loop workloads complete the full job budget and stay

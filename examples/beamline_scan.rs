@@ -43,19 +43,15 @@ fn main() {
     //    cannot fit and the engine must stream row slabs (paper Fig 2).
     // ------------------------------------------------------------------
     let mut cfg = ReconstructionConfig::new(-2500.0, 2500.0, 500);
+    // The paper's serial 1-D design: flat layout, in-kernel triangulation.
+    cfg.set_plan("flat1d/inkernel/k1").expect("plan pin");
     cfg.intensity_cutoff = 5.0; // suppress pure-noise differentials
     let pipeline = Pipeline {
         device: DeviceProps::tiny(256 * 1024),
         ..Pipeline::default()
     };
     let report = pipeline
-        .run_scan_file(
-            &scan_path,
-            &cfg,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        )
+        .run_scan_file(&scan_path, &cfg, Engine::GpuPipelined)
         .expect("reconstruction");
     println!("{}", report.summary());
     println!(

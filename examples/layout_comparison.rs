@@ -19,20 +19,12 @@ fn main() {
 
     println!("layout     total(ms)   compute(ms)   transfer(ms)   transfers");
     let mut rows = Vec::new();
-    for (name, engine) in [
-        (
-            "1D flat",
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        ),
-        (
-            "3D ptrs",
-            Engine::Gpu {
-                layout: Layout::Pointer3d,
-            },
-        ),
+    for (name, plan) in [
+        ("1D flat", "flat1d/inkernel/k1"),
+        ("3D ptrs", "ptr3d/inkernel/k1"),
     ] {
+        let mut pinned = cfg.clone();
+        pinned.set_plan(plan).expect("plan pin");
         let mut source = InMemorySlabSource::new(
             scan.images.clone(),
             scan.geometry.wire.n_steps,
@@ -41,7 +33,7 @@ fn main() {
         )
         .expect("source");
         let r = pipeline
-            .run_source(&mut source, &scan.geometry, &cfg, engine)
+            .run_source(&mut source, &scan.geometry, &pinned, Engine::GpuPipelined)
             .expect("run");
         println!(
             "{name:<9}  {:>9.3}   {:>11.3}   {:>12.3}   {:>9}",

@@ -89,18 +89,12 @@ fn main() {
     // Reconstruct on the GPU engine and integrate laterally.
     // ------------------------------------------------------------------
     let mut cfg = ReconstructionConfig::new(-2000.0, 2000.0, 400);
+    cfg.set_plan("flat1d/inkernel/k1").expect("plan pin");
     cfg.intensity_cutoff = 3.0;
     let pipeline = Pipeline::default();
     let mut source = InMemorySlabSource::new(images, 64, 12, 12).expect("source");
     let report = pipeline
-        .run_source(
-            &mut source,
-            &geom,
-            &cfg,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        )
+        .run_source(&mut source, &geom, &cfg, Engine::GpuPipelined)
         .expect("reconstruction");
     println!("{}\n", report.summary());
 

@@ -21,15 +21,12 @@ fn main() {
         scan.truth.len()
     );
 
-    let cfg = ReconstructionConfig::new(-1800.0, 1800.0, 600);
+    let mut cfg = ReconstructionConfig::new(-1800.0, 1800.0, 600);
+    // The paper's serial 1-D design (CPU engines ignore the plan).
+    cfg.set_plan("flat1d/inkernel/k1").expect("plan pin");
     let pipeline = Pipeline::default();
 
-    for engine in [
-        Engine::CpuSeq,
-        Engine::Gpu {
-            layout: Layout::Flat1d,
-        },
-    ] {
+    for engine in [Engine::CpuSeq, Engine::GpuPipelined] {
         let mut source = InMemorySlabSource::new(
             scan.images.clone(),
             scan.geometry.wire.n_steps,

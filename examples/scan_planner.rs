@@ -62,17 +62,11 @@ fn main() {
             hi = hi.max(i.sweep.1);
         }
     }
-    let cfg = ReconstructionConfig::new(lo - 50.0, hi + 50.0, 800);
+    let mut cfg = ReconstructionConfig::new(lo - 50.0, hi + 50.0, 800);
+    cfg.set_plan("flat1d/inkernel/k1").expect("plan pin");
     let mut source = InMemorySlabSource::new(images, planned.wire.n_steps, 9, 9).expect("source");
     let report = Pipeline::default()
-        .run_source(
-            &mut source,
-            &planned,
-            &cfg,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        )
+        .run_source(&mut source, &planned, &cfg, Engine::GpuPipelined)
         .expect("reconstruct");
     println!("{}\n", report.summary());
 

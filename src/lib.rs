@@ -27,14 +27,16 @@
 //! // 1. Synthesize a wire scan with known ground truth.
 //! let scan = SyntheticScanBuilder::new(8, 8, 16).scatterers(3).seed(1).build().unwrap();
 //!
-//! // 2. Reconstruct it with the paper's GPU design (simulated device).
-//! let cfg = ReconstructionConfig::new(-1500.0, 1500.0, 300);
+//! // 2. Reconstruct it with the paper's GPU design (simulated device): the
+//! //    1-D flat layout, in-kernel triangulation, a serial pipeline.
+//! let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 300);
+//! cfg.set_plan("flat1d/inkernel/k1").unwrap();
 //! let pipeline = Pipeline::default();
 //! let mut source = InMemorySlabSource::new(
 //!     scan.images.clone(), 16, 8, 8,
 //! ).unwrap();
 //! let report = pipeline
-//!     .run_source(&mut source, &scan.geometry, &cfg, Engine::Gpu { layout: Layout::Flat1d })
+//!     .run_source(&mut source, &scan.geometry, &cfg, Engine::GpuPipelined)
 //!     .unwrap();
 //!
 //! // 3. The depth of each scatterer is recovered.
@@ -64,8 +66,8 @@ pub mod prelude {
     pub use laue_core::post::{depth_map, find_peaks, DepthMapOptions, DepthPeak};
     pub use laue_core::{
         cpu, gpu, AccumulationMode, CompactionMode, DepthImage, InMemorySlabSource, IntegrityMode,
-        IntegrityReport, PlanMode, ReconstructionConfig, ScanGeometry, ScanView, SlabSource,
-        WireEdge,
+        IntegrityReport, PlanMode, PlanPin, ReconstructionConfig, ScanGeometry, ScanView,
+        SlabSource, WireEdge,
     };
     pub use laue_geometry::{Beam, DepthMapper, DetectorGeometry, Vec3, WireGeometry};
     pub use laue_pipeline::{

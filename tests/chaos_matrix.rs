@@ -1,6 +1,7 @@
 //! The CI chaos matrix: every scripted *silent-corruption* schedule runs
 //! end-to-end through the CLI, swept over the pipelined engines
-//! (`gpu-pipe`, `gpu-multi:2`) and both checking integrity modes. The
+//! (`gpu-pipe`, and `gpu-cluster:1x2` — one chassis of two devices) and
+//! both checking integrity modes. The
 //! invariant under test is the ISSUE's no-silent-mismatch guarantee:
 //!
 //! * `--integrity scrub`  — the run must complete, report itself
@@ -31,7 +32,7 @@ const SPECS: &[(&str, &str)] = &[
     ("stalled-kernel", "seed=5,stall-nth=1,stall-s=5.0"),
 ];
 
-const ENGINES: &[&str] = &["gpu-pipe", "gpu-multi:2"];
+const ENGINES: &[&str] = &["gpu-pipe", "gpu-cluster:1x2"];
 const MODES: &[&str] = &["verify", "scrub"];
 
 /// The distributed row of the matrix: not a silent-corruption schedule but
@@ -62,14 +63,14 @@ fn base_argv(scan_s: &str, engine: &str, out: &str, jdir: &str) -> Vec<String> {
         engine,
         "--bins",
         "200",
-        "--rows-per-slab",
-        "2",
+        "--plan",
+        "flat1d/inkernel/k3/r2",
         "--journal-dir",
         jdir,
         "--out",
         out,
     ]);
-    if engine.starts_with("gpu-multi") {
+    if engine.starts_with("gpu-cluster") {
         // Pin the fault plan to one fleet device so the schedule is the
         // same regardless of how bands are split across the fleet.
         argv.extend(sv(&["--fault-device", "0"]));
@@ -269,8 +270,8 @@ fn chaos_matrix_node_loss_rebands_onto_survivors() {
             "gpu-cluster:3x1",
             "--bins",
             "200",
-            "--rows-per-slab",
-            "1",
+            "--plan",
+            "flat1d/inkernel/k3/r1",
             "--journal-dir",
             jdir,
             "--integrity",

@@ -30,25 +30,33 @@ fn file_based_engines_all_agree_and_recover_truth() {
     write_scan(&path, &scan.geometry, &scan.images, Some(&scan.truth), 3).unwrap();
 
     let pipeline = Pipeline::default();
-    let engines = [
-        Engine::CpuSeq,
-        Engine::CpuThreaded { threads: 2 },
-        Engine::Gpu {
-            layout: Layout::Flat1d,
-        },
-        Engine::Gpu {
-            layout: Layout::Pointer3d,
-        },
-        Engine::GpuTables,
-        Engine::GpuPipelined,
-    ];
     let cfg = cfg();
-    let reports: Vec<RunReport> = engines
-        .iter()
-        .map(|&e| pipeline.run_scan_file(&path, &cfg, e).unwrap())
+    let mut reports: Vec<RunReport> = [Engine::CpuSeq, Engine::CpuThreaded { threads: 2 }]
+        .into_iter()
+        .map(|e| pipeline.run_scan_file(&path, &cfg, e).unwrap())
         .collect();
+    // The paper's serial 1-D, 3-D and host-table design points, and the
+    // default 3-slot ring.
+    for plan in [
+        "flat1d/inkernel/k1",
+        "ptr3d/inkernel/k1",
+        "flat1d/tables/k1",
+        "flat1d/inkernel/k3",
+    ] {
+        let mut pinned = cfg.clone();
+        pinned.set_plan(plan).unwrap();
+        let r = pipeline
+            .run_scan_file(&path, &pinned, Engine::GpuPipelined)
+            .unwrap();
+        assert_eq!(r.plan_label, plan);
+        reports.push(r);
+    }
     for r in &reports[1..] {
-        assert_eq!(reports[0].image.data, r.image.data, "{} differs", r.engine);
+        assert_eq!(
+            reports[0].image.data, r.image.data,
+            "{} {} differs",
+            r.engine, r.plan_label
+        );
     }
 
     // Ground truth recovery through the whole file round trip.
@@ -76,17 +84,12 @@ fn memory_capped_device_streams_and_matches_unconstrained() {
     let scan = make_scan(2);
     let path = tmp("capped");
     write_scan(&path, &scan.geometry, &scan.images, None, 2).unwrap();
-    let cfg = cfg();
+    let mut cfg = cfg();
+    cfg.set_plan("flat1d/inkernel/k1").unwrap();
 
     let roomy = Pipeline::default();
     let r_roomy = roomy
-        .run_scan_file(
-            &path,
-            &cfg,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        )
+        .run_scan_file(&path, &cfg, Engine::GpuPipelined)
         .unwrap();
 
     let capped = Pipeline {
@@ -94,13 +97,7 @@ fn memory_capped_device_streams_and_matches_unconstrained() {
         ..Pipeline::default()
     };
     let r_capped = capped
-        .run_scan_file(
-            &path,
-            &cfg,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        )
+        .run_scan_file(&path, &cfg, Engine::GpuPipelined)
         .unwrap();
 
     assert!(
@@ -211,18 +208,12 @@ fn prelude_quickstart_flow_works() {
         .seed(1)
         .build()
         .unwrap();
-    let cfg = ReconstructionConfig::new(-1500.0, 1500.0, 300);
+    let mut cfg = ReconstructionConfig::new(-1500.0, 1500.0, 300);
+    cfg.set_plan("flat1d/inkernel/k1").unwrap();
     let pipeline = Pipeline::default();
     let mut source = InMemorySlabSource::new(scan.images.clone(), 16, 8, 8).unwrap();
     let report = pipeline
-        .run_source(
-            &mut source,
-            &scan.geometry,
-            &cfg,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        )
+        .run_source(&mut source, &scan.geometry, &cfg, Engine::GpuPipelined)
         .unwrap();
     let s = &scan.truth.scatterers[0];
     let peak = report.image.pixel_peak_depth(s.row, s.col, &cfg).unwrap();

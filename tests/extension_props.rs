@@ -399,8 +399,8 @@ proptest! {
     }
 
     /// `--plan auto` always selects a configuration that exists: rerunning
-    /// the chosen plan as a fixed configuration reproduces the auto run's
-    /// image bit-for-bit on arbitrary scans and densities.
+    /// the chosen label as a pinned plan reproduces the auto run's image
+    /// bit-for-bit on arbitrary scans and densities.
     #[test]
     fn plan_auto_matches_its_chosen_fixed_config_bitwise(
         s in arb_scenario(),
@@ -433,52 +433,21 @@ proptest! {
         let explain = auto.plan.as_ref().expect("plan auto explain block");
         prop_assert!(explain.candidates.iter().any(|(l, _)| l == &explain.chosen));
 
-        // The label encodes the whole plan: layout/tables/k<depth>/r<rows>.
-        let parts: Vec<&str> = explain.chosen.split('/').collect();
-        prop_assert_eq!(parts.len(), 4);
-        let depth: usize = parts[2][1..].parse().unwrap();
-        let rows: usize = parts[3][1..].parse().unwrap();
+        // The chosen label is a pin: rerun it as given, with the per-slab
+        // modes the auto run resolved.
+        let (pin, rows) = PlanPin::parse(&explain.chosen).unwrap();
         let mut fixed = cfg.clone();
-        fixed.plan = PlanMode::Fixed;
+        fixed.plan = PlanMode::Pin(pin);
+        fixed.rows_per_slab = rows;
         fixed.compaction = CompactionMode::Auto;
         fixed.accumulation = AccumulationMode::Auto;
-        fixed.pipeline_depth = Some(depth);
-        fixed.rows_per_slab = Some(rows);
-        let engine = match (parts[0], parts[1]) {
-            ("flat1d", "inkernel") => Some(Engine::Gpu { layout: Layout::Flat1d }),
-            ("ptr3d", "inkernel") => Some(Engine::Gpu { layout: Layout::Pointer3d }),
-            ("flat1d", "tables") => Some(Engine::GpuTables),
-            _ => None,
-        };
         let mut source = InMemorySlabSource::new(scan.images.clone(), p, m, n).unwrap();
-        let fixed_image = match engine {
-            Some(e) => {
-                Pipeline::default()
-                    .run_source(&mut source, &scan.geometry, &fixed, e)
-                    .unwrap()
-                    .image
-                    .data
-            }
-            None => {
-                // ptr3d + host tables has no Engine shorthand; run the core
-                // engine with the same options on the same device model.
-                let device = Device::new(DeviceProps::tesla_m2070());
-                gpu::reconstruct_with_options(
-                    &device,
-                    &mut source,
-                    &scan.geometry,
-                    &fixed,
-                    GpuOptions {
-                        layout: Layout::Pointer3d,
-                        triangulation: Triangulation::HostTables,
-                        ..GpuOptions::default()
-                    },
-                )
-                .unwrap()
-                .image
-                .data
-            }
-        };
+        let pinned = Pipeline::default()
+            .run_source(&mut source, &scan.geometry, &fixed, Engine::GpuPipelined)
+            .unwrap();
+        prop_assert!(pinned.plan.is_none());
+        prop_assert_eq!(&pinned.plan_label, &explain.chosen);
+        let fixed_image = pinned.image.data;
         prop_assert_eq!(&auto.image.data, &fixed_image);
     }
 

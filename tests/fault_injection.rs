@@ -24,13 +24,15 @@ fn write_demo_scan(name: &str) -> PathBuf {
     path
 }
 
+/// The GPU runs pin the paper's serial 1-D schedule.
 fn cfg() -> ReconstructionConfig {
-    ReconstructionConfig::new(-1600.0, 1600.0, 200)
+    let mut cfg = ReconstructionConfig::new(-1600.0, 1600.0, 200);
+    cfg.set_plan(SERIAL_1D).unwrap();
+    cfg
 }
 
-const GPU: Engine = Engine::Gpu {
-    layout: Layout::Flat1d,
-};
+const SERIAL_1D: &str = "flat1d/inkernel/k1";
+const GPU: Engine = Engine::GpuPipelined;
 
 #[test]
 fn oom_on_first_slab_allocation_replans_and_matches() {
@@ -99,7 +101,7 @@ fn dead_device_falls_back_to_cpu_within_tolerance() {
         .as_deref()
         .expect("report records the degradation");
     assert!(
-        note.contains("gpu-1d") && note.contains("cpu-seq"),
+        note.contains(SERIAL_1D) && note.contains("cpu-seq"),
         "{note}"
     );
     assert!(r.summary().contains("DEGRADED"), "{}", r.summary());
@@ -181,8 +183,8 @@ fn cli_runs_the_whole_degradation_story() {
         "reconstruct",
         "--input",
         &scan_s,
-        "--engine",
-        "gpu-1d",
+        "--plan",
+        SERIAL_1D,
         "--bins",
         "200",
         "--inject-gpu-fault",
@@ -196,8 +198,8 @@ fn cli_runs_the_whole_degradation_story() {
         "reconstruct",
         "--input",
         &scan_s,
-        "--engine",
-        "gpu-1d",
+        "--plan",
+        SERIAL_1D,
         "--bins",
         "200",
         "--inject-gpu-fault",
@@ -217,8 +219,8 @@ fn cli_runs_the_whole_degradation_story() {
         "reconstruct",
         "--input",
         &scan_s,
-        "--engine",
-        "gpu-1d",
+        "--plan",
+        SERIAL_1D,
         "--bins",
         "200",
         "--inject-gpu-fault",

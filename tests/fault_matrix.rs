@@ -50,12 +50,10 @@ fn run_spec(name: &str, spec: &str, scan_s: &str, clean: &[f64]) {
         "reconstruct",
         "--input",
         scan_s,
-        "--engine",
-        "gpu-1d",
+        "--plan",
+        "flat1d/inkernel/k1/r2",
         "--bins",
         "200",
-        "--rows-per-slab",
-        "2",
         "--journal-dir",
         &jdir.to_string_lossy(),
         "--on-gpu-failure",
@@ -127,12 +125,10 @@ fn fault_matrix_recovers_every_scripted_fault() {
         "reconstruct",
         "--input",
         &scan_s,
-        "--engine",
-        "gpu-1d",
+        "--plan",
+        "flat1d/inkernel/k1/r2",
         "--bins",
         "200",
-        "--rows-per-slab",
-        "2",
         "--out",
         &clean_out.to_string_lossy(),
     ]))

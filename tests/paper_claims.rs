@@ -27,6 +27,17 @@ fn run(scan: &SyntheticScan, cfg: &ReconstructionConfig, engine: Engine) -> RunR
         .unwrap()
 }
 
+/// The paper's serial 1-D and 3-D layout design points.
+const SERIAL_1D: &str = "flat1d/inkernel/k1";
+const SERIAL_3D: &str = "ptr3d/inkernel/k1";
+
+/// Run `gpu-pipe` with `cfg` pinned to `plan`.
+fn gpu(scan: &SyntheticScan, cfg: &ReconstructionConfig, plan: &str) -> RunReport {
+    let mut cfg = cfg.clone();
+    cfg.set_plan(plan).unwrap();
+    run(scan, &cfg, Engine::GpuPipelined)
+}
+
 fn cfg() -> ReconstructionConfig {
     ReconstructionConfig::new(-2500.0, 2500.0, 200)
 }
@@ -36,20 +47,8 @@ fn cfg() -> ReconstructionConfig {
 #[test]
 fn fig4_flat_layout_beats_pointer_layout() {
     let s = scan(32, 32, 24, 11);
-    let flat = run(
-        &s,
-        &cfg(),
-        Engine::Gpu {
-            layout: Layout::Flat1d,
-        },
-    );
-    let ptr = run(
-        &s,
-        &cfg(),
-        Engine::Gpu {
-            layout: Layout::Pointer3d,
-        },
-    );
+    let flat = gpu(&s, &cfg(), SERIAL_1D);
+    let ptr = gpu(&s, &cfg(), SERIAL_3D);
     assert_eq!(flat.image.data, ptr.image.data);
     assert!(ptr.transfers > flat.transfers);
     assert!(
@@ -74,13 +73,7 @@ fn fig8_speedup_and_scalability_shape() {
     for (i, &(r, c)) in sizes.iter().enumerate() {
         let s = scan(r, c, 24, 20 + i as u64);
         let cpu = run(&s, &cfg(), Engine::CpuSeq);
-        let gpu = run(
-            &s,
-            &cfg(),
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        );
+        let gpu = gpu(&s, &cfg(), SERIAL_1D);
         assert_eq!(cpu.image.data, gpu.image.data);
         cpu_times.push(cpu.total_time_s);
         gpu_times.push(gpu.total_time_s);
@@ -126,13 +119,7 @@ fn fig9_pixel_percentage_shape() {
         let mut c = cfg();
         c.intensity_cutoff = cut;
         let cpu = run(&s, &c, Engine::CpuSeq);
-        let gpu = run(
-            &s,
-            &c,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        );
+        let gpu = gpu(&s, &c, SERIAL_1D);
         fractions.push(gpu.stats.active_fraction());
         ratios.push(gpu.total_time_s / cpu.total_time_s);
     }
@@ -188,21 +175,9 @@ fn fig9_compaction_scales_linearly_with_active_fraction() {
         let mut c = cfg();
         c.intensity_cutoff = cut;
         c.compaction = CompactionMode::On;
-        let compact = run(
-            &s,
-            &c,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        );
+        let compact = gpu(&s, &c, SERIAL_1D);
         c.compaction = CompactionMode::Off;
-        let dense = run(
-            &s,
-            &c,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        );
+        let dense = gpu(&s, &c, SERIAL_1D);
         assert_eq!(
             compact.image.data, dense.image.data,
             "compaction must be bit-identical at every density"
@@ -247,13 +222,7 @@ fn overlap_ablation_shortens_makespan() {
     let s = scan(32, 32, 16, 41);
     let mut c = cfg();
     c.rows_per_slab = Some(4); // 8 slabs
-    let serial = run(
-        &s,
-        &c,
-        Engine::Gpu {
-            layout: Layout::Flat1d,
-        },
-    );
+    let serial = gpu(&s, &c, SERIAL_1D);
     let overlapped = run(&s, &c, Engine::GpuPipelined);
     assert_eq!(overlapped.pipeline_depth, 3);
     assert_eq!(serial.image.data, overlapped.image.data);
@@ -281,15 +250,10 @@ fn atomic_accumulation_is_exact_under_threading() {
         exec_mode: laue::sim::ExecMode::Threaded(4),
         ..Pipeline::default()
     };
+    let mut serial = c.clone();
+    serial.set_plan(SERIAL_1D).unwrap();
     let gpu = pipeline
-        .run_source(
-            &mut source,
-            &s.geometry,
-            &c,
-            Engine::Gpu {
-                layout: Layout::Flat1d,
-            },
-        )
+        .run_source(&mut source, &s.geometry, &serial, Engine::GpuPipelined)
         .unwrap();
     let scale = cpu.image.data.iter().fold(1.0f64, |a, &b| a.max(b.abs()));
     assert!(cpu.image.max_abs_diff(&gpu.image) <= 1e-9 * scale);
@@ -306,22 +270,10 @@ fn atomic_accumulation_is_exact_under_threading() {
 fn privatized_accumulation_cuts_cas_kernel_time_on_m2070() {
     let s = scan(32, 32, 64, 71);
     let c = ReconstructionConfig::new(-4000.0, 4000.0, 200);
-    let atomic = run(
-        &s,
-        &c,
-        Engine::Gpu {
-            layout: Layout::Flat1d,
-        },
-    );
+    let atomic = gpu(&s, &c, SERIAL_1D);
     let mut cp = c.clone();
     cp.accumulation = AccumulationMode::Privatized;
-    let privatized = run(
-        &s,
-        &cp,
-        Engine::Gpu {
-            layout: Layout::Flat1d,
-        },
-    );
+    let privatized = gpu(&s, &cp, SERIAL_1D);
 
     // Exactness is free: the deterministic reduction commits the same sums.
     assert_eq!(atomic.image.data, privatized.image.data);

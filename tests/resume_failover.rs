@@ -31,16 +31,22 @@ fn cfg() -> ReconstructionConfig {
     cfg
 }
 
-/// The serial engine commits each slab before launching the next, so
-/// `fail_after_launches(i)` leaves exactly `i` slabs in the journal.
-const GPU: Engine = Engine::Gpu {
-    layout: Layout::Flat1d,
-};
+/// `cfg()` pinned to the serial ring, which commits each slab before
+/// launching the next, so `fail_after_launches(i)` leaves exactly `i` slabs
+/// in the journal.
+fn serial() -> ReconstructionConfig {
+    let mut cfg = cfg();
+    cfg.set_plan(SERIAL_1D).unwrap();
+    cfg
+}
+
+const SERIAL_1D: &str = "flat1d/inkernel/k1";
+const GPU: Engine = Engine::GpuPipelined;
 
 #[test]
 fn resume_is_bit_identical_at_every_slab_boundary() {
     let path = write_demo_scan("boundary");
-    let cfg = cfg();
+    let cfg = serial();
     let baseline = Pipeline::default().run_scan_file(&path, &cfg, GPU).unwrap();
     assert_eq!(baseline.n_slabs, 6);
 
@@ -222,7 +228,7 @@ fn losing_every_device_salvages_committed_slabs_on_the_cpu() {
     // the fatal second launch (the default 3-deep ring would lose the
     // in-flight slab with the device).
     let mut cfg = cfg();
-    cfg.pipeline_depth = Some(1);
+    cfg.set_plan(SERIAL_1D).unwrap();
     let cpu = Pipeline::default()
         .run_scan_file(&path, &cfg, Engine::CpuSeq)
         .unwrap();
@@ -262,7 +268,7 @@ fn losing_every_device_salvages_committed_slabs_on_the_cpu() {
 fn interrupted_fleet_run_resumes_on_a_healthy_fleet() {
     let path = write_demo_scan("fleet_resume");
     let mut cfg = cfg();
-    cfg.pipeline_depth = Some(1);
+    cfg.set_plan(SERIAL_1D).unwrap();
     let fleet = Engine::GpuCluster {
         nodes: 1,
         devices_per_node: 4,
@@ -301,7 +307,7 @@ fn journal_of_a_different_run_is_ignored() {
     let path = write_demo_scan("keyed");
     let jdir = tmp("keyed_jrn");
     let _ = std::fs::remove_dir_all(&jdir);
-    let cfg = cfg();
+    let cfg = serial();
 
     // Interrupt a 200-bin run...
     let dying = Pipeline {
@@ -352,12 +358,10 @@ fn cli_checkpoint_resume_round_trip() {
         "reconstruct",
         "--input",
         &scan_s,
-        "--engine",
-        "gpu-1d",
+        "--plan",
+        "flat1d/inkernel/k1/r2",
         "--bins",
         "200",
-        "--rows-per-slab",
-        "2",
         "--journal-dir",
         &jdir_s,
     ];
@@ -384,13 +388,13 @@ fn cli_checkpoint_resume_round_trip() {
     let err = cli::parse(&sv(&["reconstruct", "--input", &scan_s, "--resume"])).unwrap_err();
     assert!(err.contains("--journal-dir"), "{err}");
 
-    // The fleet shorthand parses and runs from the CLI too, as one chassis.
+    // A one-chassis fleet parses and runs from the CLI too.
     let cmd = cli::parse(&sv(&[
         "reconstruct",
         "--input",
         &scan_s,
         "--engine",
-        "gpu-multi:3",
+        "gpu-cluster:1x3",
         "--bins",
         "200",
     ]))
@@ -404,7 +408,7 @@ fn cli_checkpoint_resume_round_trip() {
         "--input",
         &scan_s,
         "--engine",
-        "gpu-multi:0"
+        "gpu-cluster:1x0"
     ]))
     .is_err());
 
