@@ -872,8 +872,7 @@ impl Device {
     /// Export the virtual timeline in Chrome Trace Event Format (view in
     /// `chrome://tracing` or Perfetto).
     pub fn export_chrome_trace(&self) -> String {
-        let st = self.state.lock();
-        crate::trace::chrome_trace(&self.props.name, &st.trace.ops())
+        crate::trace::chrome_trace(&[(self.props.name.clone(), self.ops())])
     }
 
     /// Copy of the raw operation log behind the trace export (bounded by

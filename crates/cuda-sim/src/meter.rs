@@ -106,6 +106,21 @@ impl Meters {
     pub fn serial_total_s(&self) -> f64 {
         self.comm_time_s + self.compute_time_s
     }
+
+    /// Merge another device's meters into these (sums; the kernel cost
+    /// merges as [`Cost::merge`] does).
+    pub fn merge(&mut self, other: &Meters) {
+        self.comm_time_s += other.comm_time_s;
+        self.bus_wait_s += other.bus_wait_s;
+        self.compute_time_s += other.compute_time_s;
+        self.h2d_bytes += other.h2d_bytes;
+        self.d2h_bytes += other.d2h_bytes;
+        self.transfers += other.transfers;
+        self.coalesced_transactions += other.coalesced_transactions;
+        self.coalesced_copies += other.coalesced_copies;
+        self.launches += other.launches;
+        self.kernel_cost.merge(&other.kernel_cost);
+    }
 }
 
 /// Striped per-address collision counter used to estimate the longest

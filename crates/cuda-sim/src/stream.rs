@@ -126,8 +126,8 @@ impl Timelines {
     /// (their [`StreamId`]s become stale, exactly like a freed
     /// `cudaStream_t`) and the default stream's clock returns to zero.
     /// Without the destruction a long-lived device leaked one timeline per
-    /// stream per run — `reconstruct_pipelined` creates three streams every
-    /// invocation.
+    /// stream per run — the ring pipeline creates three streams on every
+    /// run.
     pub fn reset(&mut self) {
         for res in self.streams.drain(1..) {
             self.engine.free(res);

@@ -1,9 +1,11 @@
 //! Chrome-trace export of the virtual timeline.
 //!
-//! [`crate::Device::export_chrome_trace`] renders every transfer and kernel
-//! as a complete ("ph":"X") event in the Trace Event Format, so the virtual
-//! schedule — including stream overlap — can be inspected in
-//! `chrome://tracing` / Perfetto.
+//! [`chrome_trace`] renders every transfer and kernel as a complete
+//! ("ph":"X") event in the Trace Event Format, one trace process per
+//! device, so the virtual schedule — including stream overlap and, on a
+//! multi-device run, device concurrency — can be inspected in
+//! `chrome://tracing` / Perfetto. [`crate::Device::export_chrome_trace`]
+//! exports a single device.
 
 use std::collections::VecDeque;
 
@@ -146,27 +148,29 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Render ops as a Trace Event Format JSON document.
-pub fn chrome_trace(device_name: &str, ops: &[OpRecord]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    // Process-name metadata record always leads, so every op needs a comma.
-    out.push_str(&format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{{\"name\":\"{}\"}}}}",
-        escape(device_name)
-    ));
-    for op in ops {
-        out.push(',');
-        let ts_us = op.start_s * 1e6;
-        let dur_us = (op.end_s - op.start_s) * 1e6;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\"pid\":1,\"tid\":{}}}",
-            escape(&op.name),
-            op.kind,
-            op.stream
+/// Render one `(process name, ops)` pair per device as a Trace Event Format
+/// JSON document: device `i` is trace process `i + 1`, its streams the
+/// process's threads.
+pub fn chrome_trace(devices: &[(String, Vec<OpRecord>)]) -> String {
+    let mut events = Vec::new();
+    for (i, (name, ops)) in devices.iter().enumerate() {
+        let pid = i + 1;
+        events.push(format!(
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{}\"}}}}",
+            escape(name)
         ));
+        for op in ops {
+            let ts_us = op.start_s * 1e6;
+            let dur_us = (op.end_s - op.start_s) * 1e6;
+            events.push(format!(
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\"pid\":{pid},\"tid\":{}}}",
+                escape(&op.name),
+                op.kind,
+                op.stream
+            ));
+        }
     }
-    out.push_str("]}");
-    out
+    format!("{{\"traceEvents\":[{}]}}", events.join(","))
 }
 
 #[cfg(test)]
@@ -232,7 +236,7 @@ mod tests {
                 end_s: 3e-5,
             },
         ];
-        let json = chrome_trace("Tesla M2070 (simulated)", &ops);
+        let json = chrome_trace(&[("Tesla M2070 (simulated)".into(), ops.clone())]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"name\":\"set_two\""));
@@ -244,5 +248,10 @@ mod tests {
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+
+        // One trace process per device.
+        let two = chrome_trace(&[("gpu a".into(), ops.clone()), ("gpu b".into(), ops)]);
+        assert_eq!(two.matches("process_name").count(), 2);
+        assert!(two.contains("\"pid\":2,\"tid\":1"));
     }
 }

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cuda_sim::{Device, DeviceProps};
 use laue_bench::{standard_config, Workload};
-use laue_core::gpu::{self, Layout};
+use laue_core::gpu::{GpuOptions, RunOptions};
 use laue_core::{cpu, ScanView};
 use std::hint::black_box;
 
@@ -30,12 +30,8 @@ fn bench_datasize(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gpu_sim", &w.label), &w, |b, w| {
             b.iter(|| {
                 let device = Device::new(DeviceProps::tesla_m2070());
-                let mut source = w.source();
-                black_box(
-                    gpu::reconstruct(&device, &mut source, &w.scan.geometry, &cfg, Layout::Flat1d)
-                        .unwrap()
-                        .stats,
-                )
+                let serial = RunOptions::serial(GpuOptions::default());
+                black_box(w.run_on(&device, &cfg, &serial).unwrap().stats)
             })
         });
     }

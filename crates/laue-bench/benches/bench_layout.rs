@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use cuda_sim::{Device, DeviceProps};
 use laue_bench::{standard_config, Workload};
-use laue_core::gpu::{self, Layout};
+use laue_core::gpu::{GpuOptions, Layout, RunOptions};
 use std::hint::black_box;
 
 fn bench_layouts(c: &mut Criterion) {
@@ -24,9 +24,11 @@ fn bench_layouts(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let device = Device::new(DeviceProps::tesla_m2070());
-                let mut source = w.source();
-                let out =
-                    gpu::reconstruct(&device, &mut source, &w.scan.geometry, &cfg, layout).unwrap();
+                let serial = RunOptions::serial(GpuOptions {
+                    layout,
+                    ..GpuOptions::default()
+                });
+                let out = w.run_on(&device, &cfg, &serial).unwrap();
                 black_box(out.image.data.len())
             })
         });

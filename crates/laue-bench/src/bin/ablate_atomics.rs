@@ -13,7 +13,7 @@
 
 use cuda_sim::{Cost, Device, DeviceProps, ExecMode};
 use laue_bench::{ms, print_table, standard_config, Workload};
-use laue_core::gpu::{self, Layout};
+use laue_core::gpu::{GpuOptions, RunOptions};
 use laue_core::AccumulationMode;
 
 fn main() {
@@ -26,10 +26,9 @@ fn main() {
     // (a) Modeled cost share: the paper's CAS path, the free-accumulation
     // lower bound, and the real privatized path between them.
     let props = DeviceProps::tesla_m2070();
+    let serial = RunOptions::serial(GpuOptions::default());
     let device = Device::new(props.clone());
-    let mut source = w.source();
-    let out = gpu::reconstruct(&device, &mut source, &w.scan.geometry, &cfg, Layout::Flat1d)
-        .expect("run");
+    let out = w.run_on(&device, &cfg, &serial).expect("run");
     let cost = out.meters.kernel_cost;
     let no_atomics = Cost {
         atomic_ops: 0,
@@ -41,18 +40,9 @@ fn main() {
     let t_without = props.kernel_time(&no_atomics);
 
     let device = Device::new(props.clone());
-    let mut source = w.source();
-    let priv_out = gpu::reconstruct_with_options(
-        &device,
-        &mut source,
-        &w.scan.geometry,
-        &cfg_priv,
-        gpu::GpuOptions {
-            layout: Layout::Flat1d,
-            ..gpu::GpuOptions::default()
-        },
-    )
-    .expect("privatized run");
+    let priv_out = w
+        .run_on(&device, &cfg_priv, &serial)
+        .expect("privatized run");
     assert_eq!(
         out.image.data, priv_out.image.data,
         "privatized accumulation must be bit-identical — ablation invalid"
@@ -109,18 +99,7 @@ fn main() {
             } else {
                 ExecMode::Threaded(workers)
             });
-            let mut source = w.source();
-            let out = gpu::reconstruct_with_options(
-                &device,
-                &mut source,
-                &w.scan.geometry,
-                accum_cfg,
-                gpu::GpuOptions {
-                    layout: Layout::Flat1d,
-                    ..gpu::GpuOptions::default()
-                },
-            )
-            .expect("run");
+            let out = w.run_on(&device, accum_cfg, &serial).expect("run");
             let c = out.meters.kernel_cost;
             cells.push(c.atomic_ops.to_string());
             cells.push(format!(

@@ -13,7 +13,7 @@
 
 use cuda_sim::{Cost, Device, DeviceProps, HostProps};
 use laue_bench::{ms, print_table, standard_config, Workload};
-use laue_core::gpu::{self, GpuOptions, Layout, Triangulation};
+use laue_core::gpu::{GpuOptions, RunOptions, Triangulation};
 
 fn main() {
     let cfg = standard_config();
@@ -28,19 +28,11 @@ fn main() {
             ("host tables", Triangulation::HostTables),
         ] {
             let device = Device::new(DeviceProps::tesla_m2070());
-            let mut source = w.source();
-            let out = gpu::reconstruct_with_options(
-                &device,
-                &mut source,
-                &w.scan.geometry,
-                &cfg,
-                GpuOptions {
-                    layout: Layout::Flat1d,
-                    triangulation: tri,
-                    ..GpuOptions::default()
-                },
-            )
-            .expect("run");
+            let run = RunOptions::serial(GpuOptions {
+                triangulation: tri,
+                ..GpuOptions::default()
+            });
+            let out = w.run_on(&device, &cfg, &run).expect("run");
             match &reference {
                 None => reference = Some(out.image.data.clone()),
                 Some(r) => assert_eq!(r, &out.image.data, "modes diverge"),

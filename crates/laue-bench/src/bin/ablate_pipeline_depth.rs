@@ -12,7 +12,7 @@
 
 use cuda_sim::{Device, DeviceProps};
 use laue_bench::{ms, print_table, standard_config, Workload};
-use laue_core::gpu::{self, GpuOptions, PipelineDepth};
+use laue_core::gpu::{PipelineDepth, RunOptions};
 
 fn main() {
     let w = Workload::of_megabytes(5.2, 321);
@@ -30,17 +30,11 @@ fn main() {
     let mut rows = Vec::new();
     for k in [1usize, 2, 3, 4] {
         let device = Device::new(props.clone());
-        let mut source = w.source();
-        let out = gpu::reconstruct_pipelined(
-            &device,
-            &mut source,
-            &w.scan.geometry,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth(k),
-            None,
-        )
-        .expect("reconstruction");
+        let run = RunOptions {
+            depth: PipelineDepth(k),
+            ..RunOptions::default()
+        };
+        let out = w.run_on(&device, &cfg, &run).expect("reconstruction");
         if k == 1 {
             serial_elapsed = out.elapsed_s;
             serial_image = out.image.data.clone();

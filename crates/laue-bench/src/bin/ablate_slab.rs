@@ -10,7 +10,7 @@
 
 use cuda_sim::{Device, DeviceProps};
 use laue_bench::{ms, print_table, standard_config, Workload};
-use laue_core::gpu::{self, Layout};
+use laue_core::gpu::{GpuOptions, RunOptions};
 
 fn main() {
     let w = Workload::of_megabytes(2.1, 777);
@@ -34,22 +34,20 @@ fn main() {
             Some(slab_rows)
         };
         let device = Device::new(device_props.clone());
-        let mut source = w.source();
-        let out =
-            match gpu::reconstruct(&device, &mut source, &w.scan.geometry, &cfg, Layout::Flat1d) {
-                Ok(out) => out,
-                Err(e) => {
-                    rows.push(vec![
-                        slab_rows.to_string(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        format!("error: {e}"),
-                    ]);
-                    continue;
-                }
-            };
+        let out = match w.run_on(&device, &cfg, &RunOptions::serial(GpuOptions::default())) {
+            Ok(out) => out,
+            Err(e) => {
+                rows.push(vec![
+                    slab_rows.to_string(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    format!("error: {e}"),
+                ]);
+                continue;
+            }
+        };
         match &reference {
             None => reference = Some(out.image.data.clone()),
             Some(r) => assert_eq!(r, &out.image.data, "slab size changed the answer"),

@@ -27,7 +27,7 @@ use laue_bench::{
     delta_percentile, pinned, standard_config, Workload, SERIAL_1D, SERIAL_3D, SERIAL_TABLES,
 };
 use laue_core::cache::TableCacheStats;
-use laue_core::gpu::{self, GpuOptions, PipelineDepth};
+use laue_core::gpu::{PipelineDepth, RunOptions};
 use laue_core::{AccumulationMode, CompactionMode, IntegrityMode, PlanMode};
 use laue_pipeline::{Engine, Pipeline};
 
@@ -161,17 +161,11 @@ fn main() {
     let mut ring_elapsed = Vec::new();
     for k in [1usize, 2, 3, 4] {
         let device = Device::new(props.clone());
-        let mut source = w.source();
-        let out = gpu::reconstruct_pipelined(
-            &device,
-            &mut source,
-            &w.scan.geometry,
-            &slab_cfg,
-            GpuOptions::default(),
-            PipelineDepth(k),
-            None,
-        )
-        .expect("reconstruction");
+        let run = RunOptions {
+            depth: PipelineDepth(k),
+            ..RunOptions::default()
+        };
+        let out = w.run_on(&device, &slab_cfg, &run).expect("reconstruction");
         // No free bandwidth: one half-duplex link can never finish the
         // schedule faster than the total transfer time it carries.
         assert!(

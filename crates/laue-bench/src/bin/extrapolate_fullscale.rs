@@ -11,7 +11,7 @@
 
 use cuda_sim::{Cost, Device, DeviceProps, HostProps};
 use laue_bench::{print_table, standard_config, Workload};
-use laue_core::gpu::{self, Layout};
+use laue_core::gpu::{GpuOptions, RunOptions};
 use laue_core::ScanView;
 use laue_wire::builder::dims_for_bytes;
 
@@ -28,9 +28,9 @@ fn main() {
     let view = ScanView::new(&w.scan.images, steps, rows, cols).unwrap();
     let cpu = laue_core::cpu::reconstruct_seq(&view, &g, &cfg).unwrap();
     let device = Device::new(DeviceProps::tesla_m2070());
-    let mut source = w.source();
-    let gpu_out =
-        gpu::reconstruct(&device, &mut source, &w.scan.geometry, &cfg, Layout::Flat1d).unwrap();
+    let gpu_out = w
+        .run_on(&device, &cfg, &RunOptions::serial(GpuOptions::default()))
+        .unwrap();
 
     // Per-pair meters.
     let cpu_flops_pp = cpu.cost.flops as f64 / pairs_scaled;

@@ -13,7 +13,7 @@
 use cuda_sim::Device;
 use laue_bench::devices::{era_matrix, paper_host};
 use laue_bench::{ms, print_table, standard_config, Workload};
-use laue_core::gpu::{self, Layout};
+use laue_core::gpu::{GpuOptions, RunOptions};
 use laue_core::{AccumulationMode, ScanView};
 
 fn main() {
@@ -21,6 +21,7 @@ fn main() {
     let cfg = standard_config();
     let mut cfg_priv = cfg.clone();
     cfg_priv.accumulation = AccumulationMode::Privatized;
+    let serial = RunOptions::serial(GpuOptions::default());
     println!("what-if hardware study — {} stack\n", w.label);
 
     // CPU reference.
@@ -48,9 +49,7 @@ fn main() {
     for props in era_matrix() {
         let name = props.name.clone();
         let device = Device::new(props.clone());
-        let mut source = w.source();
-        let out = gpu::reconstruct(&device, &mut source, &w.scan.geometry, &cfg, Layout::Flat1d)
-            .expect("run");
+        let out = w.run_on(&device, &cfg, &serial).expect("run");
         match &reference {
             None => reference = Some(out.image.data.clone()),
             Some(r) => assert_eq!(r, &out.image.data, "devices diverge"),
@@ -58,18 +57,9 @@ fn main() {
         // The same machine with the shared-memory privatized accumulator:
         // how much of each generation's kernel time the CAS loop was.
         let device = Device::new(props);
-        let mut source = w.source();
-        let pout = gpu::reconstruct_with_options(
-            &device,
-            &mut source,
-            &w.scan.geometry,
-            &cfg_priv,
-            gpu::GpuOptions {
-                layout: Layout::Flat1d,
-                ..gpu::GpuOptions::default()
-            },
-        )
-        .expect("privatized run");
+        let pout = w
+            .run_on(&device, &cfg_priv, &serial)
+            .expect("privatized run");
         assert_eq!(
             out.image.data, pout.image.data,
             "privatized accumulation diverges on {name}"
@@ -127,18 +117,7 @@ fn main() {
         let mut image: Option<Vec<f64>> = None;
         for (i, c) in [&cfg, &cfg_priv].into_iter().enumerate() {
             let device = Device::new(props.clone());
-            let mut source = w2.source();
-            let out = gpu::reconstruct_with_options(
-                &device,
-                &mut source,
-                &w2.scan.geometry,
-                c,
-                gpu::GpuOptions {
-                    layout: Layout::Flat1d,
-                    ..gpu::GpuOptions::default()
-                },
-            )
-            .expect("run");
+            let out = w2.run_on(&device, c, &serial).expect("run");
             kernel[i] = out.meters.compute_time_s;
             match &image {
                 None => image = Some(out.image.data),

@@ -15,8 +15,7 @@
 use cuda_sim::{Device, DeviceProps, Host};
 use laue_bench::devices::paper_host;
 use laue_bench::{ms, print_table, standard_config, Workload};
-use laue_core::gpu::GpuOptions;
-use laue_core::multi::reconstruct_multi;
+use laue_core::gpu::{self, GpuOptions, RunOptions, Topology};
 use laue_core::ScanView;
 
 fn main() {
@@ -42,17 +41,14 @@ fn main() {
     let mut t1 = 0.0f64;
     let mut reference: Option<Vec<f64>> = None;
     for n_dev in [1usize, 2, 4, 8] {
+        // One node of `devices`: whether they share a PCIe bus is decided
+        // by the hosts they were built on.
         let run = |devices: &[Device]| {
-            let refs: Vec<&Device> = devices.iter().collect();
+            let topology = Topology::node(devices.iter().collect());
+            let serial = RunOptions::serial(GpuOptions::default());
             let mut source = w.source();
-            reconstruct_multi(
-                &refs,
-                &mut source,
-                &w.scan.geometry,
-                &cfg,
-                GpuOptions::default(),
-            )
-            .expect("run")
+            gpu::reconstruct_fresh(&topology, &mut source, &w.scan.geometry, &cfg, &serial)
+                .expect("run")
         };
         // Cluster topology: a PCIe link per device.
         let private: Vec<Device> = (0..n_dev)
@@ -74,7 +70,7 @@ fn main() {
         if n_dev == 1 {
             t1 = out.elapsed_s;
         }
-        let stalled: f64 = out.per_device.iter().map(|m| m.bus_wait_s).sum();
+        let stalled = out.meters.bus_wait_s;
         rows.push(vec![
             n_dev.to_string(),
             ms(ideal.elapsed_s),

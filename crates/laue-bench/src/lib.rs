@@ -23,6 +23,7 @@
 
 pub mod devices;
 
+use laue_core::gpu::{self, Reconstruction, RunOptions, Topology};
 use laue_core::{ReconstructionConfig, SlabSource};
 use laue_pipeline::{Engine, Pipeline, RunReport};
 use laue_wire::{builder::dims_for_bytes, SyntheticScan, SyntheticScanBuilder};
@@ -128,6 +129,18 @@ impl Workload {
         Pipeline::default()
             .run_source(&mut source, &self.scan.geometry, cfg, engine)
             .expect("pipeline run")
+    }
+
+    /// Reconstruct this workload on one device with the GPU driver.
+    pub fn run_on(
+        &self,
+        device: &cuda_sim::Device,
+        cfg: &ReconstructionConfig,
+        run: &RunOptions<'_>,
+    ) -> laue_core::Result<Reconstruction> {
+        let mut source = self.source();
+        let topology = Topology::device(device);
+        gpu::reconstruct_fresh(&topology, &mut source, &self.scan.geometry, cfg, run)
     }
 
     /// Run `gpu-pipe` over this workload with `cfg` pinned to `plan`.

@@ -2,11 +2,11 @@
 //! with a hierarchical, optionally compute-overlapped depth-image
 //! reduction over a metered interconnect.
 //!
-//! The distributed-ptychography shape (PAPERS.md): the scan's detector
-//! rows are banded across N nodes; each node runs its band on the
-//! existing single/multi-GPU engines (PR 5's privatized deterministic
-//! commit *is* the intra-node reduction), and the per-node partial images
-//! are then reduced to the head node over the fabric. Because bands are
+//! The distributed-ptychography shape (PAPERS.md): [`crate::gpu::reconstruct`]
+//! bands the scan's detector rows across N nodes; each node runs its band
+//! on its device fleet ([`crate::multi`]; the privatized deterministic
+//! commit *is* the intra-node reduction), and this module reduces the
+//! per-node partial images to the head node over the fabric. Because bands are
 //! disjoint, the inter-node "all-reduce" degenerates to an aggregation of
 //! disjoint row segments — every cell of the final image is written by
 //! exactly one node — so the result is bit-identical to the single-node
@@ -47,20 +47,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use cuda_sim::{Device, FaultStats, Interconnect, Meters};
+use cuda_sim::{FaultStats, Interconnect};
 
-use crate::cache::{DepthTableCache, TableCacheStats};
-use crate::config::ReconstructionConfig;
-use crate::error::CoreError;
-use crate::geometry::ScanGeometry;
-use crate::gpu::{BandTally, GpuOptions, PipelineDepth, RecoveryLog};
-use crate::input::SlabSource;
 use crate::integrity::IntegrityReport;
-use crate::journal::{RunJournal, SlabProgress};
-use crate::multi::{partition_ranges, reconstruct_multi_scoped};
-use crate::output::DepthImage;
-use crate::stats::ReconStats;
-use crate::Result;
 
 /// Fixed per-segment envelope: slab header, CRC frame, RDMA descriptor.
 const SEGMENT_HEADER_BYTES: u64 = 64;
@@ -105,7 +94,7 @@ impl ReductionTopology {
 }
 
 /// Cluster-level knobs (the intra-node knobs ride in
-/// [`ReconstructionConfig`] as before).
+/// [`crate::ReconstructionConfig`] as before).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterOptions {
     /// Inter-node reduction routing.
@@ -169,68 +158,27 @@ pub struct NodeOutcome {
     pub net_wait_s: f64,
 }
 
-/// Result of a cluster reconstruction.
-#[derive(Debug, Clone)]
-pub struct ClusterReconstruction {
-    /// The depth-resolved output (bit-identical to the single-node run).
-    pub image: DepthImage,
-    /// Outcome counters over the whole cluster.
-    pub stats: ReconStats,
-    /// Per-node breakdown, in node order (every node, even workless ones).
-    pub nodes: Vec<NodeOutcome>,
-    /// Cluster virtual makespan: compute *and* the reduction tail.
-    pub elapsed_s: f64,
-    /// Slowest node's compute makespan.
-    pub compute_s: f64,
-    /// Reduction time not hidden behind compute
-    /// (`elapsed_s - compute_s`).
-    pub reduction_exposed_s: f64,
-    /// Seconds reduction traffic spent queued on the fabric.
-    pub net_wait_s: f64,
-    /// Total reduction bytes moved inter-node.
-    pub net_bytes: u64,
-    /// Total reduction messages (segment-hops) on the fabric.
-    pub net_messages: u64,
-    /// Nodes whose entire device complement died mid-run.
-    pub nodes_lost: u32,
-    /// Devices lost across all nodes.
-    pub devices_lost: u32,
-    /// Recovery actions (re-plans, transfer retries) over all nodes.
-    pub recovery: RecoveryLog,
-    /// Depth-table cache accounting merged over the cluster.
-    pub table_cache: TableCacheStats,
-    /// Host-CPU table seconds summed over nodes (each node's CPU works in
-    /// parallel with its devices).
-    pub host_table_time_s: f64,
-    /// Committed slabs (replayed + fresh).
-    pub n_slabs: usize,
-    /// Widest slab any device ran, in rows (0 when every slab was
-    /// replayed from the journal).
-    pub rows_per_slab: usize,
-    /// Deepest ring any device finished with (memory pressure may have
-    /// shrunk it below the requested depth; the requested depth when no
-    /// slab ran).
-    pub pipeline_depth: usize,
-    /// Per-slab achieved densities in commit order across the cluster.
-    pub slab_densities: Vec<f64>,
-    /// Per-slab privatized-accumulation flags in commit order.
-    pub slab_privatized: Vec<bool>,
-    /// Integrity counters merged over the whole cluster.
-    pub integrity: IntegrityReport,
-    /// Per-device meters, node-major over participating devices.
-    pub per_device: Vec<Meters>,
-    /// The options the run executed with (echoed for reports).
-    pub options: ClusterOptions,
-}
-
 /// A committed row segment awaiting reduction.
 #[derive(Debug, Clone)]
-struct Segment {
+pub(crate) struct Segment {
     row0: usize,
     rows: usize,
     bytes: u64,
     /// Virtual time the segment exists on its node (slab commit).
     ready_s: f64,
+}
+
+impl Segment {
+    /// `rows` detector rows from `row0` of an image `dims = (n_cols,
+    /// n_bins)` wide, committed at virtual time `ready_s`.
+    pub(crate) fn new(row0: usize, rows: usize, dims: (usize, usize), ready_s: f64) -> Segment {
+        Segment {
+            row0,
+            rows,
+            bytes: reduction_segment_bytes(rows, dims.0, dims.1),
+            ready_s,
+        }
+    }
 }
 
 /// Heap key for the deterministic reduction event loop: earliest ready
@@ -277,9 +225,10 @@ struct ReductionSchedule {
 
 /// Drive every segment to node 0 along the topology's route, issuing
 /// fabric sends in deterministic (ready, row0, node, hop) order. Segments
-/// originating at the head node arrive for free — they are already home.
+/// originating at the head node arrive for free — they are already home —
+/// so a one-node run needs no fabric.
 fn schedule_reduction(
-    net: &Interconnect,
+    net: Option<&Interconnect>,
     topology: ReductionTopology,
     segments: &[Vec<Segment>],
     barrier: Option<f64>,
@@ -309,6 +258,7 @@ fn schedule_reduction(
     }
     while let Some((key, bytes)) = heap.pop() {
         let to = topology.next_hop(key.node);
+        let net = net.expect("a multi-node topology carries a fabric");
         let d = net.send(key.node, to, bytes, key.ready);
         sched.wait_by_node[key.node] += d.wait_s;
         sched.messages += 1;
@@ -329,172 +279,32 @@ fn schedule_reduction(
     sched
 }
 
-/// The cluster scheduler — the one GPU driver every pipeline engine runs
-/// on (a single device is a `1 × 1` cluster): node-level round-based
-/// failover around the per-chassis fleet scheduler
-/// (`multi::reconstruct_multi_scoped`), then the inter-node reduction.
-///
-/// `nodes[i]` holds node `i`'s devices (attached to that node's
-/// [`cuda_sim::Host`]); `net` is the fabric linking them, which must span
-/// at least `nodes.len()` endpoints. Work proceeds in rounds: uncovered
-/// rows re-band over the nodes currently alive ([`partition_ranges`] at
-/// node granularity — a fresh failure-free run reproduces the static
-/// banding), each node runs its share through the scoped fleet engine
-/// (inheriting device-level failover *within* the node), and slab commits
-/// release reduction segments. A node is dead when its scoped run fails
-/// with a GPU-class error — i.e. its last device died; zero surviving
-/// nodes surfaces the error for CPU salvage, exactly like the fleet
-/// engine one level down.
-///
-/// On success the finished image moves out of `progress` into the result
-/// (no copy); on error `progress` keeps every committed slab for resume or
-/// salvage.
-#[allow(clippy::too_many_arguments)]
-pub fn reconstruct_cluster_checkpointed(
-    nodes: &[Vec<&Device>],
-    net: &Interconnect,
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
+/// What the inter-node reduction of one run cost.
+#[derive(Debug)]
+pub(crate) struct Reduction {
+    /// When the last segment cleared the head node's link.
+    pub(crate) last_arrival_s: f64,
+    /// Seconds reduction traffic spent queued on the fabric.
+    pub(crate) net_wait_s: f64,
+    /// Total reduction bytes moved inter-node.
+    pub(crate) net_bytes: u64,
+    /// Total reduction messages (segment-hops) on the fabric.
+    pub(crate) net_messages: u64,
+}
+
+/// Reduce every node's committed `segments` to the head node over `net`
+/// and attribute the traffic to each node's outcome. Every segment rides
+/// its origin node's NIC. Overlap releases a segment at its commit time;
+/// the barrier variant merges each node's segments into one whole-band
+/// message gated on the slowest node's compute end (`compute_s`).
+pub(crate) fn reduce(
+    net: Option<&Interconnect>,
     copts: ClusterOptions,
-    progress: &mut SlabProgress,
-    mut journal: Option<&mut RunJournal>,
-) -> Result<ClusterReconstruction> {
-    if nodes.is_empty() || nodes.iter().any(|ds| ds.is_empty()) {
-        return Err(CoreError::InvalidConfig(
-            "every cluster node needs at least one device".into(),
-        ));
-    }
-    if net.n_nodes() < nodes.len() {
-        return Err(CoreError::InvalidConfig(format!(
-            "interconnect spans {} nodes but the cluster has {}",
-            net.n_nodes(),
-            nodes.len()
-        )));
-    }
-    let n_rows = source.n_rows();
-    let n_cols = source.n_cols();
-    let n = nodes.len();
-    let segment_bytes =
-        |rows: usize| (rows * n_cols * cfg.n_depth_bins * 8) as u64 + SEGMENT_HEADER_BYTES;
-
-    let mut alive: Vec<bool> = nodes
-        .iter()
-        .map(|ds| ds.iter().any(|d| !d.is_lost()))
-        .collect();
-    let mut participated = vec![false; n];
-    let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); n];
-    let mut outcomes: Vec<NodeOutcome> = (0..n)
-        .map(|i| NodeOutcome {
-            node: i,
-            ..NodeOutcome::default()
-        })
-        .collect();
-    // Everything but integrity, which is attributed per node below.
-    let mut bands = BandTally::default();
-    let mut nodes_lost = 0u32;
-    let mut last_gpu_err: Option<CoreError> = None;
-
-    loop {
-        let pending = progress.uncovered(0..n_rows);
-        if pending.is_empty() {
-            break;
-        }
-        let alive_idx: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
-        if alive_idx.is_empty() {
-            return Err(last_gpu_err.unwrap_or(CoreError::Device(cuda_sim::SimError::DeviceLost)));
-        }
-        let assignments = partition_ranges(&pending, alive_idx.len());
-        for (k, ranges) in assignments.iter().enumerate() {
-            if ranges.is_empty() {
-                continue;
-            }
-            let ni = alive_idx[k];
-            let fresh = !participated[ni];
-            participated[ni] = true;
-            let before = progress.committed_rows();
-            let node_segments = &mut segments[ni];
-            let mut on_commit = |row0: usize, rows: usize, at_s: f64| {
-                node_segments.push(Segment {
-                    row0,
-                    rows,
-                    bytes: segment_bytes(rows),
-                    ready_s: at_s,
-                });
-            };
-            let attempt = reconstruct_multi_scoped(
-                &nodes[ni],
-                source,
-                geom,
-                cfg,
-                opts,
-                depth,
-                cache,
-                ranges,
-                progress,
-                journal.as_deref_mut(),
-                Some(&mut on_commit),
-                fresh,
-            );
-            let out = &mut outcomes[ni];
-            out.rows += progress.committed_rows() - before;
-            match attempt {
-                Ok(mut fleet) => {
-                    out.elapsed_s = fleet.elapsed_s;
-                    out.devices_lost += fleet.devices_lost;
-                    out.integrity
-                        .merge(&std::mem::take(&mut fleet.bands.integrity));
-                    bands.merge(fleet.bands);
-                }
-                Err(e) if e.is_gpu_failure() => {
-                    // The node's last device is gone. The chassis (NIC,
-                    // journal reach) survives; its committed segments stay
-                    // scheduled, its uncovered rows re-band next round.
-                    alive[ni] = false;
-                    out.lost = true;
-                    out.devices_lost = nodes[ni].iter().filter(|d| d.is_lost()).count() as u32;
-                    out.elapsed_s = nodes[ni]
-                        .iter()
-                        .map(|d| d.elapsed_s())
-                        .fold(out.elapsed_s, f64::max);
-                    nodes_lost += 1;
-                    last_gpu_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    // Compute-side accounting over participating devices. Host table time
-    // and meters are cumulative on the device, so they are read once here
-    // rather than summed per round.
-    let mut per_device = Vec::new();
-    let mut host_table_time_s = 0.0;
-    let mut compute_s: f64 = 0.0;
-    let mut devices_lost = 0u32;
-    let mut integrity = IntegrityReport::default();
-    for (ni, out) in outcomes.iter_mut().enumerate() {
-        if participated[ni] {
-            for d in &nodes[ni] {
-                host_table_time_s += d.host_flops_time_s();
-                per_device.push(d.meters());
-            }
-            out.devices = nodes[ni].len();
-            out.bus_wait_s = nodes[ni].iter().map(|d| d.meters().bus_wait_s).sum();
-        }
-        out.faults = FaultStats::merge_all(nodes[ni].iter().filter_map(|d| d.fault_stats()));
-        compute_s = compute_s.max(out.elapsed_s);
-        devices_lost += out.devices_lost;
-        integrity.merge(&out.integrity);
-    }
-
-    // Inter-node reduction: every committed segment rides its origin
-    // node's NIC to the head node. Overlap releases a segment at its
-    // commit time; the barrier variant merges each node's segments into
-    // one whole-band message gated on the slowest node's compute end.
+    segments: Vec<Vec<Segment>>,
+    compute_s: f64,
+    dims: (usize, usize),
+    outcomes: &mut [NodeOutcome],
+) -> Reduction {
     let scheduled: Vec<Vec<Segment>> = if copts.overlap {
         segments
     } else {
@@ -505,12 +315,9 @@ pub fn reconstruct_cluster_checkpointed(
                     return Vec::new();
                 }
                 let rows: usize = segs.iter().map(|s| s.rows).sum();
-                vec![Segment {
-                    row0: segs.iter().map(|s| s.row0).min().unwrap(),
-                    rows,
-                    bytes: segment_bytes(rows),
-                    ready_s: segs.iter().map(|s| s.ready_s).fold(0.0, f64::max),
-                }]
+                let row0 = segs.iter().map(|s| s.row0).min().unwrap();
+                let ready_s = segs.iter().map(|s| s.ready_s).fold(0.0, f64::max);
+                vec![Segment::new(row0, rows, dims, ready_s)]
             })
             .collect()
     };
@@ -536,61 +343,12 @@ pub fn reconstruct_cluster_checkpointed(
         out.net_wait_s = sched.wait_by_node[out.node];
     }
 
-    let elapsed_s = compute_s.max(sched.last_arrival_s);
-    Ok(ClusterReconstruction {
-        // The run is complete: the image moves out of `progress`.
-        image: std::mem::take(&mut progress.image),
-        stats: progress.stats,
-        nodes: outcomes,
-        elapsed_s,
-        compute_s,
-        reduction_exposed_s: elapsed_s - compute_s,
+    Reduction {
+        last_arrival_s: sched.last_arrival_s,
         net_wait_s: sched.wait_by_node.iter().sum(),
         net_bytes: net_bytes_by_node.iter().sum(),
         net_messages: sched.messages,
-        nodes_lost,
-        devices_lost,
-        recovery: bands.recovery,
-        table_cache: bands.table_cache,
-        host_table_time_s,
-        n_slabs: progress.committed_slabs(),
-        rows_per_slab: bands.rows_per_slab,
-        pipeline_depth: bands.depth_used.unwrap_or(depth.0),
-        slab_densities: bands.slab_densities,
-        slab_privatized: bands.slab_privatized,
-        integrity,
-        per_device,
-        options: copts,
-    })
-}
-
-/// Convenience entry point: fresh progress, no journal.
-#[allow(clippy::too_many_arguments)]
-pub fn reconstruct_cluster(
-    nodes: &[Vec<&Device>],
-    net: &Interconnect,
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
-    copts: ClusterOptions,
-) -> Result<ClusterReconstruction> {
-    let mut progress = SlabProgress::new(cfg.n_depth_bins, source.n_rows(), source.n_cols());
-    reconstruct_cluster_checkpointed(
-        nodes,
-        net,
-        source,
-        geom,
-        cfg,
-        opts,
-        depth,
-        cache,
-        copts,
-        &mut progress,
-        None,
-    )
+    }
 }
 
 /// Route length (in hops) of node `i`'s segments under `topology` — the
@@ -617,9 +375,10 @@ pub fn node_bands(n_rows: usize, nodes: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{self, Layout};
+    use crate::gpu::{self, GpuOptions, Reconstruction, RunOptions, Topology};
     use crate::input::InMemorySlabSource;
-    use cuda_sim::{DeviceProps, Host, InterconnectProps};
+    use crate::{ReconstructionConfig, Result, ScanGeometry};
+    use cuda_sim::{Device, DeviceProps, Host, InterconnectProps};
 
     fn demo() -> (ScanGeometry, ReconstructionConfig, Vec<f64>) {
         let geom = ScanGeometry::demo(8, 6, 10, -60.0, 6.0).unwrap();
@@ -659,8 +418,28 @@ mod tests {
         }
     }
 
-    fn refs(c: &TestCluster) -> Vec<Vec<&Device>> {
-        c.devices.iter().map(|ds| ds.iter().collect()).collect()
+    /// A fresh serial run on `c` (a single device when `c` is `None`).
+    fn try_run(
+        c: Option<&TestCluster>,
+        data: &[f64],
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        copts: ClusterOptions,
+    ) -> Result<Reconstruction> {
+        let single = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
+        let topology = match c {
+            Some(c) => {
+                let nodes = c.devices.iter().map(|ds| ds.iter().collect()).collect();
+                Topology::cluster(nodes, &c.net)
+            }
+            None => Topology::device(&single),
+        };
+        let run = RunOptions {
+            cluster: copts,
+            ..RunOptions::serial(GpuOptions::default())
+        };
+        let mut source = InMemorySlabSource::new(data.to_vec(), 10, 8, 6).unwrap();
+        gpu::reconstruct_fresh(&topology, &mut source, geom, cfg, &run)
     }
 
     fn run(
@@ -669,28 +448,14 @@ mod tests {
         geom: &ScanGeometry,
         cfg: &ReconstructionConfig,
         copts: ClusterOptions,
-    ) -> ClusterReconstruction {
-        let mut source = InMemorySlabSource::new(data.to_vec(), 10, 8, 6).unwrap();
-        reconstruct_cluster(
-            &refs(c),
-            &c.net,
-            &mut source,
-            geom,
-            cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
-            None,
-            copts,
-        )
-        .unwrap()
+    ) -> Reconstruction {
+        try_run(Some(c), data, geom, cfg, copts).unwrap()
     }
 
     #[test]
     fn cluster_matches_single_gpu_bitwise_at_every_node_count() {
         let (geom, cfg, data) = demo();
-        let single = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-        let ref_out = gpu::reconstruct(&single, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let ref_out = try_run(None, &data, &geom, &cfg, ClusterOptions::default()).unwrap();
 
         for nodes in [1usize, 2, 3, 4, 8] {
             for topology in [ReductionTopology::Tree, ReductionTopology::Ring] {
@@ -828,21 +593,28 @@ mod tests {
         for ds in &c.devices {
             ds[0].set_fault_plan(cuda_sim::FaultPlan::new(0).fail_after_launches(0));
         }
-        let mut source = InMemorySlabSource::new(data, 10, 8, 6).unwrap();
-        let err = reconstruct_cluster(
-            &refs(&c),
-            &c.net,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
-            None,
-            ClusterOptions::default(),
-        )
-        .unwrap_err();
+        let err = try_run(Some(&c), &data, &geom, &cfg, ClusterOptions::default()).unwrap_err();
         assert!(err.is_gpu_failure());
         let _ = &c.hosts;
+    }
+
+    #[test]
+    fn a_multi_node_topology_needs_a_fabric_spanning_it() {
+        let (geom, cfg, data) = demo();
+        let c = build(3, 1, InterconnectProps::ib_qdr());
+        let nodes = || c.devices.iter().map(|ds| ds.iter().collect()).collect();
+        let short = Interconnect::new("short", 2, InterconnectProps::ib_qdr());
+        let unlinked = Topology {
+            nodes: nodes(),
+            net: None,
+        };
+        for topology in [unlinked, Topology::cluster(nodes(), &short)] {
+            let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
+            let run = RunOptions::default();
+            let err =
+                gpu::reconstruct_fresh(&topology, &mut source, &geom, &cfg, &run).unwrap_err();
+            assert!(matches!(err, crate::CoreError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]

@@ -23,12 +23,16 @@
 //!   allocation per image (and per output bin) plus device pointer tables —
 //!   paying per-transfer latency, pointer shipping, and an extra pointer
 //!   dereference per access.
-//! * **Copy/compute overlap** ([`reconstruct_pipelined`]): a k-deep ring of
-//!   slab slots on three streams (upload / compute / download), the
+//! * **Copy/compute overlap** ([`PipelineDepth`]): a k-deep ring of slab
+//!   slots on three streams (upload / compute / download), the
 //!   generalisation of the double-buffered two-stream pipeline the paper's
 //!   related work discusses but its implementation does not do. `k = 1`
-//!   degenerates to the paper's serial copy-in → kernel → copy-out loop and
-//!   is what [`reconstruct_with_options`] runs.
+//!   ([`RunOptions::serial`]) degenerates to the paper's serial copy-in →
+//!   kernel → copy-out loop.
+//! * **One driver** ([`reconstruct`]): every run — one device, one chassis
+//!   of several, or a cluster of chassis — is a [`Topology`] driven with
+//!   one [`RunOptions`] value, checkpointing slab by slab into a
+//!   [`SlabProgress`] and returning one [`Reconstruction`].
 //! * **Depth-table caching** ([`crate::cache`]): in
 //!   [`Triangulation::HostTables`] mode the per-(step, pixel) tables are
 //!   pure functions of the geometry; a [`DepthTableCache`] keeps them on
@@ -43,16 +47,20 @@ pub mod batch;
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use cuda_sim::{Device, DeviceBuffer, ExecMode, LaunchConfig, Meters, StreamId};
+use cuda_sim::{
+    Device, DeviceBuffer, ExecMode, FaultStats, Interconnect, LaunchConfig, Meters, StreamId,
+};
 use laue_geometry::{DepthMapper, Vec3};
 
 use crate::cache::{DepthTableCache, DepthTables, TableCacheStats, TableKey};
+use crate::cluster::{self, ClusterOptions, NodeOutcome, Segment};
 use crate::config::{AccumulationMode, CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
 use crate::input::SlabSource;
 use crate::integrity::{self, IntegrityReport};
 use crate::journal::{RunJournal, SlabProgress};
+use crate::multi::{partition_ranges, reconstruct_multi_scoped};
 use crate::output::DepthImage;
 use crate::pair::{plan_pair, PairPlan, PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR};
 use crate::planning::ShadowCull;
@@ -293,51 +301,6 @@ fn retry_transfer<T>(
         }
     }
     result
-}
-
-/// Result of a GPU reconstruction.
-#[derive(Debug, Clone)]
-pub struct GpuReconstruction {
-    /// The depth-resolved output.
-    pub image: DepthImage,
-    /// Outcome counters (from the kernel's trace instrumentation).
-    pub stats: ReconStats,
-    /// Transfer/compute meters for the whole run.
-    pub meters: Meters,
-    /// Rows shipped per slab.
-    pub rows_per_slab: usize,
-    /// Number of slabs processed.
-    pub n_slabs: usize,
-    /// Virtual makespan (equals `meters.serial_total_s()` for the
-    /// single-stream pipeline; smaller when overlapped).
-    pub elapsed_s: f64,
-    /// Peak modeled device memory, bytes.
-    pub peak_device_mem: u64,
-    /// Host-side triangulation FLOPs spent building depth tables
-    /// ([`Triangulation::HostTables`] only; model with `HostProps`).
-    pub host_table_flops: u64,
-    /// Host-CPU busy seconds those FLOPs occupy on the device's host (the
-    /// engine's host-thread resource; accounted in parallel with device
-    /// time, never stalling a stream).
-    pub host_table_time_s: f64,
-    /// What the engine did to survive device trouble (re-plans, retries).
-    pub recovery: RecoveryLog,
-    /// Ring depth the run finished with (memory pressure may have shrunk
-    /// it below the requested depth).
-    pub pipeline_depth: usize,
-    /// Depth-table cache accounting for this run (all zeros when no cache
-    /// was attached).
-    pub table_cache: TableCacheStats,
-    /// Achieved active-pair density per slab, in slab order (empty when
-    /// compaction is off).
-    pub slab_densities: Vec<f64>,
-    /// Per slab, whether its main launch ran the shared-memory privatized
-    /// accumulator (`false` = atomic fallback or an empty launch domain).
-    /// Empty under `--accumulation atomic`.
-    pub slab_privatized: Vec<bool>,
-    /// What the integrity layer detected and repaired (all zeros under
-    /// [`crate::config::IntegrityMode::Off`]).
-    pub integrity: IntegrityReport,
 }
 
 /// Modeled device bytes needed for `slots` concurrently resident slabs of
@@ -1415,7 +1378,7 @@ pub(crate) enum SlabEvent<'e> {
 /// (poisons). This is the checkpoint layer's hook into the ring — the
 /// journal appends the record before the ring moves on, so a slab is
 /// either fully durable or not committed at all.
-pub(crate) type SlabSink<'a> = Option<&'a mut dyn FnMut(SlabEvent<'_>) -> Result<()>>;
+pub(crate) type SlabSink<'a> = &'a mut dyn FnMut(SlabEvent<'_>) -> Result<()>;
 
 /// One slab's share of the pair counters, combining its (optional) prescan
 /// and main launches. Culled combos never launch a thread: their pairs are
@@ -1576,9 +1539,9 @@ fn execute_slab(
 }
 
 /// Drain one ring slot: download the slab, verify it when integrity is
-/// on, recover per the integrity mode when verification fails, then —
-/// with a sink attached — commit it (journal append + progress
-/// bookkeeping). Returns the slot-free edge from [`download_slab`].
+/// on, recover per the integrity mode when verification fails, then
+/// commit it through the sink (journal append + progress bookkeeping).
+/// Returns the slot-free edge from [`download_slab`].
 ///
 /// Verification is the ABFT check: the host redundantly recomputes the
 /// slab with the dense CPU engine (re-reading the intensities from the
@@ -1602,7 +1565,6 @@ fn commit_slab(
     cull: Option<&ShadowCull>,
     recovery: &mut RecoveryLog,
     integrity: &mut IntegrityReport,
-    band_stats: &mut ReconStats,
     sink: &mut SlabSink<'_>,
 ) -> Result<f64> {
     let device = ctx.device;
@@ -1618,20 +1580,16 @@ fn commit_slab(
         recovery,
         integrity,
     )?;
-    let commit = |image: &DepthImage, stats: &ReconStats, sink: &mut SlabSink<'_>| -> Result<()> {
-        if let Some(sink) = sink.as_mut() {
-            let data = image.extract_rows(row0, rows);
-            sink(SlabEvent::Commit {
-                row0,
-                rows,
-                stats,
-                data: &data,
-            })?;
-        }
-        Ok(())
+    let commit = |image: &DepthImage, stats: &ReconStats, sink: &mut SlabSink<'_>| {
+        let data = image.extract_rows(row0, rows);
+        sink(SlabEvent::Commit {
+            row0,
+            rows,
+            stats,
+            data: &data,
+        })
     };
     if !cfg.integrity.enabled() {
-        band_stats.merge(&stats);
         commit(image, &stats, sink)?;
         return Ok(freed_at);
     }
@@ -1650,7 +1608,6 @@ fn commit_slab(
         integrity.abft_mismatches += 1;
     }
     if sums_ok && !suspect {
-        band_stats.merge(&stats);
         commit(image, &stats, sink)?;
         return Ok(freed_at);
     }
@@ -1678,9 +1635,7 @@ fn commit_slab(
     // Scrub: quarantine first (durable poison before any re-execution),
     // then re-execute with bounded exponential backoff. Drop the condemned
     // upload so its device buffers are free for the re-run.
-    if let Some(sink) = sink.as_mut() {
-        sink(SlabEvent::Poison { row0, rows })?;
-    }
+    sink(SlabEvent::Poison { row0, rows })?;
     drop(upload);
     // Everything past this point is pure makespan extension: the clean
     // slab would have freed its slot at `freed_at`, so whatever later
@@ -1734,31 +1689,8 @@ fn commit_slab(
     }
     integrity.exposed_overhead_s += (freed_at - clean_freed_at).max(0.0);
     integrity.corruptions_corrected += 1;
-    band_stats.merge(&committed_stats);
     commit(image, &committed_stats, sink)?;
     Ok(freed_at)
-}
-
-pub(crate) fn stats_from_records(device: &Device, pairs_total: u64) -> ReconStats {
-    let mut stats = ReconStats::default();
-    for rec in device.records() {
-        if rec.name == "prescan" {
-            // Prescan traces only the below-cutoff pairs it dropped; the
-            // compacted/culled attribution comes from the ring outcome.
-            stats.pairs_below_cutoff += rec.traces[TRACE_BELOW_CUTOFF];
-            continue;
-        }
-        if rec.name != "set_two" {
-            continue;
-        }
-        stats.pairs_below_cutoff += rec.traces[TRACE_BELOW_CUTOFF];
-        stats.pairs_invalid_geometry += rec.traces[TRACE_INVALID];
-        stats.pairs_out_of_range += rec.traces[TRACE_OUT_OF_RANGE];
-        stats.pairs_deposited += rec.traces[TRACE_DEPOSITED];
-        stats.deposits += rec.traces[TRACE_DEPOSITS];
-    }
-    stats.pairs_total = pairs_total;
-    stats
 }
 
 pub(crate) fn validate_inputs(
@@ -1789,66 +1721,19 @@ pub(crate) fn validate_inputs(
     Ok(())
 }
 
-/// Reconstruct with the paper's single-stream pipeline: for each row slab,
-/// copy in → `set_two` kernel → copy out (no overlap, like the original).
-pub fn reconstruct(
-    device: &Device,
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    layout: Layout,
-) -> Result<GpuReconstruction> {
-    reconstruct_with_options(
-        device,
-        source,
-        geom,
-        cfg,
-        GpuOptions {
-            layout,
-            triangulation: Triangulation::InKernel,
-            ..GpuOptions::default()
-        },
-    )
-}
-
-/// As [`reconstruct`], with the full option set (layout × triangulation).
-/// Runs the ring at `k = 1` (serial pipeline), with no depth-table cache
-/// attached.
-pub fn reconstruct_with_options(
-    device: &Device,
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-) -> Result<GpuReconstruction> {
-    reconstruct_pipelined(device, source, geom, cfg, opts, PipelineDepth::SERIAL, None)
-}
-
-/// Everything the ring learned while processing one row band.
+/// Everything the ring learned while processing one row band (the pair
+/// counters travel with each committed slab, through the sink).
 pub(crate) struct RingOutcome {
     pub(crate) rows_per_slab: usize,
-    pub(crate) n_slabs: usize,
     pub(crate) host_table_flops: u64,
     /// Ring depth actually used (memory pressure may shrink it).
     pub(crate) depth_used: usize,
     pub(crate) cache_stats: TableCacheStats,
-    /// `(row, pair)` combos removed by wire-shadow culling.
-    pub(crate) culled_rows: u64,
-    /// Pairs the prescan dropped before the main launch (compact slabs).
-    pub(crate) compacted_pairs: u64,
     /// Achieved active-pair density per slab (empty when compaction off).
     pub(crate) slab_densities: Vec<f64>,
     /// Per slab, whether its main launch ran privatized (empty when the
     /// run never asked for privatization).
     pub(crate) slab_privatized: Vec<bool>,
-    /// Pairs attributed to slabs that ran the privatized accumulator.
-    pub(crate) privatized_pairs: u64,
-    /// Pairs that fell back to atomics although privatization was asked.
-    pub(crate) accum_fallback_pairs: u64,
-    /// Sum of the per-slab stats the ring actually committed. With
-    /// integrity on this is authoritative: condemned launches that scrub
-    /// re-executed appear in the device's launch records but not here.
-    pub(crate) stats: ReconStats,
     /// What the integrity layer saw and did for this band.
     pub(crate) integrity: IntegrityReport,
 }
@@ -1944,14 +1829,18 @@ pub(crate) fn run_ring(
     geom: &ScanGeometry,
     mapper: &DepthMapper,
     cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
+    run: &RunOptions<'_>,
     band: Range<usize>,
     image: &mut DepthImage,
     recovery: &mut RecoveryLog,
     mut sink: SlabSink<'_>,
 ) -> Result<RingOutcome> {
+    let RunOptions {
+        gpu: opts,
+        depth,
+        cache,
+        ..
+    } = *run;
     if depth.0 == 0 {
         return Err(CoreError::InvalidConfig(
             "pipeline depth must be at least 1".into(),
@@ -2061,23 +1950,16 @@ pub(crate) fn run_ring(
         n_cols,
         abft_tol,
     };
-    let mut band_stats = ReconStats::default();
-
     // The ring proper: executed slabs (upload + kernel-end edge + stats +
     // watchdog verdict), oldest first.
     let mut ring: VecDeque<SlabExec> = VecDeque::with_capacity(slots);
-    let mut n_slabs = 0usize;
-    let mut culled_rows_total = 0u64;
-    let mut compacted_total = 0u64;
     let mut slab_densities = Vec::new();
     let mut slab_privatized = Vec::new();
-    let mut privatized_pairs_total = 0u64;
-    let mut fallback_pairs_total = 0u64;
-    // What one slab attempt reports back: (host table FLOPs, culled combos,
-    // compacted pairs, realised density, privatized?, atomic fallback?).
-    // The accumulation strategy itself is resolved per slab by
-    // `upload_slab` (cost-model-driven under auto, forced otherwise).
-    type SlabAttempt = (u64, u64, u64, Option<f64>, Option<bool>, bool);
+    // What one slab attempt reports back: (host table FLOPs, realised
+    // density, privatized?). The accumulation strategy itself is resolved
+    // per slab by `upload_slab` (cost-model-driven under auto, forced
+    // otherwise).
+    type SlabAttempt = (u64, Option<f64>, Option<bool>);
     let mut row0 = band.start;
     while row0 < band.end {
         let rows = rows_per_slab.min(band.end - row0);
@@ -2100,7 +1982,6 @@ pub(crate) fn run_ring(
                     cull.as_ref(),
                     recovery,
                     &mut integrity,
-                    &mut band_stats,
                     &mut sink,
                 )?;
                 device.wait_until(upload_stream, freed_at);
@@ -2117,44 +1998,22 @@ pub(crate) fn run_ring(
                 &mut integrity,
             )?;
             let flops = exec.upload.host_flops;
-            let culled = exec
-                .upload
-                .sparsity
-                .as_ref()
-                .map_or(0, |sp| sp.culled_combos);
             let density = exec.upload.sparsity.as_ref().map(|sp| sp.density);
-            let compacted = exec.stats.compacted_pairs;
-            // Attribute the slab's pairs to the strategy its main launch
-            // actually ran (an empty launch domain ran neither); under a
-            // privatized-leaning mode an atomic slab counts against the
-            // privatized attribution, under forced atomics there is
-            // nothing to attribute.
-            let fallback = matches!(exec.upload.accum, AccumPlan::Atomic { fallback: true });
+            // Flag the strategy the slab's main launch actually ran (an
+            // empty launch domain ran neither); under forced atomics there
+            // is nothing to flag.
             let privatized = match (exec.main_ran, exec.upload.accum) {
                 (true, AccumPlan::Privatized { .. }) => Some(true),
                 _ => cfg.accumulation.wants_privatized().then_some(false),
             };
             ring.push_back(exec);
-            Ok((flops, culled, compacted, density, privatized, fallback))
+            Ok((flops, density, privatized))
         })();
         match attempt {
-            Ok((flops, culled, compacted, density, privatized, fallback)) => {
+            Ok((flops, density, privatized)) => {
                 host_table_flops += flops;
-                culled_rows_total += culled;
-                compacted_total += compacted;
-                if let Some(d) = density {
-                    slab_densities.push(d);
-                }
-                if let Some(p) = privatized {
-                    slab_privatized.push(p);
-                    let pairs = (rows * n_cols * (n_images - 1)) as u64;
-                    if p {
-                        privatized_pairs_total += pairs;
-                    } else if fallback {
-                        fallback_pairs_total += pairs;
-                    }
-                }
-                n_slabs += 1;
+                slab_densities.extend(density);
+                slab_privatized.extend(privatized);
                 row0 += rows;
             }
             Err(e @ CoreError::Device(cuda_sim::SimError::OutOfMemory { .. })) => {
@@ -2177,7 +2036,6 @@ pub(crate) fn run_ring(
                         cull.as_ref(),
                         recovery,
                         &mut integrity,
-                        &mut band_stats,
                         &mut sink,
                     )?;
                 }
@@ -2208,7 +2066,6 @@ pub(crate) fn run_ring(
             cull.as_ref(),
             recovery,
             &mut integrity,
-            &mut band_stats,
             &mut sink,
         )?;
     }
@@ -2222,89 +2079,12 @@ pub(crate) fn run_ring(
     device.charge_host_flops(host_table_flops);
     Ok(RingOutcome {
         rows_per_slab,
-        n_slabs,
         host_table_flops,
         depth_used: slots,
         cache_stats,
-        culled_rows: culled_rows_total,
-        compacted_pairs: compacted_total,
         slab_densities,
         slab_privatized,
-        privatized_pairs: privatized_pairs_total,
-        accum_fallback_pairs: fallback_pairs_total,
-        stats: band_stats,
         integrity,
-    })
-}
-
-/// Reconstruct with the k-deep transfer/compute ring and, optionally, a
-/// persistent depth-table cache.
-///
-/// `depth` is the requested ring depth (memory pressure may shallow it).
-/// The cache only participates in [`Triangulation::HostTables`] mode.
-pub fn reconstruct_pipelined(
-    device: &Device,
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
-) -> Result<GpuReconstruction> {
-    validate_inputs(source, geom, cfg)?;
-    let mapper = geom.mapper()?;
-    let (n_images, n_rows, n_cols) = (source.n_images(), source.n_rows(), source.n_cols());
-
-    device.reset_meters();
-    let mut recovery = RecoveryLog::default();
-    let mut image = DepthImage::zeroed(cfg.n_depth_bins, n_rows, n_cols);
-    let outcome = run_ring(
-        device,
-        source,
-        geom,
-        &mapper,
-        cfg,
-        opts,
-        depth,
-        cache,
-        0..n_rows,
-        &mut image,
-        &mut recovery,
-        None,
-    )?;
-
-    let elapsed_s = device.synchronize();
-    let stats = if cfg.integrity.enabled() {
-        // The committed per-slab sum is authoritative: launch records
-        // include condemned launches that scrub re-executed.
-        outcome.stats
-    } else {
-        let pairs_total = (n_rows * n_cols * (n_images - 1)) as u64;
-        // Culled combos never launched a thread; attribute their pairs here.
-        let mut stats = stats_from_records(device, pairs_total);
-        stats.pairs_out_of_range += outcome.culled_rows * n_cols as u64;
-        stats.culled_rows = outcome.culled_rows;
-        stats.compacted_pairs = outcome.compacted_pairs;
-        stats.privatized_pairs = outcome.privatized_pairs;
-        stats.accum_fallback_pairs = outcome.accum_fallback_pairs;
-        stats
-    };
-    Ok(GpuReconstruction {
-        image,
-        stats,
-        meters: device.meters(),
-        rows_per_slab: outcome.rows_per_slab,
-        n_slabs: outcome.n_slabs,
-        elapsed_s,
-        peak_device_mem: device.mem_peak(),
-        host_table_flops: outcome.host_table_flops,
-        host_table_time_s: device.host_flops_time_s(),
-        recovery,
-        pipeline_depth: outcome.depth_used,
-        table_cache: outcome.cache_stats,
-        slab_densities: outcome.slab_densities,
-        slab_privatized: outcome.slab_privatized,
-        integrity: outcome.integrity,
     })
 }
 
@@ -2343,8 +2123,8 @@ impl BandTally {
 /// The checkpointing band loop every resumable driver shares: run the ring
 /// over each of `bands` on `device`, committing slab by slab into
 /// `progress` and appending every commit (and every scrub poison) to
-/// `journal` before the ring moves on. `on_commit` (when given) observes
-/// each fresh commit as `(row0, rows, at_s)`, where `at_s` is the device's
+/// `journal` before the ring moves on. `on_commit` observes each fresh
+/// commit as `(row0, rows, at_s)`, where `at_s` is the device's
 /// virtual elapsed time read *without* synchronizing — a synchronize()
 /// would join the stream cursors and perturb the ring schedule.
 ///
@@ -2358,19 +2138,16 @@ pub(crate) fn run_bands(
     geom: &ScanGeometry,
     mapper: &DepthMapper,
     cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
+    run: &RunOptions<'_>,
     bands: &[Range<usize>],
     progress: &mut SlabProgress,
     mut journal: Option<&mut RunJournal>,
-    mut on_commit: Option<&mut dyn FnMut(usize, usize, f64)>,
+    on_commit: &mut dyn FnMut(usize, usize, f64),
     tally: &mut BandTally,
 ) -> Result<()> {
     for band in bands {
         let (image, mut tracker) = progress.split_mut();
         let mut journal = journal.as_deref_mut();
-        let mut observer = on_commit.as_deref_mut();
         let mut sink = |event: SlabEvent<'_>| match event {
             SlabEvent::Commit {
                 row0,
@@ -2382,9 +2159,7 @@ pub(crate) fn run_bands(
                     j.append(row0, rows, stats, data)?;
                 }
                 tracker.record(row0, rows, stats);
-                if let Some(obs) = observer.as_mut() {
-                    obs(row0, rows, device.elapsed_s());
-                }
+                on_commit(row0, rows, device.elapsed_s());
                 Ok(())
             }
             // Durable quarantine before scrub re-executes: a crash between
@@ -2403,13 +2178,11 @@ pub(crate) fn run_bands(
             geom,
             mapper,
             cfg,
-            opts,
-            depth,
-            cache,
+            run,
             band.clone(),
             image,
             &mut tally.recovery,
-            Some(&mut sink),
+            &mut sink,
         )?;
         tally.rows_per_slab = tally.rows_per_slab.max(outcome.rows_per_slab);
         tally.depth_used = tally.depth_used.max(Some(outcome.depth_used));
@@ -2422,79 +2195,373 @@ pub(crate) fn run_bands(
     Ok(())
 }
 
-/// Checkpoint-aware, quantum-bounded single-device run — the driver the
-/// serve scheduler runs long jobs in. The run starts from `progress`
-/// (fresh, or replayed from a [`RunJournal`]) and processes at most
-/// `max_rows` fresh (uncommitted) rows before returning; each slab commit
-/// is appended to `journal` (when given) before the ring moves on. On
-/// error, `progress` retains all committed state.
+/// Where a GPU reconstruction runs: `nodes[i]` holds chassis `i`'s devices
+/// (attached to that chassis' [`cuda_sim::Host`]) and `net` is the fabric
+/// linking the chassis. A one-node topology needs no fabric: its reduction
+/// segments are already home.
+#[derive(Debug, Clone)]
+pub struct Topology<'a> {
+    pub nodes: Vec<Vec<&'a Device>>,
+    pub net: Option<&'a Interconnect>,
+}
+
+impl<'a> Topology<'a> {
+    /// One device (`1 × 1`): the paper's machine.
+    pub fn device(device: &'a Device) -> Topology<'a> {
+        Topology::node(vec![device])
+    }
+
+    /// One chassis of `devices` (`1 × N`).
+    pub fn node(devices: Vec<&'a Device>) -> Topology<'a> {
+        Topology {
+            nodes: vec![devices],
+            net: None,
+        }
+    }
+
+    /// `nodes.len()` chassis linked by `net`.
+    pub fn cluster(nodes: Vec<Vec<&'a Device>>, net: &'a Interconnect) -> Topology<'a> {
+        Topology {
+            nodes,
+            net: Some(net),
+        }
+    }
+}
+
+/// How a GPU reconstruction runs: what every device executes, the shared
+/// table cache, the inter-node reduction, and how far to go.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// Layout, triangulation and thread mapping of every device's kernel.
+    pub gpu: GpuOptions,
+    /// Requested ring depth (memory pressure may shallow it).
+    pub depth: PipelineDepth,
+    /// Persistent depth-table cache; only [`Triangulation::HostTables`]
+    /// runs consult it.
+    pub cache: Option<&'a DepthTableCache>,
+    /// Inter-node reduction routing and overlap (multi-node topologies).
+    pub cluster: ClusterOptions,
+    /// Row quantum: commit at most this many fresh rows, then return at a
+    /// slab boundary. `None` runs the detector to completion.
+    pub max_rows: Option<usize>,
+}
+
+impl RunOptions<'_> {
+    /// The paper's serial schedule (`k = 1`) running `gpu`, no cache.
+    pub fn serial(gpu: GpuOptions) -> Self {
+        RunOptions {
+            gpu,
+            depth: PipelineDepth::SERIAL,
+            ..RunOptions::default()
+        }
+    }
+}
+
+/// Result of a GPU reconstruction on any topology.
+#[derive(Debug, Clone)]
+pub struct Reconstruction {
+    /// The depth-resolved output, moved out of the caller's
+    /// [`SlabProgress`] once every row is committed. Empty while
+    /// `complete` is false: the partial image stays in the progress.
+    pub image: DepthImage,
+    /// Every detector row is committed (false only when a row quantum
+    /// paused the run).
+    pub complete: bool,
+    /// Outcome counters over every committed slab, replayed ones included.
+    pub stats: ReconStats,
+    /// Per-node breakdown, in node order (every node, even workless ones).
+    pub nodes: Vec<NodeOutcome>,
+    /// Virtual makespan: compute *and* the reduction tail.
+    pub elapsed_s: f64,
+    /// Slowest node's compute makespan.
+    pub compute_s: f64,
+    /// Reduction time not hidden behind compute
+    /// (`elapsed_s - compute_s`).
+    pub reduction_exposed_s: f64,
+    /// Seconds reduction traffic spent queued on the fabric.
+    pub net_wait_s: f64,
+    /// Total reduction bytes moved inter-node.
+    pub net_bytes: u64,
+    /// Total reduction messages (segment-hops) on the fabric.
+    pub net_messages: u64,
+    /// Nodes whose entire device complement died mid-run.
+    pub nodes_lost: u32,
+    /// Devices lost across all nodes.
+    pub devices_lost: u32,
+    /// What the devices did to survive trouble (re-plans, retries).
+    pub recovery: RecoveryLog,
+    /// Depth-table cache accounting (all zeros without a cache).
+    pub table_cache: TableCacheStats,
+    /// Host-side triangulation FLOPs spent building depth tables
+    /// ([`Triangulation::HostTables`] only), summed over devices.
+    pub host_table_flops: u64,
+    /// Host-CPU seconds those FLOPs occupy, summed over devices (each
+    /// host's CPU works in parallel with its devices).
+    pub host_table_time_s: f64,
+    /// Committed slabs (replayed + fresh).
+    pub n_slabs: usize,
+    /// Widest slab any device ran, in rows (0 when no slab ran).
+    pub rows_per_slab: usize,
+    /// Deepest ring any device finished with (memory pressure may have
+    /// shrunk it; the requested depth when no slab ran).
+    pub pipeline_depth: usize,
+    /// Achieved active-pair density per slab, in commit order (empty when
+    /// compaction is off).
+    pub slab_densities: Vec<f64>,
+    /// Per slab in commit order, whether its main launch ran the
+    /// shared-memory privatized accumulator. Empty under
+    /// `--accumulation atomic`.
+    pub slab_privatized: Vec<bool>,
+    /// What the integrity layer detected and repaired, over all devices.
+    pub integrity: IntegrityReport,
+    /// Per-device meters, node-major over participating nodes.
+    pub per_device: Vec<Meters>,
+    /// Transfer/compute meters summed over `per_device`.
+    pub meters: Meters,
+    /// Peak modeled device memory, bytes: the max over those devices.
+    pub peak_device_mem: u64,
+    /// The reduction options the run executed with.
+    pub options: ClusterOptions,
+}
+
+/// The GPU driver: reconstruct on a `nodes × devices` topology, starting
+/// from `progress` (fresh, or replayed from a [`RunJournal`]) and
+/// committing slab by slab into it — and into `journal`, when given —
+/// before the ring moves on.
 ///
-/// The second return value is `true` when the whole detector is now
-/// committed; `false` means the job was paused at a slab boundary and can
-/// be resumed — on this device or any other — by calling again with the
-/// same `progress`/`journal`. Because slab downloads assign rows
-/// exclusively and the engines are chunking-invariant, the eventual output
-/// is bit-identical no matter where the quantum cuts (or an interruption)
-/// fell or which device ran which quantum.
-#[allow(clippy::too_many_arguments)]
-pub fn reconstruct_checkpointed_bounded(
-    device: &Device,
+/// Work proceeds in rounds: the uncovered rows re-band over the nodes
+/// still alive (`multi::partition_ranges` at node granularity; a fresh
+/// failure-free run reproduces the static banding), each node runs its
+/// share on its device fleet (`multi::reconstruct_multi_scoped`, with
+/// device-level failover inside the node), and slab commits release
+/// reduction segments toward the head node ([`crate::cluster`]). A node is
+/// lost when its last device dies; zero surviving nodes surfaces the
+/// device error for CPU salvage, with every committed slab kept in
+/// `progress`.
+///
+/// With a row quantum ([`RunOptions::max_rows`]) the run commits at most
+/// that many fresh rows and returns at a slab boundary; calling again
+/// with the same `progress` resumes it — on any topology. Slab downloads
+/// assign rows exclusively and the engines are chunking-invariant, so the
+/// finished image is bit-identical wherever the quanta (or an
+/// interruption) cut and whichever devices ran them.
+pub fn reconstruct(
+    topology: &Topology<'_>,
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
     cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
+    run: &RunOptions<'_>,
     progress: &mut SlabProgress,
-    journal: Option<&mut RunJournal>,
-    max_rows: usize,
-) -> Result<(GpuReconstruction, bool)> {
+    mut journal: Option<&mut RunJournal>,
+) -> Result<Reconstruction> {
+    let nodes = &topology.nodes;
+    if nodes.is_empty() || nodes.iter().any(|ds| ds.is_empty()) {
+        return Err(CoreError::InvalidConfig(
+            "every node needs at least one device".into(),
+        ));
+    }
+    match topology.net {
+        None if nodes.len() > 1 => {
+            return Err(CoreError::InvalidConfig(format!(
+                "a {}-node topology needs an interconnect",
+                nodes.len()
+            )))
+        }
+        Some(net) if net.n_nodes() < nodes.len() => {
+            return Err(CoreError::InvalidConfig(format!(
+                "interconnect spans {} nodes but the topology has {}",
+                net.n_nodes(),
+                nodes.len()
+            )))
+        }
+        _ => {}
+    }
     validate_inputs(source, geom, cfg)?;
     let mapper = geom.mapper()?;
     let n_rows = source.n_rows();
+    let dims = (source.n_cols(), cfg.n_depth_bins);
+    let n = nodes.len();
 
-    device.reset_meters();
-    let mut quantum = max_rows;
-    let bands: Vec<Range<usize>> = progress
+    // The rows this call may commit: the first `max_rows` uncovered ones.
+    let mut quota = run.max_rows.unwrap_or(usize::MAX);
+    let scope: Vec<Range<usize>> = progress
         .uncovered(0..n_rows)
         .into_iter()
         .map_while(|band| {
-            (quantum > 0).then(|| {
-                let band = band.start..band.end.min(band.start.saturating_add(quantum));
-                quantum -= band.len();
+            (quota > 0).then(|| {
+                let band = band.start..band.end.min(band.start.saturating_add(quota));
+                quota -= band.len();
                 band
             })
         })
         .collect();
-    let mut tally = BandTally::default();
-    run_bands(
-        device, source, geom, &mapper, cfg, opts, depth, cache, &bands, progress, journal, None,
-        &mut tally,
-    )?;
 
-    let elapsed_s = device.synchronize();
+    let mut alive: Vec<bool> = nodes
+        .iter()
+        .map(|ds| ds.iter().any(|d| !d.is_lost()))
+        .collect();
+    let mut participated = vec![false; n];
+    let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); n];
+    let mut outcomes: Vec<NodeOutcome> = (0..n)
+        .map(|i| NodeOutcome {
+            node: i,
+            ..NodeOutcome::default()
+        })
+        .collect();
+    // Everything but integrity, which is attributed per node below.
+    let mut bands = BandTally::default();
+    let mut nodes_lost = 0u32;
+    let mut last_gpu_err: Option<CoreError> = None;
+
+    loop {
+        let pending: Vec<Range<usize>> = scope
+            .iter()
+            .flat_map(|band| progress.uncovered(band.clone()))
+            .collect();
+        if pending.is_empty() {
+            break;
+        }
+        let alive_idx: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
+        if alive_idx.is_empty() {
+            return Err(last_gpu_err.unwrap_or(CoreError::Device(cuda_sim::SimError::DeviceLost)));
+        }
+        let assignments = partition_ranges(&pending, alive_idx.len());
+        for (k, ranges) in assignments.iter().enumerate() {
+            if ranges.is_empty() {
+                continue;
+            }
+            let ni = alive_idx[k];
+            let fresh = !participated[ni];
+            participated[ni] = true;
+            let before = progress.committed_rows();
+            let node_segments = &mut segments[ni];
+            let mut on_commit = |row0: usize, rows: usize, at_s: f64| {
+                node_segments.push(Segment::new(row0, rows, dims, at_s));
+            };
+            let attempt = reconstruct_multi_scoped(
+                &nodes[ni],
+                source,
+                geom,
+                &mapper,
+                cfg,
+                run,
+                ranges,
+                progress,
+                journal.as_deref_mut(),
+                &mut on_commit,
+                fresh,
+            );
+            let out = &mut outcomes[ni];
+            out.rows += progress.committed_rows() - before;
+            match attempt {
+                Ok(mut fleet) => {
+                    out.elapsed_s = fleet.elapsed_s;
+                    out.devices_lost += fleet.devices_lost;
+                    out.integrity
+                        .merge(&std::mem::take(&mut fleet.bands.integrity));
+                    bands.merge(fleet.bands);
+                }
+                Err(e) if e.is_gpu_failure() => {
+                    // The node's last device is gone. The chassis (NIC,
+                    // journal reach) survives; its committed segments stay
+                    // scheduled, its uncovered rows re-band next round.
+                    alive[ni] = false;
+                    out.lost = true;
+                    out.devices_lost = nodes[ni].iter().filter(|d| d.is_lost()).count() as u32;
+                    out.elapsed_s = nodes[ni]
+                        .iter()
+                        .map(|d| d.elapsed_s())
+                        .fold(out.elapsed_s, f64::max);
+                    nodes_lost += 1;
+                    last_gpu_err = Some(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    // Compute-side accounting over participating nodes. Host table time,
+    // meters and memory peaks are cumulative on the device, so they are
+    // read once here rather than summed per round.
+    let mut per_device = Vec::new();
+    let mut meters = Meters::default();
+    let mut peak_device_mem = 0u64;
+    let mut host_table_time_s = 0.0;
+    let mut compute_s: f64 = 0.0;
+    let mut devices_lost = 0u32;
+    let mut integrity = IntegrityReport::default();
+    for (ni, out) in outcomes.iter_mut().enumerate() {
+        if participated[ni] {
+            for d in &nodes[ni] {
+                host_table_time_s += d.host_flops_time_s();
+                let m = d.meters();
+                meters.merge(&m);
+                per_device.push(m);
+                peak_device_mem = peak_device_mem.max(d.mem_peak());
+            }
+            out.devices = nodes[ni].len();
+            out.bus_wait_s = nodes[ni].iter().map(|d| d.meters().bus_wait_s).sum();
+        }
+        out.faults = FaultStats::merge_all(nodes[ni].iter().filter_map(|d| d.fault_stats()));
+        compute_s = compute_s.max(out.elapsed_s);
+        devices_lost += out.devices_lost;
+        integrity.merge(&out.integrity);
+    }
+
+    let reduction = cluster::reduce(
+        topology.net,
+        run.cluster,
+        segments,
+        compute_s,
+        dims,
+        &mut outcomes,
+    );
+    let elapsed_s = compute_s.max(reduction.last_arrival_s);
     let complete = progress.is_complete(0..n_rows);
-    Ok((
-        GpuReconstruction {
-            image: progress.image.clone(),
-            stats: progress.stats,
-            meters: device.meters(),
-            rows_per_slab: tally.rows_per_slab,
-            // Counts every committed slab, replayed and fresh alike.
-            n_slabs: progress.committed_slabs(),
-            elapsed_s,
-            peak_device_mem: device.mem_peak(),
-            host_table_flops: tally.host_table_flops,
-            host_table_time_s: device.host_flops_time_s(),
-            recovery: tally.recovery,
-            pipeline_depth: tally.depth_used.unwrap_or(depth.0),
-            table_cache: tally.table_cache,
-            slab_densities: tally.slab_densities,
-            slab_privatized: tally.slab_privatized,
-            integrity: tally.integrity,
+    Ok(Reconstruction {
+        image: if complete {
+            std::mem::take(&mut progress.image)
+        } else {
+            DepthImage::default()
         },
         complete,
-    ))
+        stats: progress.stats,
+        nodes: outcomes,
+        elapsed_s,
+        compute_s,
+        reduction_exposed_s: elapsed_s - compute_s,
+        net_wait_s: reduction.net_wait_s,
+        net_bytes: reduction.net_bytes,
+        net_messages: reduction.net_messages,
+        nodes_lost,
+        devices_lost,
+        recovery: bands.recovery,
+        table_cache: bands.table_cache,
+        host_table_flops: bands.host_table_flops,
+        host_table_time_s,
+        n_slabs: progress.committed_slabs(),
+        rows_per_slab: bands.rows_per_slab,
+        pipeline_depth: bands.depth_used.unwrap_or(run.depth.0),
+        slab_densities: bands.slab_densities,
+        slab_privatized: bands.slab_privatized,
+        integrity,
+        per_device,
+        meters,
+        peak_device_mem,
+        options: run.cluster,
+    })
+}
+
+/// [`reconstruct`] on a fresh [`SlabProgress`], with no journal.
+pub fn reconstruct_fresh(
+    topology: &Topology<'_>,
+    source: &mut dyn SlabSource,
+    geom: &ScanGeometry,
+    cfg: &ReconstructionConfig,
+    run: &RunOptions<'_>,
+) -> Result<Reconstruction> {
+    let mut progress = SlabProgress::new(cfg.n_depth_bins, source.n_rows(), source.n_cols());
+    reconstruct(topology, source, geom, cfg, run, &mut progress, None)
 }
 
 #[cfg(test)]
@@ -2522,6 +2589,43 @@ mod tests {
         Device::new(DeviceProps::tiny(64 * 1024 * 1024))
     }
 
+    /// A fresh run of `run` on `device`.
+    fn run_on(
+        device: &Device,
+        source: &mut dyn SlabSource,
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        run: &RunOptions<'_>,
+    ) -> Result<Reconstruction> {
+        reconstruct_fresh(&Topology::device(device), source, geom, cfg, run)
+    }
+
+    /// The paper's serial pipeline (`k = 1`) running `opts`, no cache.
+    fn serial_with(
+        device: &Device,
+        source: &mut dyn SlabSource,
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        opts: GpuOptions,
+    ) -> Result<Reconstruction> {
+        run_on(device, source, geom, cfg, &RunOptions::serial(opts))
+    }
+
+    /// The serial pipeline with in-kernel triangulation on `layout`.
+    fn serial(
+        device: &Device,
+        source: &mut dyn SlabSource,
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        layout: Layout,
+    ) -> Result<Reconstruction> {
+        let opts = GpuOptions {
+            layout,
+            ..GpuOptions::default()
+        };
+        serial_with(device, source, geom, cfg, opts)
+    }
+
     /// The default kernel options on a `k`-deep ring, no table cache.
     fn ring(
         device: &Device,
@@ -2529,17 +2633,12 @@ mod tests {
         geom: &ScanGeometry,
         cfg: &ReconstructionConfig,
         k: usize,
-    ) -> GpuReconstruction {
-        reconstruct_pipelined(
-            device,
-            source,
-            geom,
-            cfg,
-            GpuOptions::default(),
-            PipelineDepth(k),
-            None,
-        )
-        .unwrap()
+    ) -> Reconstruction {
+        let run = RunOptions {
+            depth: PipelineDepth(k),
+            ..RunOptions::default()
+        };
+        run_on(device, source, geom, cfg, &run).unwrap()
     }
 
     #[test]
@@ -2549,7 +2648,7 @@ mod tests {
         let cpu_out = cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let gpu_out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let gpu_out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert_eq!(
             cpu_out.image.data, gpu_out.image.data,
             "sequential executor must reproduce the CPU bit-for-bit"
@@ -2562,9 +2661,9 @@ mod tests {
         let (geom, cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let flat = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let flat = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let ptr = reconstruct(&device, &mut source, &geom, &cfg, Layout::Pointer3d).unwrap();
+        let ptr = serial(&device, &mut source, &geom, &cfg, Layout::Pointer3d).unwrap();
         assert_eq!(
             flat.image.data, ptr.image.data,
             "layouts agree functionally"
@@ -2594,7 +2693,7 @@ mod tests {
             let mut cfg = cfg.clone();
             cfg.rows_per_slab = Some(rows);
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+            let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
             assert_eq!(out.n_slabs, 6usize.div_ceil(rows));
             match &reference {
                 None => reference = Some(out.image.data),
@@ -2611,7 +2710,7 @@ mod tests {
         let need_1 = slab_bytes(1, 10, 6, 40, GpuOptions::default(), 1, CompactionMode::Off);
         let device = Device::new(DeviceProps::tiny(3 * need_1));
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert!(
             out.rows_per_slab < 6,
             "cap must force chunking: {} rows/slab",
@@ -2626,7 +2725,7 @@ mod tests {
         let (geom, cfg, data) = demo();
         let device = Device::new(DeviceProps::tiny(2048));
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        match reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d) {
+        match serial(&device, &mut source, &geom, &cfg, Layout::Flat1d) {
             Err(e @ CoreError::DeviceCapacity { needed, budget }) => {
                 assert!(needed > budget, "{needed} must exceed {budget}");
                 assert!(e.to_string().contains("detector row"));
@@ -2640,7 +2739,7 @@ mod tests {
         let (geom, cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let clean = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let clean = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert_eq!(
             clean.recovery,
             RecoveryLog::default(),
@@ -2653,7 +2752,7 @@ mod tests {
         let device = big_device();
         device.set_fault_plan(cuda_sim::FaultPlan::new(1).fail_nth_alloc(3));
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert!(out.recovery.replans >= 1, "OOM must trigger a re-plan");
         assert!(out.rows_per_slab < clean.rows_per_slab);
         assert!(out.n_slabs > clean.n_slabs);
@@ -2669,7 +2768,7 @@ mod tests {
         let (geom, cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let clean = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let clean = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
 
         let device = big_device();
         // Seed chosen so the keyed dice never fail 4 consecutive ordinals
@@ -2682,7 +2781,7 @@ mod tests {
                 .d2h_fault_rate(0.3),
         );
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert!(
             out.recovery.transfer_retries > 0,
             "p = 0.3 over many copies must fire"
@@ -2706,7 +2805,7 @@ mod tests {
         let (geom, cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let clean = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let clean = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
 
         let device = big_device();
         // Allocation #1 is the wire table — before any slab exists; that
@@ -2714,7 +2813,7 @@ mod tests {
         // first slab allocation) as "the first allocation" of slab data.
         device.set_fault_plan(cuda_sim::FaultPlan::new(0).fail_nth_alloc(2));
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert!(out.recovery.replans >= 1);
         assert_eq!(out.image.data, clean.image.data);
     }
@@ -2730,7 +2829,7 @@ mod tests {
             cuda_sim::FaultPlan::new(0).report_mem_bytes(2048), // nothing fits
         );
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        match reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d) {
+        match serial(&device, &mut source, &geom, &cfg, Layout::Flat1d) {
             Err(CoreError::Device(cuda_sim::SimError::OutOfMemory { .. })) => {}
             other => panic!("expected OOM passthrough, got {other:?}"),
         }
@@ -2742,7 +2841,7 @@ mod tests {
         let device = big_device();
         device.set_fault_plan(cuda_sim::FaultPlan::new(0).fail_after(4));
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        match reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d) {
+        match serial(&device, &mut source, &geom, &cfg, Layout::Flat1d) {
             Err(e @ CoreError::Device(cuda_sim::SimError::DeviceLost)) => {
                 assert!(e.is_gpu_failure());
             }
@@ -2755,13 +2854,13 @@ mod tests {
         let (geom, cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let clean = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let clean = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
 
         let device = big_device();
         let need_2 = slab_bytes(2, 10, 6, 40, GpuOptions::default(), 1, CompactionMode::Off);
         device.set_fault_plan(cuda_sim::FaultPlan::new(0).report_mem_bytes(2 * need_2));
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert!(
             out.rows_per_slab < clean.rows_per_slab,
             "planner saw the smaller card"
@@ -2804,7 +2903,7 @@ mod tests {
         let device = big_device();
         device.set_exec_mode(ExecMode::Threaded(4));
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let gpu_out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let gpu_out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         let diff = cpu_out.image.max_abs_diff(&gpu_out.image);
         let scale = cpu_out
             .image
@@ -2897,22 +2996,17 @@ mod tests {
         };
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let fresh = reconstruct_with_options(&device, &mut source, &geom, &cfg, opts).unwrap();
+        let fresh = serial_with(&device, &mut source, &geom, &cfg, opts).unwrap();
 
         let cache = crate::cache::DepthTableCache::new(16 * 1024 * 1024);
         let device = big_device();
+        let cached = RunOptions {
+            cache: Some(&cache),
+            ..RunOptions::serial(opts)
+        };
         let run = |device: &Device| {
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            reconstruct_pipelined(
-                device,
-                &mut source,
-                &geom,
-                &cfg,
-                opts,
-                PipelineDepth::SERIAL,
-                Some(&cache),
-            )
-            .unwrap()
+            run_on(device, &mut source, &geom, &cfg, &cached).unwrap()
         };
         let cold = run(&device);
         assert_eq!(cold.image.data, fresh.image.data, "cache changes nothing");
@@ -2951,18 +3045,13 @@ mod tests {
         };
         let cache = crate::cache::DepthTableCache::new(0); // no residency
         let device = big_device();
+        let cached = RunOptions {
+            cache: Some(&cache),
+            ..RunOptions::serial(opts)
+        };
         let run = || {
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            reconstruct_pipelined(
-                &device,
-                &mut source,
-                &geom,
-                &cfg,
-                opts,
-                PipelineDepth::SERIAL,
-                Some(&cache),
-            )
-            .unwrap()
+            run_on(&device, &mut source, &geom, &cfg, &cached).unwrap()
         };
         let cold = run();
         let warm = run();
@@ -2988,9 +3077,9 @@ mod tests {
         let (geom, cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let linear = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let linear = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let grid = reconstruct_with_options(
+        let grid = serial_with(
             &device,
             &mut source,
             &geom,
@@ -3033,7 +3122,7 @@ mod tests {
         let data: Vec<f64> = (0..p * m * n).map(|i| (i % 97) as f64).collect();
         let device = Device::new(cuda_sim::DeviceProps::tesla_m2070());
         let mut source = InMemorySlabSource::new(data.clone(), p, m, n).unwrap();
-        let grid = reconstruct_with_options(
+        let grid = serial_with(
             &device,
             &mut source,
             &geom,
@@ -3060,9 +3149,9 @@ mod tests {
         let (geom, cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let in_kernel = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let in_kernel = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let tables = reconstruct_with_options(
+        let tables = serial_with(
             &device,
             &mut source,
             &geom,
@@ -3095,7 +3184,7 @@ mod tests {
             let mut cfg = cfg.clone();
             cfg.rows_per_slab = Some(rows);
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let out = reconstruct_with_options(
+            let out = serial_with(
                 &device,
                 &mut source,
                 &geom,
@@ -3120,7 +3209,7 @@ mod tests {
         cfg.intensity_cutoff = 1e12; // everything below cutoff
         let device = big_device();
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert_eq!(out.stats.pairs_below_cutoff, out.stats.pairs_total);
         assert_eq!(out.stats.deposits, 0);
         assert!(out.stats.is_consistent());
@@ -3211,63 +3300,16 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_fresh_run_matches_pipelined_bitwise() {
-        let (geom, mut cfg, data) = demo();
-        cfg.rows_per_slab = Some(2);
-        let device = big_device();
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let baseline = reconstruct_pipelined(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
-            None,
-        )
-        .unwrap();
-
-        let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
-        let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct_checkpointed_bounded(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
-            None,
-            &mut progress,
-            None,
-            usize::MAX,
-        )
-        .unwrap()
-        .0;
-        assert_eq!(out.image.data, baseline.image.data);
-        assert_eq!(out.stats, baseline.stats);
-        assert_eq!(out.n_slabs, baseline.n_slabs);
-        assert_eq!(out.rows_per_slab, baseline.rows_per_slab);
-    }
-
-    #[test]
     fn device_loss_at_every_slab_boundary_resumes_bit_identically() {
         use crate::journal::{JournalKey, RunJournal};
 
         let (geom, mut cfg, data) = demo();
         cfg.rows_per_slab = Some(2); // 6 rows → 3 slabs
         let dims = (cfg.n_depth_bins, 6usize, 6usize);
+        let serial_run = RunOptions::serial(GpuOptions::default());
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let baseline = reconstruct_pipelined(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
-            None,
-        )
-        .unwrap();
+        let baseline = run_on(&device, &mut source, &geom, &cfg, &serial_run).unwrap();
 
         let dir = std::env::temp_dir().join(format!("laue-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -3279,17 +3321,14 @@ mod tests {
             assert!(replayed.is_empty());
             let mut progress = SlabProgress::new(dims.0, dims.1, dims.2);
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let err = reconstruct_checkpointed_bounded(
-                &dying,
+            let err = reconstruct(
+                &Topology::device(&dying),
                 &mut source,
                 &geom,
                 &cfg,
-                GpuOptions::default(),
-                PipelineDepth::SERIAL,
-                None,
+                &serial_run,
                 &mut progress,
                 Some(&mut journal),
-                usize::MAX,
             )
             .unwrap_err();
             assert!(err.is_gpu_failure(), "{err}");
@@ -3302,20 +3341,16 @@ mod tests {
             assert_eq!(replayed.len(), lost_after as usize, "replay commits");
             let mut progress = SlabProgress::replay(dims.0, dims.1, dims.2, &replayed).unwrap();
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let out = reconstruct_checkpointed_bounded(
-                &clean,
+            let out = reconstruct(
+                &Topology::device(&clean),
                 &mut source,
                 &geom,
                 &cfg,
-                GpuOptions::default(),
-                PipelineDepth::SERIAL,
-                None,
+                &serial_run,
                 &mut progress,
                 Some(&mut journal),
-                usize::MAX,
             )
-            .unwrap()
-            .0;
+            .unwrap();
             assert_eq!(
                 out.image.data, baseline.image.data,
                 "kill after slab {lost_after}: resume must be bit-identical"
@@ -3362,14 +3397,13 @@ mod tests {
         for opts in opt_set {
             let device = big_device();
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let dense = reconstruct_with_options(&device, &mut source, &geom, &cfg, opts).unwrap();
+            let dense = serial_with(&device, &mut source, &geom, &cfg, opts).unwrap();
             for mode in [CompactionMode::Auto, CompactionMode::On] {
                 let mut cfg = cfg.clone();
                 cfg.compaction = mode;
                 let device = big_device();
                 let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-                let sparse =
-                    reconstruct_with_options(&device, &mut source, &geom, &cfg, opts).unwrap();
+                let sparse = serial_with(&device, &mut source, &geom, &cfg, opts).unwrap();
                 assert_eq!(
                     dense.image.data, sparse.image.data,
                     "{opts:?} {mode:?} must be bit-identical to dense"
@@ -3413,7 +3447,7 @@ mod tests {
         assert!(cpu_out.stats.culled_rows > 0, "window must actually cull");
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let gpu_out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let gpu_out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert_eq!(cpu_out.image.data, gpu_out.image.data);
         assert_eq!(cpu_out.stats, gpu_out.stats);
 
@@ -3421,7 +3455,7 @@ mod tests {
         dense_cfg.compaction = CompactionMode::Off;
         let device = big_device();
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let dense = reconstruct(&device, &mut source, &geom, &dense_cfg, Layout::Flat1d).unwrap();
+        let dense = serial(&device, &mut source, &geom, &dense_cfg, Layout::Flat1d).unwrap();
         assert_eq!(dense.image.data, gpu_out.image.data);
     }
 
@@ -3435,7 +3469,7 @@ mod tests {
             cfg.rows_per_slab = Some(rows);
             let device = big_device();
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+            let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
             assert_eq!(out.slab_densities.len(), out.n_slabs);
             match &reference {
                 None => reference = Some(out.image.data),
@@ -3469,11 +3503,11 @@ mod tests {
             .collect();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), p, m, n).unwrap();
-        let dense = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let dense = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         cfg.compaction = CompactionMode::Auto;
         let device = big_device();
         let mut source = InMemorySlabSource::new(data, p, m, n).unwrap();
-        let sparse = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let sparse = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert_eq!(dense.image.data, sparse.image.data);
         assert!(sparse.slab_densities.iter().all(|d| *d < 0.05));
         assert!(
@@ -3492,11 +3526,11 @@ mod tests {
         let mut cfg = ReconstructionConfig::new(-1200.0, 1200.0, 120);
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let dense = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let dense = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         cfg.compaction = CompactionMode::Auto;
         let device = big_device();
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let auto = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let auto = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert_eq!(dense.image.data, auto.image.data);
         assert_eq!(auto.stats.compacted_pairs, 0);
         assert!(auto.slab_densities.iter().all(|d| *d == 1.0));
@@ -3522,12 +3556,12 @@ mod tests {
         let cfg = ReconstructionConfig::new(2500.0, 3500.0, 10);
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let dense = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let dense = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         let mut cfg = cfg.clone();
         cfg.compaction = CompactionMode::Auto;
         let device = big_device();
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let culled = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let culled = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert_eq!(dense.image.data, culled.image.data);
         assert_eq!(culled.stats.pairs_total, dense.stats.pairs_total);
         assert!(culled.stats.culled_rows > 0);
@@ -3575,25 +3609,11 @@ mod tests {
         cfg.rows_per_slab = Some(2);
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let dense = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let dense = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         cfg.compaction = CompactionMode::On;
         let device = big_device();
-        let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct_checkpointed_bounded(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
-            None,
-            &mut progress,
-            None,
-            usize::MAX,
-        )
-        .unwrap()
-        .0;
+        let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert_eq!(dense.image.data, out.image.data);
         assert_eq!(out.slab_densities.len(), out.n_slabs);
         let mut neutral = out.stats;
@@ -3668,17 +3688,14 @@ mod tests {
                     cfg.compaction = compaction;
                     let device = big_device();
                     let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-                    let atomic =
-                        reconstruct_with_options(&device, &mut source, &geom, &cfg, opts).unwrap();
+                    let atomic = serial_with(&device, &mut source, &geom, &cfg, opts).unwrap();
                     assert!(atomic.slab_privatized.is_empty());
                     for accum in [AccumulationMode::Privatized, AccumulationMode::Auto] {
                         let mut cfg = cfg.clone();
                         cfg.accumulation = accum;
                         let device = big_device();
                         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-                        let private =
-                            reconstruct_with_options(&device, &mut source, &geom, &cfg, opts)
-                                .unwrap();
+                        let private = serial_with(&device, &mut source, &geom, &cfg, opts).unwrap();
                         assert_eq!(
                             atomic.image.data, private.image.data,
                             "{opts:?} {compaction:?} {accum:?} must be bit-identical"
@@ -3707,14 +3724,14 @@ mod tests {
         let (geom, mut cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let atomic_seq = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let atomic_seq = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
 
         cfg.accumulation = AccumulationMode::Privatized;
         for workers in [2usize, 4, 8] {
             let device = big_device();
             device.set_exec_mode(ExecMode::Threaded(workers));
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let threaded = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+            let threaded = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
             assert_eq!(
                 atomic_seq.image.data, threaded.image.data,
                 "threaded privatized ({workers} workers) must be bit-identical"
@@ -3730,7 +3747,7 @@ mod tests {
         let (geom, cfg, data) = demo();
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let atomic = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let atomic = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
 
         let mut props = DeviceProps::tiny(64 * 1024 * 1024);
         props.shared_mem_per_block = 64; // 8 doubles < 40 bins
@@ -3739,7 +3756,7 @@ mod tests {
             cfg.accumulation = accum;
             let device = Device::new(props.clone());
             let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-            let out = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+            let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
             assert_eq!(atomic.image.data, out.image.data);
             assert_eq!(out.slab_privatized.len(), out.n_slabs);
             assert!(out.slab_privatized.iter().all(|p| !*p), "{accum:?}");
@@ -3760,13 +3777,13 @@ mod tests {
         let data: Vec<f64> = (0..p * m * n).map(|i| (i % 97) as f64).collect();
         let device = Device::new(DeviceProps::tesla_m2070());
         let mut source = InMemorySlabSource::new(data.clone(), p, m, n).unwrap();
-        let atomic = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let atomic = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
 
         let mut cfg = cfg.clone();
         cfg.accumulation = AccumulationMode::Auto;
         let device = Device::new(DeviceProps::tesla_m2070());
         let mut source = InMemorySlabSource::new(data, p, m, n).unwrap();
-        let private = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let private = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert_eq!(atomic.image.data, private.image.data);
         // Atomic pays one global atomic per deposit; privatized pays one per
         // touched cell — the wide bins collapse many deposits per cell.
@@ -3790,27 +3807,13 @@ mod tests {
         cfg.rows_per_slab = Some(2);
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let atomic = reconstruct(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let atomic = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
 
         cfg.compaction = CompactionMode::On;
         cfg.accumulation = AccumulationMode::Auto;
         let device = big_device();
-        let mut progress = SlabProgress::new(cfg.n_depth_bins, 6, 6);
         let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let out = reconstruct_checkpointed_bounded(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
-            None,
-            &mut progress,
-            None,
-            usize::MAX,
-        )
-        .unwrap()
-        .0;
+        let out = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
         assert_eq!(atomic.image.data, out.image.data);
         assert_eq!(out.slab_privatized.len(), out.n_slabs);
         assert!(out.slab_privatized.iter().all(|p| *p));

@@ -17,7 +17,7 @@
 //! into any one job's output buffer therefore happen in precisely the
 //! order the standalone run produces, so every batched job's image is
 //! bit-identical to running it alone ([`reconstruct_batch_fused`] is
-//! proptested against [`super::reconstruct_pipelined`] in `laue-serve`).
+//! proptested against [`super::reconstruct`] in `laue-serve`).
 //!
 //! The fused path is deliberately narrow — the batch former only routes
 //! jobs here when they qualify:
@@ -140,8 +140,8 @@ impl JobCounters {
 /// All jobs' f64 inputs ship in a single coalesced H2D transaction and a
 /// single `set_two_fused` kernel covers the concatenation of their launch
 /// domains. Each job's output buffer, deposit order, and stats are
-/// exactly those of a standalone [`super::reconstruct_with_options`] run
-/// of the same job (sequential executor), so batching is invisible in the
+/// exactly those of a standalone serial [`super::reconstruct`] run of the
+/// same job (sequential executor), so batching is invisible in the
 /// results — only in the clock.
 ///
 /// Errors with [`CoreError::InvalidConfig`] when a job's modes are not
@@ -353,7 +353,7 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
 
 #[cfg(test)]
 mod tests {
-    use super::super::{reconstruct_with_options, GpuOptions, Layout};
+    use super::super::{reconstruct_fresh, GpuOptions, RunOptions, Topology};
     use super::*;
     use crate::input::InMemorySlabSource;
     use cuda_sim::DeviceProps;
@@ -388,6 +388,17 @@ mod tests {
         InMemorySlabSource::new(scan.data.clone(), scan.steps, scan.rows, scan.cols).unwrap()
     }
 
+    /// A standalone serial run of `scan` on `device`.
+    fn standalone(
+        device: &Device,
+        scan: &SmallScan,
+        cfg: &ReconstructionConfig,
+    ) -> super::super::Reconstruction {
+        let run = RunOptions::serial(GpuOptions::default());
+        let mut src = source_of(scan);
+        reconstruct_fresh(&Topology::device(device), &mut src, &scan.geom, cfg, &run).unwrap()
+    }
+
     #[test]
     fn fused_batch_is_bit_identical_to_standalone_runs() {
         let scans = [
@@ -403,23 +414,11 @@ mod tests {
         let device = Device::new(DeviceProps::tiny(64 * 1024 * 1024));
 
         // Standalone references, one run each.
-        let mut standalone = Vec::new();
-        for (scan, cfg) in scans.iter().zip(&cfgs) {
-            let mut src = source_of(scan);
-            standalone.push(
-                reconstruct_with_options(
-                    &device,
-                    &mut src,
-                    &scan.geom,
-                    cfg,
-                    GpuOptions {
-                        layout: Layout::Flat1d,
-                        ..GpuOptions::default()
-                    },
-                )
-                .unwrap(),
-            );
-        }
+        let standalone: Vec<_> = scans
+            .iter()
+            .zip(&cfgs)
+            .map(|(scan, cfg)| standalone(&device, scan, cfg))
+            .collect();
 
         let mut sources: Vec<InMemorySlabSource> = scans.iter().map(source_of).collect();
         let mut jobs: Vec<BatchJob<'_>> = sources
@@ -457,16 +456,7 @@ mod tests {
 
         let mut serial = 0.0;
         for scan in &scans {
-            let mut src = source_of(scan);
-            let out = reconstruct_with_options(
-                &device,
-                &mut src,
-                &scan.geom,
-                &cfg,
-                GpuOptions::default(),
-            )
-            .unwrap();
-            serial += out.elapsed_s;
+            serial += standalone(&device, scan, &cfg).elapsed_s;
         }
 
         let mut sources: Vec<InMemorySlabSource> = scans.iter().map(source_of).collect();

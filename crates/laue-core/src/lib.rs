@@ -58,7 +58,7 @@ pub mod post;
 pub mod stats;
 pub mod uncertainty;
 
-pub use cluster::{ClusterOptions, ClusterReconstruction, NodeOutcome, ReductionTopology};
+pub use cluster::{ClusterOptions, NodeOutcome, ReductionTopology};
 pub use config::{
     AccumulationMode, CompactionMode, IntegrityMode, PlanMode, PlanPin, ReconstructionConfig,
 };

@@ -1,8 +1,10 @@
 //! Multi-GPU reconstruction — the design space the paper's related work
 //! opens (Schaa & Kaeli, §II) but its implementation never explores.
 //!
-//! The detector is split into contiguous row bands, one per device; each
-//! device runs the k-deep ring pipeline over its band. Bands are disjoint,
+//! This is the per-chassis fleet scheduler behind [`crate::gpu::reconstruct`]
+//! (a `1 × N` topology is one chassis of N devices). The node's rows are
+//! split into contiguous row bands, one per device; each device runs the
+//! k-deep ring pipeline over its band. Bands are disjoint,
 //! so no cross-device synchronisation is needed and the result is
 //! bit-identical to the single-GPU run. In virtual time the devices work
 //! concurrently: the makespan is the slowest device's timeline. Whether
@@ -13,82 +15,27 @@
 //! through that host's shared metered bus, which is what a single
 //! workstation chassis actually provides.
 //!
-//! A shared [`DepthTableCache`] pays the host-side triangulation once for
+//! A shared [`crate::cache::DepthTableCache`] pays the host-side triangulation once for
 //! the whole fleet (devices after the first hit the host cache) and keeps
 //! per-device resident tables for warm re-runs.
 
-use cuda_sim::{Device, Meters};
+use cuda_sim::Device;
+use laue_geometry::DepthMapper;
 
-use crate::cache::{DepthTableCache, TableCacheStats};
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
-use crate::gpu::{run_bands, validate_inputs, BandTally, GpuOptions, PipelineDepth, RecoveryLog};
+use crate::gpu::{run_bands, BandTally, RunOptions};
 use crate::input::SlabSource;
-use crate::integrity::IntegrityReport;
 use crate::journal::{RunJournal, SlabProgress};
-use crate::output::DepthImage;
-use crate::stats::ReconStats;
 use crate::Result;
-
-/// Result of a multi-device reconstruction.
-#[derive(Debug, Clone)]
-pub struct MultiGpuReconstruction {
-    /// The depth-resolved output (all bands merged).
-    pub image: DepthImage,
-    /// Outcome counters over all devices.
-    pub stats: ReconStats,
-    /// Per-device meters, in device order (participating devices only).
-    pub per_device: Vec<Meters>,
-    /// Rows committed by each participating device.
-    pub rows_per_device: Vec<usize>,
-    /// Virtual makespan: the slowest device's elapsed time.
-    pub elapsed_s: f64,
-    /// Host-CPU seconds spent producing depth tables for the fleet,
-    /// summed over participating devices (accounted in parallel with
-    /// device time; zero for in-kernel triangulation).
-    pub host_table_time_s: f64,
-    /// Aggregate recovery actions (re-plans, transfer retries) over all
-    /// devices.
-    pub recovery: RecoveryLog,
-    /// Depth-table cache accounting, merged over all devices (all zeros
-    /// when no cache was attached).
-    pub table_cache: TableCacheStats,
-    /// Devices that died mid-run and had their unfinished rows requeued
-    /// onto the survivors.
-    pub devices_lost: u32,
-    /// Total committed slabs (replayed + fresh, over all devices).
-    pub n_slabs: usize,
-    /// Widest slab any device ran, in rows.
-    pub rows_per_slab: usize,
-    /// Deepest ring any device finished with (memory pressure may have
-    /// shrunk it below the requested depth).
-    pub pipeline_depth: usize,
-    /// Achieved active-pair density per slab, in commit order across the
-    /// fleet (empty when compaction is off).
-    pub slab_densities: Vec<f64>,
-    /// Per slab in commit order across the fleet, whether its main launch
-    /// ran the shared-memory privatized accumulator (devices may differ in
-    /// shared-memory budget, so a heterogeneous fleet can mix). Empty under
-    /// `--accumulation atomic`.
-    pub slab_privatized: Vec<bool>,
-    /// Integrity checks, detections, and corrections, merged over all
-    /// devices (all zeros when `--integrity off`).
-    pub integrity: IntegrityReport,
-}
 
 /// One [`reconstruct_multi_scoped`] call's accounting. The image and pair
 /// counters it produced live in the caller's [`SlabProgress`].
 #[derive(Debug)]
 pub(crate) struct FleetRun {
-    /// Per-device meters, in device order (participating devices only).
-    pub(crate) per_device: Vec<Meters>,
-    /// Rows committed by each participating device.
-    pub(crate) rows_per_device: Vec<usize>,
     /// Virtual makespan: the slowest participating device's elapsed time.
     pub(crate) elapsed_s: f64,
-    /// Host-CPU table seconds summed over participating devices.
-    pub(crate) host_table_time_s: f64,
     /// Devices that died mid-call.
     pub(crate) devices_lost: u32,
     /// Everything the devices' band loops accumulated, in commit order.
@@ -108,52 +55,6 @@ pub(crate) fn row_bands(n_rows: usize, n: usize) -> Vec<std::ops::Range<usize>> 
         start += len;
     }
     bands
-}
-
-/// Reconstruct across several devices, one row band per device, with the
-/// serial (`k = 1`) pipeline and no table cache.
-pub fn reconstruct_multi(
-    devices: &[&Device],
-    source: &mut dyn SlabSource,
-    geom: &ScanGeometry,
-    cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-) -> Result<MultiGpuReconstruction> {
-    let mut progress = SlabProgress::new(cfg.n_depth_bins, source.n_rows(), source.n_cols());
-    // One scope range covering the whole detector (not a range of scopes,
-    // which is what clippy's single_range_in_vec_init guards against).
-    let scope = std::array::from_fn::<_, 1, _>(|_| 0..source.n_rows());
-    let run = reconstruct_multi_scoped(
-        devices,
-        source,
-        geom,
-        cfg,
-        opts,
-        PipelineDepth::SERIAL,
-        None,
-        &scope,
-        &mut progress,
-        None,
-        None,
-        true,
-    )?;
-    Ok(MultiGpuReconstruction {
-        n_slabs: progress.committed_slabs(),
-        image: progress.image,
-        stats: progress.stats,
-        per_device: run.per_device,
-        rows_per_device: run.rows_per_device,
-        elapsed_s: run.elapsed_s,
-        host_table_time_s: run.host_table_time_s,
-        recovery: run.bands.recovery,
-        table_cache: run.bands.table_cache,
-        devices_lost: run.devices_lost,
-        rows_per_slab: run.bands.rows_per_slab,
-        pipeline_depth: run.bands.depth_used.unwrap_or(PipelineDepth::SERIAL.0),
-        slab_densities: run.bands.slab_densities,
-        slab_privatized: run.bands.slab_privatized,
-        integrity: run.bands.integrity,
-    })
 }
 
 /// Split a set of disjoint, row-ordered uncovered ranges over `n` workers.
@@ -188,9 +89,9 @@ pub(crate) fn partition_ranges(
     out
 }
 
-/// The failover-aware fleet scheduler: the workhorse behind
-/// [`reconstruct_multi`] and the per-node bands of `cluster`. Only rows
-/// inside `scope` (disjoint, row-ordered ranges) are considered.
+/// The failover-aware fleet scheduler that runs one node's share of
+/// [`crate::gpu::reconstruct`]. Only rows inside `scope` (disjoint,
+/// row-ordered ranges) are considered.
 ///
 /// Work proceeds in rounds: the rows of `scope` still uncovered by
 /// `progress` are re-banded over the devices currently alive
@@ -206,8 +107,8 @@ pub(crate) fn partition_ranges(
 /// `progress`.
 ///
 /// `on_commit` observes every fresh slab commit (see [`run_bands`]); the
-/// cluster layer uses it to release reduction segments into the
-/// interconnect while the rest of the band is still computing.
+/// driver uses it to release reduction segments into the interconnect
+/// while the rest of the band is still computing.
 /// `fresh_meters` controls whether a device's meters reset on its first
 /// participation in *this call*: a cluster failover round re-enters a node
 /// whose devices must keep accumulating virtual time, so it passes `false`
@@ -217,27 +118,19 @@ pub(crate) fn reconstruct_multi_scoped(
     devices: &[&Device],
     source: &mut dyn SlabSource,
     geom: &ScanGeometry,
+    mapper: &DepthMapper,
     cfg: &ReconstructionConfig,
-    opts: GpuOptions,
-    depth: PipelineDepth,
-    cache: Option<&DepthTableCache>,
+    run: &RunOptions<'_>,
     scope: &[std::ops::Range<usize>],
     progress: &mut SlabProgress,
     mut journal: Option<&mut RunJournal>,
-    mut on_commit: Option<&mut dyn FnMut(usize, usize, f64)>,
+    on_commit: &mut dyn FnMut(usize, usize, f64),
     fresh_meters: bool,
 ) -> Result<FleetRun> {
-    if devices.is_empty() {
-        return Err(CoreError::InvalidConfig("need at least one device".into()));
-    }
-    validate_inputs(source, geom, cfg)?;
-    let mapper = geom.mapper()?;
-
     let mut bands = BandTally::default();
     let mut devices_lost = 0u32;
     let mut alive: Vec<bool> = devices.iter().map(|d| !d.is_lost()).collect();
     let mut participated: Vec<bool> = vec![false; devices.len()];
-    let mut rows_done: Vec<usize> = vec![0; devices.len()];
     let mut last_gpu_err: Option<CoreError> = None;
 
     loop {
@@ -265,25 +158,19 @@ pub(crate) fn reconstruct_multi_scoped(
                 }
                 participated[di] = true;
             }
-            let before = progress.committed_rows();
             let attempt = run_bands(
                 device,
                 source,
                 geom,
-                &mapper,
+                mapper,
                 cfg,
-                opts,
-                depth,
-                cache,
+                run,
                 ranges,
                 progress,
                 journal.as_deref_mut(),
-                on_commit
-                    .as_mut()
-                    .map(|f| &mut **f as &mut dyn FnMut(usize, usize, f64)),
+                on_commit,
                 &mut bands,
             );
-            rows_done[di] += progress.committed_rows() - before;
             match attempt {
                 Ok(()) => {}
                 Err(e) if e.is_gpu_failure() => {
@@ -300,24 +187,14 @@ pub(crate) fn reconstruct_multi_scoped(
         }
     }
 
-    let mut per_device = Vec::new();
-    let mut rows_per_device = Vec::new();
-    let mut elapsed_s: f64 = 0.0;
-    let mut host_table_time_s = 0.0;
-    for (i, device) in devices.iter().enumerate() {
-        if participated[i] {
-            elapsed_s = elapsed_s.max(device.synchronize());
-            host_table_time_s += device.host_flops_time_s();
-            per_device.push(device.meters());
-            rows_per_device.push(rows_done[i]);
-        }
-    }
-
+    let elapsed_s = devices
+        .iter()
+        .zip(&participated)
+        .filter(|(_, &p)| p)
+        .map(|(d, _)| d.synchronize())
+        .fold(0.0, f64::max);
     Ok(FleetRun {
-        per_device,
-        rows_per_device,
         elapsed_s,
-        host_table_time_s,
         devices_lost,
         bands,
     })
@@ -326,7 +203,8 @@ pub(crate) fn reconstruct_multi_scoped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{self, Layout};
+    use crate::cache::DepthTableCache;
+    use crate::gpu::{self, GpuOptions, PipelineDepth, Reconstruction, RecoveryLog, Topology};
     use crate::input::InMemorySlabSource;
     use cuda_sim::DeviceProps;
 
@@ -342,6 +220,37 @@ mod tests {
             })
             .collect();
         (geom, cfg, data)
+    }
+
+    /// `n` tiny devices, each on its own host (a PCIe link per device).
+    fn tiny_fleet(n: usize) -> Vec<Device> {
+        (0..n)
+            .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
+            .collect()
+    }
+
+    /// A fresh run of `run` on one node of `devices`.
+    fn fleet_run_with(
+        devices: &[Device],
+        data: &[f64],
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        run: &RunOptions<'_>,
+    ) -> Result<Reconstruction> {
+        let topology = Topology::node(devices.iter().collect());
+        let mut source = InMemorySlabSource::new(data.to_vec(), 10, 8, 6).unwrap();
+        gpu::reconstruct_fresh(&topology, &mut source, geom, cfg, run)
+    }
+
+    /// A fresh serial (`k = 1`) run on one node of `devices`.
+    fn fleet_run(
+        devices: &[Device],
+        data: &[f64],
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+    ) -> Result<Reconstruction> {
+        let serial = RunOptions::serial(GpuOptions::default());
+        fleet_run_with(devices, data, geom, cfg, &serial)
     }
 
     #[test]
@@ -363,58 +272,36 @@ mod tests {
     #[test]
     fn multi_gpu_matches_single_gpu_bitwise() {
         let (geom, cfg, data) = demo();
-        let single = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-        let ref_out = gpu::reconstruct(&single, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let ref_out = fleet_run(&tiny_fleet(1), &data, &geom, &cfg).unwrap();
 
-        for n_dev in [1usize, 2, 3, 4] {
-            let devices: Vec<Device> = (0..n_dev)
-                .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-                .collect();
-            let refs: Vec<&Device> = devices.iter().collect();
-            let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-            let out =
-                reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
+        for n_dev in [2usize, 3, 4] {
+            let out = fleet_run(&tiny_fleet(n_dev), &data, &geom, &cfg).unwrap();
             assert_eq!(out.image.data, ref_out.image.data, "{n_dev} devices");
             assert_eq!(out.stats, ref_out.stats);
             assert_eq!(out.per_device.len(), n_dev);
-            assert_eq!(out.rows_per_device.iter().sum::<usize>(), 8);
+            assert_eq!(out.nodes[0].rows, 8);
         }
     }
 
     #[test]
     fn multi_gpu_shortens_the_makespan() {
         let (geom, cfg, data) = demo();
-        let run_with = |n_dev: usize| {
-            let devices: Vec<Device> = (0..n_dev)
-                .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-                .collect();
-            let refs: Vec<&Device> = devices.iter().collect();
-            let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-            reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default())
-                .unwrap()
-                .elapsed_s
-        };
-        let one = run_with(1);
-        let four = run_with(4);
+        let one = fleet_run(&tiny_fleet(1), &data, &geom, &cfg).unwrap();
+        let four = fleet_run(&tiny_fleet(4), &data, &geom, &cfg).unwrap();
         assert!(
-            four < one,
-            "4 devices must beat 1 in virtual time: {four} vs {one}"
+            four.elapsed_s < one.elapsed_s,
+            "4 devices must beat 1 in virtual time: {} vs {}",
+            four.elapsed_s,
+            one.elapsed_s
         );
     }
 
     #[test]
     fn shared_host_fleet_contends_for_the_bus() {
         let (geom, cfg, data) = demo();
-        let run = |devices: Vec<Device>| {
-            let refs: Vec<&Device> = devices.iter().collect();
-            let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-            reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap()
-        };
+        let run = |devices: Vec<Device>| fleet_run(&devices, &data, &geom, &cfg).unwrap();
         // A link per device: transfers never queue.
-        let private = run((0..4)
-            .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-            .collect());
+        let private = run(tiny_fleet(4));
         assert!(private.per_device.iter().all(|m| m.bus_wait_s == 0.0));
         // One chassis, one bus: the same transfers now share the link.
         let host = cuda_sim::Host::new_default();
@@ -428,6 +315,7 @@ mod tests {
         assert_eq!(shared.stats, private.stats);
         let stalled: f64 = shared.per_device.iter().map(|m| m.bus_wait_s).sum();
         assert!(stalled > 0.0, "devices must queue on the shared bus");
+        assert_eq!(shared.meters.bus_wait_s, stalled, "run meters sum devices");
         assert!(
             shared.elapsed_s > private.elapsed_s,
             "the shared bus must stretch the makespan ({} vs {})",
@@ -436,7 +324,7 @@ mod tests {
         );
         // The bus never idles work away: the makespan still beats one
         // device doing everything alone over the same link.
-        let solo = run(vec![Device::new(DeviceProps::tiny(16 * 1024 * 1024))]);
+        let solo = run(tiny_fleet(1));
         assert!(
             shared.elapsed_s < solo.elapsed_s,
             "compute still parallelizes ({} vs {})",
@@ -448,28 +336,17 @@ mod tests {
     #[test]
     fn faulty_device_in_the_fleet_recovers_bitwise() {
         let (geom, cfg, data) = demo();
-        let clean: Vec<Device> = (0..2)
-            .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-            .collect();
-        let refs: Vec<&Device> = clean.iter().collect();
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-        let ref_out =
-            reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
+        let ref_out = fleet_run(&tiny_fleet(2), &data, &geom, &cfg).unwrap();
         assert_eq!(ref_out.recovery, RecoveryLog::default());
 
         // Second device drops an allocation and flakes one transfer.
-        let faulty: Vec<Device> = (0..2)
-            .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-            .collect();
+        let faulty = tiny_fleet(2);
         faulty[1].set_fault_plan(
             cuda_sim::FaultPlan::new(5)
                 .fail_nth_alloc(3)
                 .fail_nth_h2d(2),
         );
-        let refs: Vec<&Device> = faulty.iter().collect();
-        let mut source = InMemorySlabSource::new(data, 10, 8, 6).unwrap();
-        let out =
-            reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
+        let out = fleet_run(&faulty, &data, &geom, &cfg).unwrap();
         assert!(out.recovery.replans >= 1);
         assert!(out.recovery.transfer_retries >= 1);
         assert_eq!(
@@ -482,54 +359,34 @@ mod tests {
     #[test]
     fn pipelined_fleet_with_shared_cache_matches_bitwise() {
         let (geom, cfg, data) = demo();
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-        let single = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
         let opts = GpuOptions {
             triangulation: crate::gpu::Triangulation::HostTables,
             ..GpuOptions::default()
         };
-        let ref_out =
-            gpu::reconstruct_with_options(&single, &mut source, &geom, &cfg, opts).unwrap();
+        let serial = RunOptions::serial(opts);
+        let ref_out = fleet_run_with(&tiny_fleet(1), &data, &geom, &cfg, &serial).unwrap();
 
-        let devices: Vec<Device> = (0..3)
-            .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-            .collect();
-        let refs: Vec<&Device> = devices.iter().collect();
+        let devices = tiny_fleet(3);
         let cache = DepthTableCache::new(8 * 1024 * 1024);
-        let all_rows = 0..8;
-        let run = || {
-            let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-            let mut progress = SlabProgress::new(cfg.n_depth_bins, 8, 6);
-            let fleet = reconstruct_multi_scoped(
-                &refs,
-                &mut source,
-                &geom,
-                &cfg,
-                opts,
-                PipelineDepth(2),
-                Some(&cache),
-                std::slice::from_ref(&all_rows),
-                &mut progress,
-                None,
-                None,
-                true,
-            )
-            .unwrap();
-            (progress, fleet)
+        let run = RunOptions {
+            gpu: opts,
+            depth: PipelineDepth(2),
+            cache: Some(&cache),
+            ..RunOptions::default()
         };
-        let (progress, cold) = run();
-        assert_eq!(progress.image.data, ref_out.image.data);
-        assert_eq!(progress.stats, ref_out.stats);
+        let cold = fleet_run_with(&devices, &data, &geom, &cfg, &run).unwrap();
+        assert_eq!(cold.image.data, ref_out.image.data);
+        assert_eq!(cold.stats, ref_out.stats);
         // One host miss for the fleet; the other devices hit the host cache.
-        let tables = &cold.bands.table_cache;
+        let tables = &cold.table_cache;
         assert_eq!(tables.host_misses, 1);
         assert_eq!(tables.host_hits, 2);
         assert_eq!(tables.device_misses, 3, "one upload per device");
-        assert_eq!(cold.bands.depth_used, Some(2), "the requested ring ran");
+        assert_eq!(cold.pipeline_depth, 2, "the requested ring ran");
 
-        let (progress, warm) = run();
-        assert_eq!(progress.image.data, ref_out.image.data);
-        assert_eq!(warm.bands.table_cache.device_hits, 3, "all tables resident");
+        let warm = fleet_run_with(&devices, &data, &geom, &cfg, &run).unwrap();
+        assert_eq!(warm.image.data, ref_out.image.data);
+        assert_eq!(warm.table_cache.device_hits, 3, "all tables resident");
         assert!(warm.elapsed_s < cold.elapsed_s);
     }
 
@@ -556,48 +413,32 @@ mod tests {
     fn fleet_survives_losing_each_device_in_turn() {
         let (geom, mut cfg, data) = demo();
         cfg.rows_per_slab = Some(1); // every band is several slabs
-        let clean: Vec<Device> = (0..4)
-            .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-            .collect();
-        let refs: Vec<&Device> = clean.iter().collect();
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-        let ref_out =
-            reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
+        let ref_out = fleet_run(&tiny_fleet(4), &data, &geom, &cfg).unwrap();
         assert_eq!(ref_out.devices_lost, 0);
 
         for victim in 0..4usize {
-            let fleet: Vec<Device> = (0..4)
-                .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-                .collect();
+            let fleet = tiny_fleet(4);
             // Die after the first committed slab of the victim's band.
             fleet[victim].set_fault_plan(cuda_sim::FaultPlan::new(0).fail_after_launches(1));
-            let refs: Vec<&Device> = fleet.iter().collect();
-            let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-            let out =
-                reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
+            let out = fleet_run(&fleet, &data, &geom, &cfg).unwrap();
             assert_eq!(out.devices_lost, 1, "victim {victim}");
             assert_eq!(
                 out.image.data, ref_out.image.data,
                 "survivors finish victim {victim}'s rows bit-identically"
             );
             assert_eq!(out.stats, ref_out.stats);
-            assert_eq!(out.rows_per_device.iter().sum::<usize>(), 8);
+            assert_eq!(out.nodes[0].rows, 8);
         }
     }
 
     #[test]
     fn zero_surviving_devices_surfaces_the_loss() {
         let (geom, cfg, data) = demo();
-        let fleet: Vec<Device> = (0..2)
-            .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-            .collect();
+        let fleet = tiny_fleet(2);
         for d in &fleet {
             d.set_fault_plan(cuda_sim::FaultPlan::new(0).fail_after_launches(0));
         }
-        let refs: Vec<&Device> = fleet.iter().collect();
-        let mut source = InMemorySlabSource::new(data, 10, 8, 6).unwrap();
-        let err =
-            reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap_err();
+        let err = fleet_run(&fleet, &data, &geom, &cfg).unwrap_err();
         assert!(err.is_gpu_failure());
         assert!(err.to_string().contains("device lost"), "{err}");
     }
@@ -605,20 +446,12 @@ mod tests {
     #[test]
     fn privatized_fleet_matches_atomic_bitwise_even_heterogeneous() {
         let (geom, cfg, data) = demo();
-        let single = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-        let ref_out = gpu::reconstruct(&single, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
+        let ref_out = fleet_run(&tiny_fleet(1), &data, &geom, &cfg).unwrap();
 
         let mut cfg = cfg.clone();
         cfg.accumulation = crate::config::AccumulationMode::Auto;
         // Homogeneous fleet: every slab privatizes.
-        let devices: Vec<Device> = (0..3)
-            .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-            .collect();
-        let refs: Vec<&Device> = devices.iter().collect();
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 8, 6).unwrap();
-        let out =
-            reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
+        let out = fleet_run(&tiny_fleet(3), &data, &geom, &cfg).unwrap();
         assert_eq!(out.image.data, ref_out.image.data);
         assert_eq!(out.slab_privatized.len(), out.n_slabs);
         assert!(out.slab_privatized.iter().all(|p| *p));
@@ -633,10 +466,7 @@ mod tests {
             Device::new(DeviceProps::tiny(16 * 1024 * 1024)),
             Device::new(cramped),
         ];
-        let refs: Vec<&Device> = devices.iter().collect();
-        let mut source = InMemorySlabSource::new(data, 10, 8, 6).unwrap();
-        let out =
-            reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
+        let out = fleet_run(&devices, &data, &geom, &cfg).unwrap();
         assert_eq!(out.image.data, ref_out.image.data);
         assert_eq!(out.slab_privatized.len(), out.n_slabs);
         assert!(out.slab_privatized.iter().any(|p| *p));
@@ -652,9 +482,8 @@ mod tests {
     #[test]
     fn no_devices_is_an_error() {
         let (geom, cfg, data) = demo();
-        let mut source = InMemorySlabSource::new(data, 10, 8, 6).unwrap();
         assert!(matches!(
-            reconstruct_multi(&[], &mut source, &geom, &cfg, GpuOptions::default()),
+            fleet_run(&[], &data, &geom, &cfg),
             Err(CoreError::InvalidConfig(_))
         ));
     }
@@ -662,14 +491,10 @@ mod tests {
     #[test]
     fn more_devices_than_rows_still_works() {
         let (geom, cfg, data) = demo();
-        let devices: Vec<Device> = (0..12)
-            .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
-            .collect();
-        let refs: Vec<&Device> = devices.iter().collect();
-        let mut source = InMemorySlabSource::new(data, 10, 8, 6).unwrap();
-        let out =
-            reconstruct_multi(&refs, &mut source, &geom, &cfg, GpuOptions::default()).unwrap();
+        let out = fleet_run(&tiny_fleet(12), &data, &geom, &cfg).unwrap();
         // Only 8 rows → at most 8 bands get work.
-        assert_eq!(out.rows_per_device.len(), 8);
+        let working = out.per_device.iter().filter(|m| m.launches > 0).count();
+        assert_eq!(working, 8);
+        assert_eq!(out.nodes[0].rows, 8);
     }
 }

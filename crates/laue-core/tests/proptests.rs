@@ -3,8 +3,7 @@
 
 use cuda_sim::{Device, DeviceProps, ExecMode, Host, Interconnect, InterconnectProps};
 use laue_core::cache::{DepthTableCache, DepthTables, TableCacheStats, TableKey};
-use laue_core::cluster::reconstruct_cluster;
-use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
+use laue_core::gpu::{GpuOptions, Layout, PipelineDepth, RunOptions, Topology, Triangulation};
 use laue_core::{
     cpu, gpu, AccumulationMode, ClusterOptions, CompactionMode, InMemorySlabSource,
     ReconstructionConfig, ReductionTopology, ScanGeometry, ScanView,
@@ -41,6 +40,23 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
     })
 }
 
+/// A fresh serial (`k = 1`) GPU run of `layout` on `device` over the
+/// scenario's stack.
+fn serial_gpu(
+    device: &Device,
+    s: &Scenario,
+    geom: &ScanGeometry,
+    cfg: &ReconstructionConfig,
+    layout: Layout,
+) -> gpu::Reconstruction {
+    let mut src = InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
+    let run = RunOptions::serial(GpuOptions {
+        layout,
+        ..GpuOptions::default()
+    });
+    gpu::reconstruct_fresh(&Topology::device(device), &mut src, geom, cfg, &run).unwrap()
+}
+
 fn geometry(s: &Scenario) -> ScanGeometry {
     ScanGeometry::demo(s.n_rows, s.n_cols, s.n_steps, -40.0, 5.0).unwrap()
 }
@@ -64,8 +80,7 @@ proptest! {
         let view = ScanView::new(&s.data, s.n_steps, s.n_rows, s.n_cols).unwrap();
         let cpu_out = cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
         let device = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        let mut src = InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let gpu_out = gpu::reconstruct(&device, &mut src, &geom, &cfg, Layout::Flat1d).unwrap();
+        let gpu_out = serial_gpu(&device, &s, &geom, &cfg, Layout::Flat1d);
         prop_assert_eq!(&cpu_out.image.data, &gpu_out.image.data);
         prop_assert_eq!(cpu_out.stats, gpu_out.stats);
     }
@@ -77,10 +92,8 @@ proptest! {
         let geom = geometry(&s);
         let cfg = config(&s);
         let device = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        let mut src = InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let flat = gpu::reconstruct(&device, &mut src, &geom, &cfg, Layout::Flat1d).unwrap();
-        let mut src = InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let ptr = gpu::reconstruct(&device, &mut src, &geom, &cfg, Layout::Pointer3d).unwrap();
+        let flat = serial_gpu(&device, &s, &geom, &cfg, Layout::Flat1d);
+        let ptr = serial_gpu(&device, &s, &geom, &cfg, Layout::Pointer3d);
         prop_assert_eq!(&flat.image.data, &ptr.image.data);
         prop_assert!(ptr.meters.transfers >= flat.meters.transfers);
         prop_assert!(ptr.meters.comm_time_s >= flat.meters.comm_time_s);
@@ -95,9 +108,7 @@ proptest! {
         for rows in 1..=s.n_rows {
             let mut cfg = config(&s);
             cfg.rows_per_slab = Some(rows);
-            let mut src =
-                InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-            let out = gpu::reconstruct(&device, &mut src, &geom, &cfg, Layout::Flat1d).unwrap();
+            let out = serial_gpu(&device, &s, &geom, &cfg, Layout::Flat1d);
             match &reference {
                 None => reference = Some(out.image.data),
                 Some(r) => prop_assert_eq!(r, &out.image.data),
@@ -115,8 +126,7 @@ proptest! {
         let cpu_out = cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
         let device = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
         device.set_exec_mode(ExecMode::Threaded(workers));
-        let mut src = InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let gpu_out = gpu::reconstruct(&device, &mut src, &geom, &cfg, Layout::Flat1d).unwrap();
+        let gpu_out = serial_gpu(&device, &s, &geom, &cfg, Layout::Flat1d);
         let scale = cpu_out.image.data.iter().fold(1.0f64, |a, &b| a.max(b.abs()));
         prop_assert!(cpu_out.image.max_abs_diff(&gpu_out.image) <= 1e-9 * scale);
         prop_assert_eq!(cpu_out.stats, gpu_out.stats);
@@ -214,10 +224,14 @@ proptest! {
         let run = || {
             let mut src =
                 InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-            gpu::reconstruct_pipelined(
-                &device, &mut src, &geom, &cfg, opts, PipelineDepth(2), Some(&cache),
-            )
-            .unwrap()
+            let run = RunOptions {
+                gpu: opts,
+                depth: PipelineDepth(2),
+                cache: Some(&cache),
+                ..RunOptions::default()
+            };
+            gpu::reconstruct_fresh(&Topology::device(&device), &mut src, &geom, &cfg, &run)
+                .unwrap()
         };
         let cold = run();
         let warm = run();
@@ -291,10 +305,7 @@ proptest! {
         cfg.accumulation = shape.accumulation;
 
         let single = Device::new(DeviceProps::tiny(16 * 1024 * 1024));
-        let mut src =
-            InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let reference =
-            gpu::reconstruct(&single, &mut src, &geom, &cfg, Layout::Flat1d).unwrap();
+        let reference = serial_gpu(&single, &s, &geom, &cfg, Layout::Flat1d);
 
         let hosts: Vec<_> = (0..shape.nodes).map(|_| Host::new_default()).collect();
         let devices: Vec<Vec<Device>> = hosts
@@ -305,23 +316,16 @@ proptest! {
                     .collect()
             })
             .collect();
-        let refs: Vec<Vec<&Device>> =
-            devices.iter().map(|ds| ds.iter().collect()).collect();
         let net = Interconnect::new("prop", shape.nodes, InterconnectProps::ib_qdr());
+        let topology =
+            Topology::cluster(devices.iter().map(|ds| ds.iter().collect()).collect(), &net);
+        let run = RunOptions {
+            cluster: ClusterOptions { topology: shape.topology, overlap: shape.overlap },
+            ..RunOptions::serial(GpuOptions::default())
+        };
         let mut src =
             InMemorySlabSource::new(s.data.clone(), s.n_steps, s.n_rows, s.n_cols).unwrap();
-        let out = reconstruct_cluster(
-            &refs,
-            &net,
-            &mut src,
-            &geom,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::SERIAL,
-            None,
-            ClusterOptions { topology: shape.topology, overlap: shape.overlap },
-        )
-        .unwrap();
+        let out = gpu::reconstruct_fresh(&topology, &mut src, &geom, &cfg, &run).unwrap();
 
         prop_assert_eq!(&reference.image.data, &out.image.data);
         // Under per-slab `Auto` compaction/accumulation the dense-vs-compact

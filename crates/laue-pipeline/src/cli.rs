@@ -881,31 +881,24 @@ pub fn run<W: std::io::Write>(cmd: &Command, out: &mut W) -> Result<()> {
                 writeln!(out, "wrote {path} (per-bin variance; σ = sqrt)")?;
             }
             if let Some(path) = &a.trace {
-                // Re-run the resolved plan (layout, triangulation, ring
-                // depth, slab rows) on a dedicated device to capture the op
-                // timeline.
-                if a.engine.topology().is_some() {
-                    let mut trace_cfg = cfg.executed();
-                    trace_cfg.set_plan(&report.plan_label)?;
-                    let laue_core::PlanMode::Pin(pin) = trace_cfg.plan else {
-                        unreachable!("a resolved plan label is a pin");
-                    };
-                    let device = cuda_sim::Device::new(pipeline.device.clone());
-                    let mut scan = laue_wire::ScanFile::open(&a.input)?;
-                    let geometry = scan.geometry().clone();
-                    laue_core::gpu::reconstruct_pipelined(
-                        &device,
-                        &mut scan,
-                        &geometry,
-                        &trace_cfg,
-                        pin.options(),
-                        pin.depth,
-                        None,
-                    )?;
-                    std::fs::write(path, device.export_chrome_trace())?;
-                    writeln!(out, "wrote {path} (open in chrome://tracing)")?;
-                } else {
+                // Export the run that happened: one trace process per
+                // device of the topology.
+                let devices = pipeline.gpu_devices();
+                if a.engine.topology().is_none() {
                     writeln!(out, "--trace only applies to GPU engines; skipped")?;
+                } else if devices.is_empty() {
+                    writeln!(
+                        out,
+                        "--trace: the GPU run left no device to export; skipped"
+                    )?;
+                } else {
+                    let processes: Vec<_> = devices
+                        .iter()
+                        .enumerate()
+                        .map(|(i, d)| (format!("device {i}: {}", d.props().name), d.ops()))
+                        .collect();
+                    std::fs::write(path, cuda_sim::trace::chrome_trace(&processes))?;
+                    writeln!(out, "wrote {path} (open in chrome://tracing)")?;
                 }
             }
             Ok(())
@@ -1686,6 +1679,51 @@ mod tests {
 
         std::fs::remove_file(&scan).ok();
         std::fs::remove_file(&var).ok();
+    }
+
+    #[test]
+    fn trace_exports_every_device_of_the_run() {
+        let dir = std::env::temp_dir();
+        let scan = dir.join(format!("cli_trace_{}.mh5", std::process::id()));
+        let trace = dir.join(format!("cli_trace_{}.json", std::process::id()));
+        let scan_s = scan.to_string_lossy().to_string();
+        let trace_s = trace.to_string_lossy().to_string();
+        let gen = parse(&sv(&[
+            "generate", "--out", &scan_s, "--rows", "8", "--cols", "8", "--steps", "10",
+        ]))
+        .unwrap();
+        run(&gen, &mut Vec::new()).unwrap();
+
+        let cmd = parse(&sv(&[
+            "reconstruct",
+            "--input",
+            &scan_s,
+            "--engine",
+            "gpu-cluster:1x2",
+            "--plan",
+            "flat1d/inkernel/k3/r2",
+            "--trace",
+            &trace_s,
+        ]))
+        .unwrap();
+        let mut buf = Vec::new();
+        run(&cmd, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("wrote"), "{text}");
+        let json = std::fs::read_to_string(&trace).unwrap();
+        // One trace process per device, each carrying its own kernels.
+        assert_eq!(json.matches("\"process_name\"").count(), 2, "{json}");
+        for pid in [1, 2] {
+            let on_pid = format!("\"pid\":{pid},");
+            assert!(
+                json.split("},{")
+                    .any(|e| e.contains("\"cat\":\"kernel\"") && e.contains(&on_pid)),
+                "device {pid} ran kernels"
+            );
+        }
+
+        std::fs::remove_file(&scan).ok();
+        std::fs::remove_file(&trace).ok();
     }
 
     #[test]

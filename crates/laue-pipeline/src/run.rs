@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use cuda_sim::{Device, DeviceProps, ExecMode, HostProps, Interconnect, InterconnectProps};
 use laue_core::cache::{DepthTableCache, TableCacheStats, TableKey};
-use laue_core::cluster::{reconstruct_cluster_checkpointed, ClusterReconstruction};
+use laue_core::gpu::{self, Reconstruction, RunOptions, Topology};
 use laue_core::journal::{JournalKey, RunJournal, SlabProgress};
 use laue_core::planner::{plan_cluster, plan_run, PlannedCandidate, TableWarmth};
 use laue_core::{
@@ -204,7 +204,7 @@ impl Pipeline {
     }
 
     /// The one GPU path. Every GPU engine is a `nodes × devices_per_node`
-    /// topology — `1 × 1` for `gpu-pipe` — run by the cluster driver:
+    /// topology — `1 × 1` for `gpu-pipe` — run by [`gpu::reconstruct`]:
     /// resolve the plan, open/replay the journal (when configured), run,
     /// and on unrecoverable failure salvage the committed slabs, handing
     /// only the remainder to the CPU.
@@ -319,20 +319,26 @@ impl Pipeline {
         };
 
         let (fleet, net) = self.gpu_topology(nodes, per_node);
-        let refs: Vec<Vec<&Device>> = fleet
-            .iter()
-            .map(|node| node.iter().map(|d| d.as_ref()).collect())
-            .collect();
-        let outcome = reconstruct_cluster_checkpointed(
-            &refs,
-            &net,
+        let topology = Topology {
+            nodes: fleet
+                .iter()
+                .map(|node| node.iter().map(|d| d.as_ref()).collect())
+                .collect(),
+            net: net.as_deref(),
+        };
+        let run = RunOptions {
+            gpu: pin.options(),
+            depth: pin.depth,
+            cache: Some(&self.shared.cache),
+            cluster: copts,
+            max_rows: None,
+        };
+        let outcome = gpu::reconstruct(
+            &topology,
             source,
             geom,
             cfg,
-            pin.options(),
-            pin.depth,
-            Some(&self.shared.cache),
-            copts,
+            &run,
             &mut progress,
             journal.as_mut(),
         );
@@ -348,7 +354,7 @@ impl Pipeline {
             }
             trace_dropped += d.trace_dropped();
         }
-        drop(refs);
+        drop(topology);
         drop(fleet);
 
         let mut report = match outcome {
@@ -391,18 +397,19 @@ impl Pipeline {
         Ok(report)
     }
 
-    /// The devices a GPU engine runs on, plus a fresh fabric. Each node is
-    /// its own simulated chassis: its devices share one PCIe bus and host
-    /// CPU, and nothing is shared across nodes. The devices persist across
-    /// runs (so resident depth tables stay warm) and rebuild when the
-    /// topology or the device model changes. The fault schedule is
-    /// (re)installed on every run — on every device, or only on the
-    /// node-major flattened index [`Pipeline::fault_device`] names.
+    /// The devices a GPU engine runs on, plus a fresh fabric when there is
+    /// more than one node. Each node is its own simulated chassis: its
+    /// devices share one PCIe bus and host CPU, and nothing is shared
+    /// across nodes. The devices persist across runs (so resident depth
+    /// tables stay warm) and rebuild when the topology or the device model
+    /// changes. The fault schedule is (re)installed on every run — on every
+    /// device, or only on the node-major flattened index
+    /// [`Pipeline::fault_device`] names.
     fn gpu_topology(
         &self,
         nodes: usize,
         per_node: usize,
-    ) -> (Vec<Vec<Arc<Device>>>, Arc<Interconnect>) {
+    ) -> (Vec<Vec<Arc<Device>>>, Option<Arc<Interconnect>>) {
         let mut slot = self.shared.devices.lock().unwrap();
         let reusable = slot.len() == nodes
             && slot
@@ -428,7 +435,8 @@ impl Pipeline {
                 _ => d.clear_fault_plan(),
             }
         }
-        let net = Interconnect::new(&self.interconnect.name, nodes, self.interconnect.clone());
+        let net = (nodes > 1)
+            .then(|| Interconnect::new(&self.interconnect.name, nodes, self.interconnect.clone()));
         (slot.clone(), net)
     }
 
@@ -438,6 +446,14 @@ impl Pipeline {
         for old in slot.drain(..).flatten() {
             self.shared.cache.evict_device(old.id(), &mut run);
         }
+    }
+
+    /// The devices the pipeline's last GPU run used, node-major. Their op
+    /// logs hold that run's virtual timeline (`laue reconstruct --trace`).
+    /// Empty before any GPU run, and after a run whose devices failed.
+    pub fn gpu_devices(&self) -> Vec<Arc<Device>> {
+        let slot = self.shared.devices.lock().unwrap();
+        slot.iter().flatten().cloned().collect()
     }
 
     /// Device-resident depth-table budget in bytes.
@@ -556,12 +572,13 @@ impl Pipeline {
 
 /// Assemble the [`RunReport`] of a successful GPU run. The makespan
 /// includes the reduction's exposed tail; the comm/compute/transfer meters
-/// aggregate over every device in every chassis, so on a multi-device
-/// topology total ≤ comm + compute. `fabric` names the interconnect preset
-/// of the cluster report, which only `gpu-cluster` engines carry.
+/// are the run's, summed over every device in every chassis, so on a
+/// multi-device topology total ≤ comm + compute. `fabric` names the
+/// interconnect preset of the cluster report, which only `gpu-cluster`
+/// engines carry.
 fn gpu_report(
     engine: Engine,
-    out: ClusterReconstruction,
+    out: Reconstruction,
     dims: (usize, usize, usize),
     input_bytes: u64,
     resume: Option<ResumeInfo>,
@@ -583,15 +600,15 @@ fn gpu_report(
         image: out.image,
         stats: out.stats,
         total_time_s: out.elapsed_s,
-        comm_time_s: out.per_device.iter().map(|m| m.comm_time_s).sum(),
-        bus_wait_s: out.per_device.iter().map(|m| m.bus_wait_s).sum(),
+        comm_time_s: out.meters.comm_time_s,
+        bus_wait_s: out.meters.bus_wait_s,
         host_table_time_s: out.host_table_time_s,
-        compute_time_s: out.per_device.iter().map(|m| m.compute_time_s).sum(),
+        compute_time_s: out.meters.compute_time_s,
         input_bytes,
         dims,
         rows_per_slab: out.rows_per_slab,
         n_slabs: out.n_slabs,
-        transfers: out.per_device.iter().map(|m| m.transfers).sum(),
+        transfers: out.meters.transfers,
         gpu_replans: out.recovery.replans,
         gpu_transfer_retries: out.recovery.transfer_retries,
         pipeline_depth: out.pipeline_depth,
@@ -1306,26 +1323,98 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Every GPU engine reports the ring depth and slab rows that ran.
+    /// Unfaulted, that is the resolved plan — under `--plan auto` the
+    /// label the planner chose, priced with the per-slab modes the run
+    /// executes; a device fault can only shallow the ring.
     #[test]
     fn reports_carry_the_ring_depth_that_ran() {
-        let (path, _) = scan_file("depth_ran");
-        let mut c = cfg();
-        c.rows_per_slab = Some(1);
-        let clean = Pipeline::default()
-            .run_scan_file(&path, &c, Engine::GpuPipelined)
+        use laue_core::PlanPin;
+
+        let scan = SyntheticScanBuilder::new(24, 16, 12)
+            .scatterers(12)
+            .noise(1.0)
+            .background(20.0)
+            .seed(7)
+            .build()
             .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("pipeline_{}_depth_ran.mh5", std::process::id()));
+        write_scan(&path, &scan.geometry, &scan.images, None, 8).unwrap();
+        // Device memory scaled down so the scan streams many slabs.
+        let props = DeviceProps {
+            total_mem: 384 * 1024,
+            ..DeviceProps::tesla_m2070()
+        };
+        let pipeline = Pipeline {
+            device: props.clone(),
+            ..Pipeline::default()
+        };
+        let one_by_two = Engine::GpuCluster {
+            nodes: 1,
+            devices_per_node: 2,
+        };
+        let mut reference: Option<Vec<f64>> = None;
+        for plan in [PlanMode::default(), PlanMode::Auto] {
+            let mut c = cfg();
+            c.plan = plan;
+            for engine in [Engine::GpuPipelined, one_by_two] {
+                let run = pipeline.run_scan_file(&path, &c, engine).unwrap();
+                let tag = format!("{plan:?} on {}", engine.label());
+                let (pin, rows) = PlanPin::parse(&run.plan_label).unwrap();
+                assert!(
+                    run.n_slabs > run.pipeline_depth,
+                    "{tag}: {} slab(s) must stream through the ring",
+                    run.n_slabs
+                );
+                assert_eq!(run.pipeline_depth, pin.depth.0, "{tag}");
+                assert_eq!(rows.is_some(), plan == PlanMode::Auto, "{tag}");
+                if let Some(rows) = rows {
+                    // A slab never spans two devices' row bands.
+                    let (nodes, per_node) = engine.topology().unwrap();
+                    let band = 24 / (nodes * per_node);
+                    assert_eq!(run.rows_per_slab, rows.min(band), "{tag}");
+                }
+                assert_eq!(run.cluster.is_some(), engine == one_by_two, "{tag}");
+                if engine == Engine::GpuPipelined {
+                    assert_eq!(run.n_slabs, 24usize.div_ceil(run.rows_per_slab), "{tag}");
+                }
+                match &reference {
+                    None => reference = Some(run.image.data.clone()),
+                    Some(r) => assert_eq!(r, &run.image.data, "{tag}"),
+                }
+                if plan == PlanMode::Auto && engine == Engine::GpuPipelined {
+                    // The plan was priced with the modes the run executes.
+                    let mut file = ScanFile::open(&path).unwrap();
+                    let geom = file.geometry().clone();
+                    let mut executed = c.clone();
+                    executed.compaction = CompactionMode::Auto;
+                    executed.accumulation = AccumulationMode::Auto;
+                    let warmth = TableWarmth {
+                        host_warm: false,
+                        device_warm: false,
+                        resident_budget: props.total_mem / 4,
+                    };
+                    let host = HostProps::xeon_e5630();
+                    let rp = plan_run(&props, &host, &mut file, &geom, &executed, warmth).unwrap();
+                    let chosen = rp.pin.label(Some(rp.rows_per_slab));
+                    assert_eq!(run.plan.as_ref().unwrap().chosen, chosen);
+                    assert_eq!(run.plan_label, chosen);
+                }
+            }
+        }
+
         // An OOM on single-row slabs can only shallow the ring: every
         // device finishes serial, below the 3-slot ring gpu-pipe asks for.
+        let mut c = cfg();
+        c.rows_per_slab = Some(1);
         let p = Pipeline {
             fault_plan: Some(cuda_sim::FaultPlan::new(3).fail_nth_alloc(3)),
             ..Pipeline::default()
         };
         for engine in [
             Engine::GpuPipelined,
-            Engine::GpuCluster {
-                nodes: 1,
-                devices_per_node: 2,
-            },
+            one_by_two,
             Engine::GpuCluster {
                 nodes: 2,
                 devices_per_node: 1,
@@ -1336,139 +1425,7 @@ mod tests {
             assert!(r.gpu_replans >= 1, "{label} re-planned");
             assert_eq!(r.pipeline_depth, 1, "{label} reports the ring that ran");
             assert_eq!(r.rows_per_slab, 1, "{label}");
-            assert_eq!(r.image.data, clean.image.data, "{label}");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Every GPU engine is a topology on the one cluster driver: a 1 × 1
-    /// run must be indistinguishable from a direct ring call on the same
-    /// device running the resolved plan — which, under `--plan auto`, is
-    /// planned with the per-slab modes the run executes.
-    #[test]
-    fn one_by_one_topology_degenerates_to_the_direct_ring() {
-        use crate::cli::parse_engine;
-        use laue_core::gpu;
-        use laue_core::PlanPin;
-        use laue_wire::ScanFile;
-
-        let scan = SyntheticScanBuilder::new(24, 16, 12)
-            .scatterers(12)
-            .noise(1.0)
-            .background(20.0)
-            .seed(7)
-            .build()
-            .unwrap();
-        let path =
-            std::env::temp_dir().join(format!("pipeline_{}_degenerate.mh5", std::process::id()));
-        write_scan(&path, &scan.geometry, &scan.images, None, 8).unwrap();
-        // Device memory scaled down so the scan streams many slabs.
-        let props = DeviceProps {
-            total_mem: 384 * 1024,
-            ..DeviceProps::tesla_m2070()
-        };
-        let pipeline = || Pipeline {
-            device: props.clone(),
-            ..Pipeline::default()
-        };
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for plan in [PlanMode::default(), PlanMode::Auto] {
-            let mut c = cfg();
-            c.plan = plan;
-            let run = pipeline()
-                .run_scan_file(&path, &c, Engine::GpuPipelined)
-                .unwrap();
-            assert!(
-                run.n_slabs > run.pipeline_depth,
-                "{plan:?}: {} slab(s) must stream through the ring",
-                run.n_slabs
-            );
-
-            // The direct call, on the plan the pipeline resolved.
-            let mut file = ScanFile::open(&path).unwrap();
-            let geom = file.geometry().clone();
-            let mut direct_cfg = c.clone();
-            let mut pin = PlanPin::default();
-            if plan == PlanMode::Auto {
-                direct_cfg.compaction = CompactionMode::Auto;
-                direct_cfg.accumulation = AccumulationMode::Auto;
-                let warmth = TableWarmth {
-                    host_warm: false,
-                    device_warm: false,
-                    resident_budget: props.total_mem / 4,
-                };
-                let rp = plan_run(
-                    &props,
-                    &HostProps::xeon_e5630(),
-                    &mut file,
-                    &geom,
-                    &direct_cfg,
-                    warmth,
-                )
-                .unwrap();
-                assert_eq!(
-                    run.plan.as_ref().unwrap().chosen,
-                    rp.pin.label(Some(rp.rows_per_slab))
-                );
-                direct_cfg.rows_per_slab = Some(rp.rows_per_slab);
-                pin = rp.pin;
-            }
-            assert_eq!(run.plan_label, pin.label(direct_cfg.rows_per_slab));
-            let device = Device::new(props.clone());
-            let cache = DepthTableCache::new(props.total_mem / 4);
-            let direct = gpu::reconstruct_pipelined(
-                &device,
-                &mut file,
-                &geom,
-                &direct_cfg,
-                pin.options(),
-                pin.depth,
-                Some(&cache),
-            )
-            .unwrap();
-            assert_eq!(bits(&run.image.data), bits(&direct.image.data), "{plan:?}");
-            let times = |t: f64, comm: f64, comp: f64, bus: f64| {
-                [t.to_bits(), comm.to_bits(), comp.to_bits(), bus.to_bits()]
-            };
-            assert_eq!(
-                times(
-                    run.total_time_s,
-                    run.comm_time_s,
-                    run.compute_time_s,
-                    run.bus_wait_s
-                ),
-                times(
-                    direct.elapsed_s,
-                    direct.meters.comm_time_s,
-                    direct.meters.compute_time_s,
-                    direct.meters.bus_wait_s
-                ),
-                "{plan:?}"
-            );
-            assert_eq!(
-                (run.n_slabs, run.rows_per_slab, run.pipeline_depth),
-                (direct.n_slabs, direct.rows_per_slab, direct.pipeline_depth),
-                "{plan:?}"
-            );
-            assert!(
-                run.cluster.is_none(),
-                "only gpu-cluster engines report a cluster"
-            );
-
-            // One chassis of two devices shares the bus and stays
-            // bit-identical to the single device.
-            let engine = parse_engine("gpu-cluster:1x2").unwrap();
-            assert_eq!(
-                engine,
-                Engine::GpuCluster {
-                    nodes: 1,
-                    devices_per_node: 2,
-                }
-            );
-            let cluster = pipeline().run_scan_file(&path, &c, engine).unwrap();
-            assert_eq!(bits(&cluster.image.data), bits(&run.image.data), "{plan:?}");
-            assert!(cluster.rows_per_slab > 0 && cluster.n_slabs > cluster.pipeline_depth);
-            assert!(cluster.cluster.is_some());
+            assert_eq!(Some(&r.image.data), reference.as_ref(), "{label}");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use cuda_sim::DeviceProps;
 use laue_core::cache::TableCacheStats;
 use laue_core::gpu::batch::{reconstruct_batch_fused, BatchJob};
-use laue_core::gpu::{reconstruct_checkpointed_bounded, GpuOptions, PipelineDepth, Triangulation};
+use laue_core::gpu::{self, GpuOptions, RunOptions, Topology, Triangulation};
 use laue_core::journal::SlabProgress;
 use laue_core::{InMemorySlabSource, Result};
 
@@ -375,26 +375,28 @@ impl ServeState<'_> {
         let mut progress = job.progress.take().unwrap_or_else(|| {
             SlabProgress::new(job_cfg.n_depth_bins, spec.shape.n_rows, spec.shape.n_cols)
         });
-        let opts = if cfg.host_tables {
-            GpuOptions {
-                triangulation: Triangulation::HostTables,
-                ..GpuOptions::default()
-            }
+        let triangulation = if cfg.host_tables {
+            Triangulation::HostTables
         } else {
-            GpuOptions::default()
+            Triangulation::InKernel
         };
-        let cache = cfg.host_tables.then(|| self.fleet.cache());
-        let (out, complete) = reconstruct_checkpointed_bounded(
-            self.fleet.device(dev),
+        let run = RunOptions {
+            gpu: GpuOptions {
+                triangulation,
+                ..GpuOptions::default()
+            },
+            cache: cfg.host_tables.then(|| self.fleet.cache()),
+            max_rows: Some(cfg.quantum_rows),
+            ..RunOptions::default()
+        };
+        let out = gpu::reconstruct(
+            &Topology::device(self.fleet.device(dev)),
             &mut source,
             &scan.geometry,
             &job_cfg,
-            opts,
-            PipelineDepth::default(),
-            cache,
+            &run,
             &mut progress,
             None,
-            cfg.quantum_rows,
         )?;
 
         let span = self.fleet.clock.dispatch(dev, now, out.elapsed_s);
@@ -410,7 +412,7 @@ impl ServeState<'_> {
         job.quanta += 1;
         self.batch.singles += 1;
 
-        if complete {
+        if out.complete {
             let migrations = job.devices.windows(2).filter(|w| w[0] != w[1]).count() as u32;
             self.outcomes.push(JobOutcome {
                 id: spec.id,

@@ -6,7 +6,7 @@
 //! service is broken.
 
 use cuda_sim::{Device, DeviceProps};
-use laue_core::gpu::{reconstruct_with_options, GpuOptions};
+use laue_core::gpu::{self, GpuOptions, RunOptions, Topology};
 use laue_core::InMemorySlabSource;
 use laue_serve::{serve, Arrival, BatchPolicy, JobOutcome, JobSpec, ServeConfig, WorkloadSpec};
 use proptest::prelude::*;
@@ -23,12 +23,14 @@ fn standalone(spec: &JobSpec) -> (Vec<f64>, laue_core::ReconStats) {
     )
     .unwrap();
     let device = Device::new(DeviceProps::tesla_m2070());
-    let out = reconstruct_with_options(
-        &device,
+    let serial = RunOptions::serial(GpuOptions::default());
+    let topology = Topology::device(&device);
+    let out = gpu::reconstruct_fresh(
+        &topology,
         &mut source,
         &scan.geometry,
         &spec.config(),
-        GpuOptions::default(),
+        &serial,
     )
     .unwrap();
     (out.image.data, out.stats)

@@ -100,6 +100,24 @@ struct Scenario {
     n_dev: usize,
 }
 
+/// A fresh serial (`k = 1`) GPU run of `opts` over `scan` (`dims` = steps ×
+/// rows × cols) on one node of `n_dev` tiny devices, each its own chassis.
+fn gpu_run(
+    scan: &SyntheticScan,
+    dims: (usize, usize, usize),
+    cfg: &ReconstructionConfig,
+    n_dev: usize,
+    opts: GpuOptions,
+) -> gpu::Reconstruction {
+    let devices: Vec<Device> = (0..n_dev)
+        .map(|_| Device::new(DeviceProps::tiny(8 * 1024 * 1024)))
+        .collect();
+    let topology = gpu::Topology::node(devices.iter().collect());
+    let mut source = InMemorySlabSource::new(scan.images.clone(), dims.0, dims.1, dims.2).unwrap();
+    let run = gpu::RunOptions::serial(opts);
+    gpu::reconstruct_fresh(&topology, &mut source, &scan.geometry, cfg, &run).unwrap()
+}
+
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
     (3usize..=6, 3usize..=6, 4usize..=8, any::<u64>(), 1usize..=4).prop_map(
         |(rows, cols, steps, seed, n_dev)| Scenario {
@@ -195,30 +213,15 @@ proptest! {
         let view = ScanView::new(&scan.images, s.steps, s.rows, s.cols).unwrap();
         let cpu_out = cpu::reconstruct_seq(&view, &scan.geometry, &cfg).unwrap();
 
+        let dims = (s.steps, s.rows, s.cols);
         // Multi-GPU.
-        let devices: Vec<Device> = (0..s.n_dev)
-            .map(|_| Device::new(DeviceProps::tiny(8 * 1024 * 1024)))
-            .collect();
-        let refs: Vec<&Device> = devices.iter().collect();
-        let mut source =
-            InMemorySlabSource::new(scan.images.clone(), s.steps, s.rows, s.cols).unwrap();
-        let multi = reconstruct_multi(&refs, &mut source, &scan.geometry, &cfg, GpuOptions::default())
-            .unwrap();
+        let multi = gpu_run(&scan, dims, &cfg, s.n_dev, GpuOptions::default());
         prop_assert_eq!(&multi.image.data, &cpu_out.image.data);
         prop_assert_eq!(multi.stats, cpu_out.stats);
 
         // Depth-table engine.
-        let device = Device::new(DeviceProps::tiny(8 * 1024 * 1024));
-        let mut source =
-            InMemorySlabSource::new(scan.images.clone(), s.steps, s.rows, s.cols).unwrap();
-        let tables = gpu::reconstruct_with_options(
-            &device,
-            &mut source,
-            &scan.geometry,
-            &cfg,
-            GpuOptions { layout: Layout::Flat1d, triangulation: Triangulation::HostTables, ..GpuOptions::default() },
-        )
-        .unwrap();
+        let opts = GpuOptions { triangulation: Triangulation::HostTables, ..GpuOptions::default() };
+        let tables = gpu_run(&scan, dims, &cfg, 1, opts);
         prop_assert_eq!(&tables.image.data, &cpu_out.image.data);
     }
 
@@ -266,29 +269,12 @@ proptest! {
             prop_assert_eq!(&thr.image.data, &reference.image.data);
 
             for triangulation in [Triangulation::InKernel, Triangulation::HostTables] {
-                let device = Device::new(DeviceProps::tiny(8 * 1024 * 1024));
-                let mut source =
-                    InMemorySlabSource::new(scan.images.clone(), p, m, n).unwrap();
-                let out = gpu::reconstruct_with_options(
-                    &device,
-                    &mut source,
-                    &scan.geometry,
-                    &cfg,
-                    GpuOptions { layout: Layout::Flat1d, triangulation, ..GpuOptions::default() },
-                )
-                .unwrap();
+                let opts = GpuOptions { triangulation, ..GpuOptions::default() };
+                let out = gpu_run(&scan, (p, m, n), &cfg, 1, opts);
                 prop_assert_eq!(&out.image.data, &reference.image.data);
             }
 
-            let devices: Vec<Device> = (0..s.n_dev)
-                .map(|_| Device::new(DeviceProps::tiny(8 * 1024 * 1024)))
-                .collect();
-            let refs: Vec<&Device> = devices.iter().collect();
-            let mut source =
-                InMemorySlabSource::new(scan.images.clone(), p, m, n).unwrap();
-            let multi =
-                reconstruct_multi(&refs, &mut source, &scan.geometry, &cfg, GpuOptions::default())
-                    .unwrap();
+            let multi = gpu_run(&scan, (p, m, n), &cfg, s.n_dev, GpuOptions::default());
             prop_assert_eq!(&multi.image.data, &reference.image.data);
         }
     }
@@ -335,17 +321,8 @@ proptest! {
                     let mut cfg = base.clone();
                     cfg.compaction = compaction;
                     cfg.accumulation = accumulation;
-                    let device = Device::new(DeviceProps::tiny(8 * 1024 * 1024));
-                    let mut source =
-                        InMemorySlabSource::new(scan.images.clone(), p, m, n).unwrap();
-                    gpu::reconstruct_with_options(
-                        &device,
-                        &mut source,
-                        &scan.geometry,
-                        &cfg,
-                        GpuOptions { layout, triangulation, ..GpuOptions::default() },
-                    )
-                    .unwrap()
+                    let opts = GpuOptions { layout, triangulation, ..GpuOptions::default() };
+                    gpu_run(&scan, (p, m, n), &cfg, 1, opts)
                 };
                 let atomic = run(AccumulationMode::Atomic);
                 prop_assert_eq!(&atomic.image.data, &reference.image.data);
@@ -383,15 +360,7 @@ proptest! {
             let mut cfg = base.clone();
             cfg.compaction = compaction;
             cfg.accumulation = AccumulationMode::Privatized;
-            let devices: Vec<Device> = (0..s.n_dev)
-                .map(|_| Device::new(DeviceProps::tiny(8 * 1024 * 1024)))
-                .collect();
-            let refs: Vec<&Device> = devices.iter().collect();
-            let mut source =
-                InMemorySlabSource::new(scan.images.clone(), p, m, n).unwrap();
-            let multi =
-                reconstruct_multi(&refs, &mut source, &scan.geometry, &cfg, GpuOptions::default())
-                    .unwrap();
+            let multi = gpu_run(&scan, (p, m, n), &cfg, s.n_dev, GpuOptions::default());
             prop_assert_eq!(&multi.image.data, &reference.image.data);
             prop_assert_eq!(multi.stats.privatized_pairs, multi.stats.pairs_total);
             prop_assert_eq!(multi.stats.accum_fallback_pairs, 0);

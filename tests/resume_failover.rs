@@ -87,6 +87,84 @@ fn resume_is_bit_identical_at_every_slab_boundary() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The 12×10×14 demo scan as an in-memory job.
+fn demo_job() -> SyntheticScan {
+    SyntheticScanBuilder::new(12, 10, 14)
+        .scatterers(6)
+        .background(15.0)
+        .seed(11)
+        .build()
+        .unwrap()
+}
+
+/// One quantum of at most `max_rows` fresh rows on `topology`, resumed
+/// from `progress`.
+fn quantum(
+    topology: &gpu::Topology<'_>,
+    scan: &SyntheticScan,
+    progress: &mut SlabProgress,
+    max_rows: usize,
+) -> gpu::Reconstruction {
+    let run = gpu::RunOptions {
+        max_rows: Some(max_rows),
+        ..gpu::RunOptions::default()
+    };
+    let mut source = InMemorySlabSource::new(scan.images.clone(), 14, 12, 10).unwrap();
+    gpu::reconstruct(
+        topology,
+        &mut source,
+        &scan.geometry,
+        &cfg(),
+        &run,
+        progress,
+        None,
+    )
+    .unwrap()
+}
+
+/// An uninterrupted run of the demo job on one device.
+fn one_shot(scan: &SyntheticScan) -> gpu::Reconstruction {
+    let device = Device::new(DeviceProps::tesla_m2070());
+    let mut source = InMemorySlabSource::new(scan.images.clone(), 14, 12, 10).unwrap();
+    let topology = gpu::Topology::device(&device);
+    gpu::reconstruct_fresh(
+        &topology,
+        &mut source,
+        &scan.geometry,
+        &cfg(),
+        &Default::default(),
+    )
+    .unwrap()
+}
+
+/// Fresh hardware: `nodes` new chassis (own PCIe bus, own host CPU) of
+/// `per_node` devices each, linked by a fabric.
+struct Machine {
+    devices: Vec<Vec<Device>>,
+    net: std::sync::Arc<laue::sim::Interconnect>,
+}
+
+impl Machine {
+    fn new(nodes: usize, per_node: usize) -> Machine {
+        let devices = (0..nodes)
+            .map(|_| {
+                let chassis = laue::sim::Host::new_default();
+                (0..per_node)
+                    .map(|_| Device::new_on_host(DeviceProps::tesla_m2070(), &chassis))
+                    .collect()
+            })
+            .collect();
+        let fabric = laue::sim::InterconnectProps::ib_qdr();
+        let net = laue::sim::Interconnect::new("test", nodes, fabric);
+        Machine { devices, net }
+    }
+
+    fn topology(&self) -> gpu::Topology<'_> {
+        let nodes = self.devices.iter().map(|ds| ds.iter().collect()).collect();
+        gpu::Topology::cluster(nodes, &self.net)
+    }
+}
+
 /// The serve-layer preemption contract, exercised at its foundation: a
 /// quantum-bounded run stopped at *every* slab boundary carries its
 /// [`SlabProgress`] checkpoint to a different device on a **different
@@ -95,95 +173,61 @@ fn resume_is_bit_identical_at_every_slab_boundary() {
 /// checkpoint were device- or chassis-flavored in any way, this catches it.
 #[test]
 fn preemption_resumes_on_a_foreign_chassis_at_every_slab_boundary() {
-    let scan = SyntheticScanBuilder::new(12, 10, 14)
-        .scatterers(6)
-        .background(15.0)
-        .seed(11)
-        .build()
-        .unwrap();
-    let cfg = cfg();
-    let source = || InMemorySlabSource::new(scan.images.clone(), 14, 12, 10).unwrap();
-
-    let baseline = gpu::reconstruct_with_options(
-        &Device::new(DeviceProps::tesla_m2070()),
-        &mut source(),
-        &scan.geometry,
-        &cfg,
-        GpuOptions::default(),
-    )
-    .unwrap();
+    let scan = demo_job();
+    let baseline = one_shot(&scan);
+    let n_bins = cfg().n_depth_bins;
 
     // Preempt after `boundary` committed slabs (2 rows each), resume the
     // tail on a device that shares nothing with the first.
     for boundary in 1..6 {
-        let mut progress = SlabProgress::new(cfg.n_depth_bins, 12, 10);
-        let chassis_a = laue::sim::Host::new_default();
-        let dev_a = Device::new_on_host(DeviceProps::tesla_m2070(), &chassis_a);
-        let (_, complete) = gpu::reconstruct_checkpointed_bounded(
-            &dev_a,
-            &mut source(),
-            &scan.geometry,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::default(),
-            None,
+        let mut progress = SlabProgress::new(n_bins, 12, 10);
+        let head = quantum(
+            &Machine::new(1, 1).topology(),
+            &scan,
             &mut progress,
-            None,
             2 * boundary,
-        )
-        .unwrap();
-        assert!(!complete, "boundary {boundary} must leave a tail");
+        );
+        assert!(!head.complete, "boundary {boundary} must leave a tail");
+        assert!(head.image.data.is_empty(), "the partial image stays put");
         assert_eq!(progress.committed_rows(), 2 * boundary);
 
-        let chassis_b = laue::sim::Host::new_default();
-        let dev_b = Device::new_on_host(DeviceProps::tesla_m2070(), &chassis_b);
-        let (out, complete) = gpu::reconstruct_checkpointed_bounded(
-            &dev_b,
-            &mut source(),
-            &scan.geometry,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::default(),
-            None,
+        let tail = quantum(
+            &Machine::new(1, 1).topology(),
+            &scan,
             &mut progress,
-            None,
             usize::MAX,
-        )
-        .unwrap();
-        assert!(complete, "boundary {boundary} tail must finish");
+        );
+        assert!(tail.complete, "boundary {boundary} tail must finish");
         assert_eq!(
-            out.image.data, baseline.image.data,
+            tail.image.data, baseline.image.data,
             "migrated resume at boundary {boundary} changed the bits"
         );
-        assert_eq!(out.stats, baseline.stats, "boundary {boundary} stats");
+        assert_eq!(tail.stats, baseline.stats, "boundary {boundary} stats");
     }
 
-    // The worst case: a new device on a new chassis for every quantum —
-    // the job tours six machines and still lands on the same bits.
-    let mut progress = SlabProgress::new(cfg.n_depth_bins, 12, 10);
-    let mut last = None;
-    for hop in 0..6 {
-        let chassis = laue::sim::Host::new_default();
-        let dev = Device::new_on_host(DeviceProps::tesla_m2070(), &chassis);
-        let (out, complete) = gpu::reconstruct_checkpointed_bounded(
-            &dev,
-            &mut source(),
-            &scan.geometry,
-            &cfg,
-            GpuOptions::default(),
-            PipelineDepth::default(),
-            None,
-            &mut progress,
-            None,
-            2,
-        )
-        .unwrap();
-        assert_eq!(complete, hop == 5, "six 2-row quanta cover 12 rows");
-        last = Some(out);
+    // The worst case: new hardware for every quantum — one device, one
+    // chassis of two, or two chassis over a fabric — in quanta of 1, 2,
+    // 3 or all 12 rows. The job tours up to twelve machines, lands on the
+    // same bits, and reports `complete` on its last quantum only.
+    for (nodes, per_node) in [(1, 1), (1, 2), (2, 1)] {
+        for rows in [1usize, 2, 3, 12] {
+            let tag = format!("{nodes}x{per_node}, {rows}-row quanta");
+            let n_quanta = 12usize.div_ceil(rows);
+            let mut progress = SlabProgress::new(n_bins, 12, 10);
+            for q in 1..=n_quanta {
+                let machine = Machine::new(nodes, per_node);
+                let out = quantum(&machine.topology(), &scan, &mut progress, rows);
+                assert_eq!(progress.committed_rows(), (q * rows).min(12), "{tag}");
+                assert_eq!(out.complete, q == n_quanta, "{tag}: quantum {q}");
+                if out.complete {
+                    assert_eq!(out.image.data, baseline.image.data, "{tag}");
+                    assert_eq!(out.stats, baseline.stats, "{tag}");
+                } else {
+                    assert!(out.image.data.is_empty(), "{tag}: quantum {q}");
+                }
+            }
+        }
     }
-    let toured = last.unwrap();
-    assert_eq!(toured.image.data, baseline.image.data);
-    assert_eq!(toured.stats, baseline.stats);
 }
 
 #[test]

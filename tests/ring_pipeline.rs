@@ -31,22 +31,18 @@ fn ring_run(
     c: &ReconstructionConfig,
     depth: usize,
     plan: Option<FaultPlan>,
-) -> laue::core::gpu::GpuReconstruction {
+) -> gpu::Reconstruction {
     let device = Device::new(DeviceProps::tesla_m2070());
     if let Some(plan) = plan {
         device.set_fault_plan(plan);
     }
     let mut source = InMemorySlabSource::new(scan.images.clone(), 12, 16, 16).unwrap();
-    gpu::reconstruct_pipelined(
-        &device,
-        &mut source,
-        &scan.geometry,
-        c,
-        GpuOptions::default(),
-        PipelineDepth(depth),
-        None,
-    )
-    .unwrap()
+    let run = gpu::RunOptions {
+        depth: PipelineDepth(depth),
+        ..gpu::RunOptions::default()
+    };
+    let topology = gpu::Topology::device(&device);
+    gpu::reconstruct_fresh(&topology, &mut source, &scan.geometry, c, &run).unwrap()
 }
 
 #[test]
