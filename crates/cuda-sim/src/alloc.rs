@@ -99,11 +99,6 @@ impl Allocator {
             .min(self.free_total())
     }
 
-    /// Number of live allocations.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
     /// Allocate `bytes` (rounded up to [`ALIGN`]); returns the range start.
     pub fn alloc(&mut self, bytes: u64) -> Result<u64, SimError> {
         if bytes == 0 {

@@ -1,8 +1,7 @@
 //! CRC64 over device-word payloads, for checksummed transfers.
 //!
-//! The checked copy variants ([`crate::Device::memcpy_htod_checked_on`] and
-//! friends) compare a CRC of the payload before the wire against a CRC of
-//! what landed. CRC-64/XZ's generator polynomial detects every single-bit
+//! A checked [`crate::Device::transfer`] compares a CRC of the payload
+//! before the wire against a CRC of what landed. CRC-64/XZ's generator polynomial detects every single-bit
 //! error (the code is linear and no `x^j` is divisible by the degree-64
 //! polynomial), which is exactly the corruption class the fault injector
 //! models — so a scripted flip can never slip through a checked copy.

@@ -11,12 +11,12 @@ use crate::error::{SimError, TransferDir};
 use crate::event::Event;
 use crate::fault::{FaultPlan, FaultState, FaultStats, LaunchEffects, TransferOutcome};
 use crate::host::Host;
-use crate::kernel::{Dim3, KernelCorrupt, LaunchConfig, ThreadCtx, WorkerState};
+use crate::kernel::{Dim3, KernelCorrupt, LaunchConfig, SharedTile, ThreadCtx, WorkerState};
 use crate::memory::{Allocation, DeviceBuffer, DeviceScalar};
 use crate::meter::{Cost, LaunchRecord, Meters};
 use crate::props::{DeviceProps, ExecMode};
 use crate::stream::{StreamId, Timelines};
-use crate::trace::{OpRecord, TraceBuf, TraceMode};
+use crate::trace::{OpRecord, TraceBuf};
 use crate::Result;
 
 static NEXT_DEVICE_ID: AtomicU64 = AtomicU64::new(1);
@@ -28,6 +28,101 @@ pub struct TimeSpan {
     pub start_s: f64,
     /// When it finished.
     pub end_s: f64,
+}
+
+/// One part of a [`Device::transfer`]: a device buffer and the host slice
+/// at the other end of the copy.
+#[derive(Debug)]
+pub enum Part<'a, T: DeviceScalar> {
+    /// Host → device: upload the slice into the buffer.
+    Up(&'a DeviceBuffer<T>, &'a [T]),
+    /// Device → host: download the buffer into the slice.
+    Down(&'a DeviceBuffer<T>, &'a mut [T]),
+}
+
+impl<T: DeviceScalar> Part<'_, T> {
+    fn dir(&self) -> TransferDir {
+        match self {
+            Part::Up(..) => TransferDir::HostToDevice,
+            Part::Down(..) => TransferDir::DeviceToHost,
+        }
+    }
+
+    fn buf(&self) -> &DeviceBuffer<T> {
+        match self {
+            Part::Up(buf, _) | Part::Down(buf, _) => buf,
+        }
+    }
+
+    fn host(&self) -> &[T] {
+        match self {
+            Part::Up(_, src) => src,
+            Part::Down(_, dst) => dst,
+        }
+    }
+
+    /// Move the payload to its destination.
+    fn copy(&mut self) {
+        match self {
+            Part::Up(buf, src) => src.iter().enumerate().for_each(|(i, &v)| buf.store(i, v)),
+            Part::Down(buf, dst) => dst
+                .iter_mut()
+                .enumerate()
+                .for_each(|(i, v)| *v = buf.load(i)),
+        }
+    }
+
+    /// A failed DMA may have written any prefix of the destination: poison
+    /// a device buffer so a retry must fully rewrite it, scribble garbage
+    /// into a host slice so the caller cannot use it.
+    fn spoil(&mut self) {
+        match self {
+            Part::Up(buf, _) => buf.poison(),
+            Part::Down(_, dst) => dst.fill(T::from_word(0xDEAD_BEEF_DEAD_BEEF)),
+        }
+    }
+
+    /// XOR the top bit of byte `off` of the landed payload: in device
+    /// memory for an upload, in the received host copy for a download.
+    /// Returns the flipped element's index.
+    fn flip(&mut self, off: u64) -> usize {
+        let elem = (off / T::SIZE) as usize;
+        let mask = 0x80u64 << (8 * (off % T::SIZE));
+        match self {
+            Part::Up(buf, _) => {
+                buf.word(elem).fetch_xor(mask, Ordering::Relaxed);
+            }
+            Part::Down(_, dst) => dst[elem] = T::from_word(dst[elem].to_word() ^ mask),
+        }
+        elem
+    }
+}
+
+/// CRC64 over the concatenated payload of `parts`, as the host slices hold
+/// it (`on_host`) or as device memory holds it.
+fn payload_crc<T: DeviceScalar>(parts: &[Part<'_, T>], on_host: bool) -> u64 {
+    checksum::crc64(parts.iter().flat_map(|p| {
+        (0..p.buf().len()).map(move |i| {
+            if on_host {
+                p.host()[i].to_word()
+            } else {
+                p.buf().word(i).load(Ordering::Relaxed)
+            }
+        })
+    }))
+}
+
+/// Apply an ordered silent flip at byte `off` of the concatenated payload:
+/// walk the parts to the owning one. Returns `(part, element)`.
+fn flip_payload<T: DeviceScalar>(parts: &mut [Part<'_, T>], mut off: u64) -> (usize, usize) {
+    for (i, part) in parts.iter_mut().enumerate() {
+        let bytes = part.buf().modeled_bytes();
+        if off < bytes {
+            return (i, part.flip(off));
+        }
+        off -= bytes;
+    }
+    unreachable!("flip offset is wrapped to the payload length")
 }
 
 /// Mutable bookkeeping behind one lock.
@@ -82,7 +177,7 @@ impl Device {
                 timelines: Timelines::new(Arc::clone(host.engine()), slot),
                 meters: Meters::default(),
                 records: Vec::new(),
-                trace: TraceBuf::new(TraceMode::default()),
+                trace: TraceBuf::default(),
                 exec_mode: ExecMode::Sequential,
             }),
             fault: Mutex::new(None),
@@ -182,9 +277,10 @@ impl Device {
     /// Consult the fault plan before a transfer. A transient fault still
     /// charges the bus time (the wire was busy while the copy failed) and
     /// leaves a `"fault"` op in the trace. A clean consult may still order
-    /// a **silent** payload corruption ([`TransferOutcome::Corrupt`]): the
-    /// copy paths apply it after the payload lands, leave a `"flip"` op in
-    /// the trace, and report success — exactly like real hardware.
+    /// a **silent** payload corruption ([`TransferOutcome::Corrupt`]):
+    /// [`transfer`](Self::transfer) applies it after the payload lands,
+    /// leaves a `"flip"` op in the trace, and reports success — exactly
+    /// like real hardware.
     fn fault_check_transfer(
         &self,
         dir: TransferDir,
@@ -241,8 +337,7 @@ impl Device {
 
     /// Consult the fault plan before a kernel launch. A permitted launch
     /// may carry silent effects (an armed deposit flip, an injected stall)
-    /// that [`launch_shared_on`](Self::launch_shared_on) applies while
-    /// executing it.
+    /// that [`launch`](Self::launch) applies while executing it.
     fn fault_check_launch(&self) -> Result<LaunchEffects> {
         match self.fault.lock().as_mut() {
             Some(f) => f.on_launch(),
@@ -264,7 +359,6 @@ impl Device {
         let addr = self.allocator.lock().alloc(bytes)?;
         let allocation = Allocation {
             addr,
-            bytes,
             allocator: Arc::clone(&self.allocator),
         };
         Ok(DeviceBuffer::new(len, allocation, self.id))
@@ -279,13 +373,13 @@ impl Device {
     /// Allocate and upload in one step (charges the H2D transfer).
     pub fn alloc_from_slice<T: DeviceScalar>(&self, data: &[T]) -> Result<DeviceBuffer<T>> {
         let buf = self.alloc::<T>(data.len())?;
-        self.memcpy_htod(&buf, data)?;
+        self.transfer(
+            StreamId::DEFAULT,
+            TransferDir::HostToDevice,
+            &mut [Part::Up(&buf, data)],
+            false,
+        )?;
         Ok(buf)
-    }
-
-    /// Explicitly free a buffer (equivalent to dropping the last handle).
-    pub fn free<T: DeviceScalar>(&self, buf: DeviceBuffer<T>) {
-        drop(buf);
     }
 
     /// Bytes currently allocated on the device.
@@ -307,375 +401,148 @@ impl Device {
     // Transfers
     // ------------------------------------------------------------------
 
-    fn check_buffer<T: DeviceScalar>(&self, buf: &DeviceBuffer<T>) -> Result<()> {
-        if buf.device_id != self.id {
-            return Err(SimError::ForeignBuffer);
-        }
-        Ok(())
-    }
-
-    /// Copy host → device on the default stream.
-    pub fn memcpy_htod<T: DeviceScalar>(
-        &self,
-        buf: &DeviceBuffer<T>,
-        src: &[T],
-    ) -> Result<TimeSpan> {
-        self.memcpy_htod_on(StreamId::DEFAULT, buf, src)
-    }
-
-    /// Copy host → device on a chosen stream.
-    pub fn memcpy_htod_on<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        buf: &DeviceBuffer<T>,
-        src: &[T],
-    ) -> Result<TimeSpan> {
-        self.check_buffer(buf)?;
-        if src.len() != buf.len() {
-            return Err(SimError::CopyLengthMismatch {
-                device_len: buf.len(),
-                host_len: src.len(),
-            });
-        }
-        let outcome =
-            match self.fault_check_transfer(TransferDir::HostToDevice, stream, buf.modeled_bytes())
-            {
-                Ok(o) => o,
-                Err(e) => {
-                    if e.is_transient() {
-                        // A failed DMA may have written any prefix of the buffer;
-                        // poison it all so a retry must fully rewrite the data.
-                        buf.poison();
-                    }
-                    return Err(e);
-                }
-            };
-        for (i, &v) in src.iter().enumerate() {
-            buf.store(i, v);
-        }
-        let flipped = apply_flip_device(outcome, buf);
-        let bytes = buf.modeled_bytes();
-        let dur = self.props.transfer_time(bytes);
-        let mut st = self.state.lock();
-        let (start_s, end_s) =
-            self.bus_transfer(&mut st, stream, TransferDir::HostToDevice, "h2d", dur);
-        st.meters.comm_time_s += dur;
-        st.meters.h2d_bytes += bytes;
-        st.meters.transfers += 1;
-        st.trace
-            .push_with("h2d", stream.index(), start_s, end_s, || {
-                format!("H2D {bytes} B")
-            });
-        if let Some(elem) = flipped {
-            st.trace
-                .push_with("flip", stream.index(), end_s, end_s, || {
-                    format!("H2D silent flip @ element {elem}")
-                });
-        }
-        Ok(TimeSpan { start_s, end_s })
-    }
-
-    /// Stage several host → device copies into **one** coalesced bus
-    /// transaction on `stream` (the pinned-staging / `cudaMemcpy2D`
-    /// analogue). The transaction pays the PCIe latency once and the
-    /// bandwidth term on the summed payload:
-    /// `max(latency) + Σ bytes / bw` — see
-    /// [`DeviceProps::transfer_time_batched`].
-    ///
-    /// Fault semantics match the single-copy path, applied to the
-    /// transaction as a whole: a transient fault burns the full bus time,
-    /// poisons **every** destination buffer (a partial DMA may have touched
-    /// any of them), and counts as one failed H2D; the caller retries the
-    /// whole batch. Validation (foreign buffers, length mismatches) happens
-    /// before any data moves.
-    pub fn memcpy_htod_batched<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        copies: &[(&DeviceBuffer<T>, &[T])],
-    ) -> Result<TimeSpan> {
-        if copies.is_empty() {
-            return Err(SimError::InvalidRequest("empty batched copy".into()));
-        }
-        let mut bytes = 0u64;
-        for (buf, src) in copies {
-            self.check_buffer(buf)?;
-            if src.len() != buf.len() {
-                return Err(SimError::CopyLengthMismatch {
-                    device_len: buf.len(),
-                    host_len: src.len(),
-                });
-            }
-            bytes += buf.modeled_bytes();
-        }
-        let outcome = match self.fault_check_transfer(TransferDir::HostToDevice, stream, bytes) {
-            Ok(o) => o,
-            Err(e) => {
-                if e.is_transient() {
-                    for (buf, _) in copies {
-                        buf.poison();
-                    }
-                }
-                return Err(e);
-            }
-        };
-        for (buf, src) in copies {
-            for (i, &v) in src.iter().enumerate() {
-                buf.store(i, v);
-            }
-        }
-        // A silent flip addresses the transaction's concatenated payload;
-        // walk the copies to find the owning buffer.
-        let mut flipped: Option<usize> = None;
-        if let TransferOutcome::Corrupt { byte } = outcome {
-            let mut off = byte % bytes;
-            for (buf, _) in copies {
-                if off < buf.modeled_bytes() {
-                    flipped = apply_flip_device(TransferOutcome::Corrupt { byte: off }, buf);
-                    break;
-                }
-                off -= buf.modeled_bytes();
-            }
-        }
-        let dur = self.props.transfer_time_batched(bytes);
-        let n = copies.len() as u64;
-        let mut st = self.state.lock();
-        let (start_s, end_s) =
-            self.bus_transfer(&mut st, stream, TransferDir::HostToDevice, "h2d", dur);
-        st.meters.comm_time_s += dur;
-        st.meters.h2d_bytes += bytes;
-        st.meters.transfers += 1;
-        st.meters.coalesced_transactions += 1;
-        st.meters.coalesced_copies += n;
-        st.trace
-            .push_with("h2d", stream.index(), start_s, end_s, || {
-                format!("H2D coalesced {n}×, {bytes} B")
-            });
-        if let Some(elem) = flipped {
-            st.trace
-                .push_with("flip", stream.index(), end_s, end_s, || {
-                    format!("H2D silent flip @ element {elem} (coalesced)")
-                });
-        }
-        Ok(TimeSpan { start_s, end_s })
-    }
-
-    /// Copy device → host on the default stream.
-    pub fn memcpy_dtoh<T: DeviceScalar>(
-        &self,
-        buf: &DeviceBuffer<T>,
-        dst: &mut [T],
-    ) -> Result<TimeSpan> {
-        self.memcpy_dtoh_on(StreamId::DEFAULT, buf, dst)
-    }
-
-    /// Copy device → host on a chosen stream.
-    pub fn memcpy_dtoh_on<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        buf: &DeviceBuffer<T>,
-        dst: &mut [T],
-    ) -> Result<TimeSpan> {
-        self.check_buffer(buf)?;
-        if dst.len() != buf.len() {
-            return Err(SimError::CopyLengthMismatch {
-                device_len: buf.len(),
-                host_len: dst.len(),
-            });
-        }
-        let outcome =
-            match self.fault_check_transfer(TransferDir::DeviceToHost, stream, buf.modeled_bytes())
-            {
-                Ok(o) => o,
-                Err(e) => {
-                    if e.is_transient() {
-                        // Partial-DMA analogue on the host side: scribble garbage
-                        // into the destination so the caller cannot use it.
-                        for v in dst.iter_mut() {
-                            *v = T::from_word(0xDEAD_BEEF_DEAD_BEEF);
-                        }
-                    }
-                    return Err(e);
-                }
-            };
-        for (i, v) in dst.iter_mut().enumerate() {
-            *v = buf.load(i);
-        }
-        let bytes = buf.modeled_bytes();
-        // A D2H flip lands in the received host copy; device memory keeps
-        // the true data (that asymmetry is what readback CRCs catch).
-        let mut flipped: Option<usize> = None;
-        if let TransferOutcome::Corrupt { byte } = outcome {
-            let off = byte % bytes;
-            let elem = (off / T::SIZE) as usize;
-            let mask = 0x80u64 << (8 * (off % T::SIZE));
-            dst[elem] = T::from_word(dst[elem].to_word() ^ mask);
-            flipped = Some(elem);
-        }
-        let dur = self.props.transfer_time(bytes);
-        let mut st = self.state.lock();
-        let (start_s, end_s) =
-            self.bus_transfer(&mut st, stream, TransferDir::DeviceToHost, "d2h", dur);
-        st.meters.comm_time_s += dur;
-        st.meters.d2h_bytes += bytes;
-        st.meters.transfers += 1;
-        st.trace
-            .push_with("d2h", stream.index(), start_s, end_s, || {
-                format!("D2H {bytes} B")
-            });
-        if let Some(elem) = flipped {
-            st.trace
-                .push_with("flip", stream.index(), end_s, end_s, || {
-                    format!("D2H silent flip @ element {elem}")
-                });
-        }
-        Ok(TimeSpan { start_s, end_s })
-    }
-
-    // ------------------------------------------------------------------
-    // Checksummed transfers (end-to-end integrity)
-    // ------------------------------------------------------------------
-
     /// Host FLOPs one CRC64 pass charges per payload byte (a table-driven
     /// software CRC: one XOR plus one table fold per byte, amortized).
     pub const CRC64_FLOPS_PER_BYTE: u64 = 4;
 
-    /// [`memcpy_htod_on`](Self::memcpy_htod_on) with end-to-end payload
-    /// verification: a CRC64 is computed over the host staging buffer
-    /// before the copy and recomputed over the landed device words after
-    /// it (modeling a device-side checksum pass; its cost is charged as
-    /// host FLOPs on the overlapped host-CPU resource — no extra bus
-    /// traffic). A mismatch reports [`SimError::CorruptTransfer`], which is
-    /// retryable exactly like a transient transfer fault: a retry re-sends
-    /// the payload.
-    pub fn memcpy_htod_checked_on<T: DeviceScalar>(
+    /// Copy `parts` across the bus in direction `dir` on `stream`, as
+    /// **one** transaction (the pinned-staging / `cudaMemcpy2D` analogue):
+    /// it pays the PCIe latency once and the bandwidth term on the summed
+    /// payload, `pcie_latency + Σ bytes / bw`. Every part must point the
+    /// same way as `dir` ([`Part::Up`] for host → device, [`Part::Down`]
+    /// for device → host).
+    ///
+    /// Validation (an empty list, a part pointing the other way, a foreign
+    /// buffer, a length mismatch) happens before any data moves. A
+    /// transient fault burns the full bus time, counts as one failed
+    /// transfer in `dir`, and spoils every destination — an H2D poisons
+    /// every device buffer, a D2H scribbles every host slice — since a
+    /// partial DMA may have touched any of them; the caller retries the
+    /// whole transaction. A silent flip addresses the concatenated payload:
+    /// an H2D flip lands in device memory, a D2H flip only in the received
+    /// host copy (device memory keeps the truth).
+    ///
+    /// With `checked`, a CRC64 over the payload before the wire is compared
+    /// against a CRC64 over what landed (modeling a device-side checksum
+    /// pass; both passes are charged as host FLOPs on the overlapped
+    /// host-CPU resource — no extra bus traffic). A mismatch reports
+    /// [`SimError::CorruptTransfer`], which is retryable exactly like a
+    /// transient fault; the destinations hold the corrupted payload then
+    /// and must not be used.
+    pub fn transfer<T: DeviceScalar>(
         &self,
         stream: StreamId,
-        buf: &DeviceBuffer<T>,
-        src: &[T],
+        dir: TransferDir,
+        parts: &mut [Part<'_, T>],
+        checked: bool,
     ) -> Result<TimeSpan> {
-        let expect = checksum::crc64(src.iter().map(|v| v.to_word()));
-        let span = self.memcpy_htod_on(stream, buf, src)?;
-        let landed = checksum::crc64((0..buf.len()).map(|i| buf.word(i).load(Ordering::Relaxed)));
-        self.charge_host_flops(2 * buf.modeled_bytes() * Self::CRC64_FLOPS_PER_BYTE);
-        if landed != expect {
-            return Err(SimError::CorruptTransfer {
-                dir: TransferDir::HostToDevice,
-                index: self.meters().transfers,
-            });
+        if parts.is_empty() {
+            return Err(SimError::InvalidRequest("empty transfer".into()));
         }
-        Ok(span)
-    }
-
-    /// [`memcpy_htod_batched`](Self::memcpy_htod_batched) with the same
-    /// end-to-end verification as
-    /// [`memcpy_htod_checked_on`](Self::memcpy_htod_checked_on), applied to
-    /// the transaction's concatenated payload.
-    pub fn memcpy_htod_batched_checked<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        copies: &[(&DeviceBuffer<T>, &[T])],
-    ) -> Result<TimeSpan> {
-        let expect = checksum::crc64(
-            copies
-                .iter()
-                .flat_map(|(_, src)| src.iter().map(|v| v.to_word())),
-        );
-        let span = self.memcpy_htod_batched(stream, copies)?;
-        let landed =
-            checksum::crc64(copies.iter().flat_map(|(buf, _)| {
-                (0..buf.len()).map(move |i| buf.word(i).load(Ordering::Relaxed))
-            }));
-        let bytes: u64 = copies.iter().map(|(buf, _)| buf.modeled_bytes()).sum();
-        self.charge_host_flops(2 * bytes * Self::CRC64_FLOPS_PER_BYTE);
-        if landed != expect {
-            return Err(SimError::CorruptTransfer {
-                dir: TransferDir::HostToDevice,
-                index: self.meters().transfers,
-            });
+        let mut bytes = 0u64;
+        for part in parts.iter() {
+            if part.dir() != dir {
+                return Err(SimError::InvalidRequest(format!(
+                    "{} part in a {dir} transfer",
+                    part.dir()
+                )));
+            }
+            let (buf, host_len) = (part.buf(), part.host().len());
+            if buf.device_id != self.id {
+                return Err(SimError::ForeignBuffer);
+            }
+            if host_len != buf.len() {
+                return Err(SimError::CopyLengthMismatch {
+                    device_len: buf.len(),
+                    host_len,
+                });
+            }
+            bytes += buf.modeled_bytes();
         }
-        Ok(span)
-    }
-
-    /// [`memcpy_dtoh_on`](Self::memcpy_dtoh_on) with end-to-end payload
-    /// verification: a CRC64 over the device words before the copy is
-    /// compared against a CRC64 over the received host data. A mismatch
-    /// reports [`SimError::CorruptTransfer`] (retryable); the destination
-    /// holds the corrupted payload in that case and must not be used.
-    pub fn memcpy_dtoh_checked_on<T: DeviceScalar>(
-        &self,
-        stream: StreamId,
-        buf: &DeviceBuffer<T>,
-        dst: &mut [T],
-    ) -> Result<TimeSpan> {
-        let expect = checksum::crc64((0..buf.len()).map(|i| buf.word(i).load(Ordering::Relaxed)));
-        let span = self.memcpy_dtoh_on(stream, buf, dst)?;
-        let landed = checksum::crc64(dst.iter().map(|v| v.to_word()));
-        self.charge_host_flops(2 * buf.modeled_bytes() * Self::CRC64_FLOPS_PER_BYTE);
-        if landed != expect {
-            return Err(SimError::CorruptTransfer {
-                dir: TransferDir::DeviceToHost,
-                index: self.meters().transfers,
-            });
+        let to_device = dir == TransferDir::HostToDevice;
+        let sent_crc = checked.then(|| payload_crc(parts, to_device));
+        let outcome = match self.fault_check_transfer(dir, stream, bytes) {
+            Ok(o) => o,
+            Err(e) => {
+                if e.is_transient() {
+                    parts.iter_mut().for_each(Part::spoil);
+                }
+                return Err(e);
+            }
+        };
+        parts.iter_mut().for_each(Part::copy);
+        let flipped = match outcome {
+            TransferOutcome::Clean => None,
+            TransferOutcome::Corrupt { byte } => Some(flip_payload(parts, byte % bytes)),
+        };
+        let dur = self.props.transfer_time(bytes);
+        let kind = if to_device { "h2d" } else { "d2h" };
+        let mut st = self.state.lock();
+        let (start_s, end_s) = self.bus_transfer(&mut st, stream, dir, kind, dur);
+        st.meters.comm_time_s += dur;
+        if to_device {
+            st.meters.h2d_bytes += bytes;
+        } else {
+            st.meters.d2h_bytes += bytes;
         }
-        Ok(span)
+        st.meters.transfers += 1;
+        let index = st.meters.transfers;
+        let n = parts.len();
+        st.trace
+            .push_with(kind, stream.index(), start_s, end_s, || {
+                format!("{} {bytes} B in {n} part(s)", kind.to_uppercase())
+            });
+        if let Some((part, elem)) = flipped {
+            st.trace
+                .push_with("flip", stream.index(), end_s, end_s, || {
+                    format!(
+                        "{} silent flip @ part {part} element {elem}",
+                        kind.to_uppercase()
+                    )
+                });
+        }
+        drop(st);
+        if let Some(expect) = sent_crc {
+            let landed = payload_crc(parts, !to_device);
+            self.charge_host_flops(2 * bytes * Self::CRC64_FLOPS_PER_BYTE);
+            if landed != expect {
+                return Err(SimError::CorruptTransfer { dir, index });
+            }
+        }
+        Ok(TimeSpan { start_s, end_s })
     }
 
     // ------------------------------------------------------------------
     // Kernel launches
     // ------------------------------------------------------------------
 
-    /// Launch a kernel on the default stream. The closure runs once per
-    /// simulated thread; see [`ThreadCtx`] for the device-side API.
-    pub fn launch<F>(&self, name: &str, cfg: LaunchConfig, kernel: F) -> Result<LaunchRecord>
-    where
-        F: Fn(&mut ThreadCtx<'_>) + Sync,
-    {
-        self.launch_on(StreamId::DEFAULT, name, cfg, kernel)
-    }
-
-    /// Launch a kernel on a chosen stream.
-    pub fn launch_on<F>(
+    /// Launch a kernel on `stream`. The closure runs once per simulated
+    /// thread with the block's `__shared__` tile (see [`ThreadCtx`] for the
+    /// device-side API); a kernel launched without a [`SharedTile`] gets an
+    /// empty tile and ignores it.
+    ///
+    /// With a tile, every block gets its own zero-initialised tile of
+    /// `tile.doubles` doubles, and `tile.epilogue` runs **once per block**
+    /// (with a context at thread (0,0,0)) after all the block's threads
+    /// finish — the simulator's `__syncthreads()`-then-reduce idiom. Blocks
+    /// never share a tile, so the pattern is deterministic even under
+    /// [`ExecMode::Threaded`]. The reservation is charged to the launch as
+    /// occupancy pressure ([`Cost::shared_request`]); a request exceeding
+    /// the device's `shared_mem_per_block` is an
+    /// [`SimError::InvalidLaunch`], exactly like an oversized block.
+    pub fn launch<F>(
         &self,
         stream: StreamId,
         name: &str,
         cfg: LaunchConfig,
+        tile: Option<SharedTile<'_>>,
         kernel: F,
-    ) -> Result<LaunchRecord>
-    where
-        F: Fn(&mut ThreadCtx<'_>) + Sync,
-    {
-        self.launch_shared_on(stream, name, cfg, 0, |ctx, _| kernel(ctx), |_, _| {})
-    }
-
-    /// Launch a kernel that reserves `shared_f64` doubles of `__shared__`
-    /// memory per block.
-    ///
-    /// Every block gets its own zero-initialised tile; the kernel closure
-    /// runs once per thread with the block's tile, then `epilogue` runs
-    /// **once per block** (with a context at thread (0,0,0)) after all the
-    /// block's threads finish — the simulator's `__syncthreads()`-then-
-    /// reduce idiom. Blocks never share a tile, so the pattern is
-    /// deterministic even under [`ExecMode::Threaded`].
-    ///
-    /// The reservation is charged to the launch as occupancy pressure
-    /// ([`Cost::shared_request`]); a request exceeding the device's
-    /// `shared_mem_per_block` is an [`SimError::InvalidLaunch`], exactly
-    /// like an oversized block.
-    pub fn launch_shared_on<F, E>(
-        &self,
-        stream: StreamId,
-        name: &str,
-        cfg: LaunchConfig,
-        shared_f64: usize,
-        kernel: F,
-        epilogue: E,
     ) -> Result<LaunchRecord>
     where
         F: Fn(&mut ThreadCtx<'_>, &mut [f64]) + Sync,
-        E: Fn(&mut ThreadCtx<'_>, &mut [f64]) + Sync,
     {
         cfg.validate(&self.props)?;
-        let shared_bytes = shared_f64 as u64 * 8;
+        let shared_bytes = tile.map_or(0, |t| t.doubles) as u64 * 8;
         if shared_bytes > self.props.shared_mem_per_block {
             return Err(SimError::InvalidLaunch(format!(
                 "{shared_bytes} B of shared memory per block exceeds limit {}",
@@ -689,14 +556,7 @@ impl Device {
             ExecMode::Sequential => {
                 let mut state = WorkerState::new();
                 state.corrupt = corrupt.clone();
-                run_block_range(
-                    cfg,
-                    0..cfg.grid.count(),
-                    shared_f64,
-                    &kernel,
-                    &epilogue,
-                    &mut state,
-                );
+                run_block_range(cfg, 0..cfg.grid.count(), tile, &kernel, &mut state);
                 let mut cost = state.cost;
                 cost.atomic_max_chain = state.chain.max_chain();
                 (cost, state.traces)
@@ -720,14 +580,7 @@ impl Device {
                                     break;
                                 }
                                 let end = (start + grain).min(total);
-                                run_block_range(
-                                    cfg,
-                                    start..end,
-                                    shared_f64,
-                                    &kernel,
-                                    &epilogue,
-                                    &mut state,
-                                );
+                                run_block_range(cfg, start..end, tile, &kernel, &mut state);
                             }
                             states.lock().push(state);
                         });
@@ -875,19 +728,13 @@ impl Device {
         crate::trace::chrome_trace(&[(self.props.name.clone(), self.ops())])
     }
 
-    /// Copy of the raw operation log behind the trace export (bounded by
-    /// the current [`TraceMode`]).
+    /// Copy of the raw operation log behind the trace export (the newest
+    /// [`crate::DEFAULT_TRACE_CAP`] records).
     pub fn ops(&self) -> Vec<OpRecord> {
         self.state.lock().trace.ops()
     }
 
-    /// Choose how much of the op log to keep (default: a bounded ring,
-    /// see [`TraceMode`]). `TraceMode::Off` also skips name formatting.
-    pub fn set_trace_mode(&self, mode: TraceMode) {
-        self.state.lock().trace.set_mode(mode);
-    }
-
-    /// Op records not retained by the current trace mode.
+    /// Op records that fell off the bounded trace ring.
     pub fn trace_dropped(&self) -> u64 {
         self.state.lock().trace.dropped()
     }
@@ -929,23 +776,6 @@ impl Device {
     }
 }
 
-/// Apply an ordered silent payload flip to a landed device buffer: XOR the
-/// top bit of the addressed byte (wrapped to the payload length). Returns
-/// the flipped element's index so the caller can trace it.
-fn apply_flip_device<T: DeviceScalar>(
-    outcome: TransferOutcome,
-    buf: &DeviceBuffer<T>,
-) -> Option<usize> {
-    let TransferOutcome::Corrupt { byte } = outcome else {
-        return None;
-    };
-    let off = byte % buf.modeled_bytes();
-    let elem = (off / T::SIZE) as usize;
-    let mask = 0x80u64 << (8 * (off % T::SIZE));
-    buf.word(elem).fetch_xor(mask, Ordering::Relaxed);
-    Some(elem)
-}
-
 /// Decompose a linear block index into grid coordinates (x fastest).
 fn block_coords(grid: Dim3, linear: u64) -> Dim3 {
     let x = linear % grid.x;
@@ -954,20 +784,18 @@ fn block_coords(grid: Dim3, linear: u64) -> Dim3 {
     Dim3 { x, y, z }
 }
 
-fn run_block_range<F, E>(
+fn run_block_range<F>(
     cfg: LaunchConfig,
     blocks: std::ops::Range<u64>,
-    shared_f64: usize,
+    tile: Option<SharedTile<'_>>,
     kernel: &F,
-    epilogue: &E,
     state: &mut WorkerState,
 ) where
     F: Fn(&mut ThreadCtx<'_>, &mut [f64]) + Sync,
-    E: Fn(&mut ThreadCtx<'_>, &mut [f64]) + Sync,
 {
     // One tile per worker, re-zeroed per block (the hardware hands every
     // block pristine shared memory only logically; reuse is free here).
-    let mut shared = vec![0.0f64; shared_f64];
+    let mut shared = vec![0.0f64; tile.map_or(0, |t| t.doubles)];
     for b in blocks {
         let block_idx = block_coords(cfg.grid, b);
         shared.fill(0.0);
@@ -989,14 +817,16 @@ fn run_block_range<F, E>(
                 }
             }
         }
-        let mut ctx = ThreadCtx {
-            block_idx,
-            thread_idx: Dim3 { x: 0, y: 0, z: 0 },
-            grid_dim: cfg.grid,
-            block_dim: cfg.block,
-            state,
-        };
-        epilogue(&mut ctx, &mut shared);
+        if let Some(tile) = tile {
+            let mut ctx = ThreadCtx {
+                block_idx,
+                thread_idx: Dim3 { x: 0, y: 0, z: 0 },
+                grid_dim: cfg.grid,
+                block_dim: cfg.block,
+                state,
+            };
+            (tile.epilogue)(&mut ctx, &mut shared);
+        }
     }
 }
 
@@ -1023,6 +853,28 @@ mod tests {
         Device::new(DeviceProps::tiny(1 << 16))
     }
 
+    /// One-part unchecked upload on the default stream.
+    fn up<T: DeviceScalar>(d: &Device, buf: &DeviceBuffer<T>, src: &[T]) -> Result<TimeSpan> {
+        let mut parts = [Part::Up(buf, src)];
+        d.transfer(
+            StreamId::DEFAULT,
+            TransferDir::HostToDevice,
+            &mut parts,
+            false,
+        )
+    }
+
+    /// One-part unchecked download on the default stream.
+    fn down<T: DeviceScalar>(d: &Device, buf: &DeviceBuffer<T>, dst: &mut [T]) -> Result<TimeSpan> {
+        let mut parts = [Part::Down(buf, dst)];
+        d.transfer(
+            StreamId::DEFAULT,
+            TransferDir::DeviceToHost,
+            &mut parts,
+            false,
+        )
+    }
+
     #[test]
     fn alloc_respects_capacity() {
         let d = tiny_device();
@@ -1032,7 +884,7 @@ mod tests {
             d.alloc::<f64>(2048),
             Err(SimError::OutOfMemory { .. })
         ));
-        d.free(a);
+        drop(a);
         assert!(d.alloc::<f64>(2048).is_ok(), "freeing makes room");
         assert!(d.mem_peak() >= d.mem_used());
     }
@@ -1048,7 +900,7 @@ mod tests {
         let d = tiny_device();
         let buf = d.alloc_from_slice(&[1.5f64, -2.0, 3.25]).unwrap();
         let mut back = [0.0f64; 3];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
+        down(&d, &buf, &mut back).unwrap();
         assert_eq!(back, [1.5, -2.0, 3.25]);
         let m = d.meters();
         assert_eq!(m.transfers, 2);
@@ -1062,44 +914,64 @@ mod tests {
         let d = tiny_device();
         let buf = d.alloc::<u32>(4).unwrap();
         assert!(matches!(
-            d.memcpy_htod(&buf, &[1u32, 2]),
+            up(&d, &buf, &[1u32, 2]),
             Err(SimError::CopyLengthMismatch {
                 device_len: 4,
                 host_len: 2
             })
         ));
         let mut small = [0u32; 3];
-        assert!(d.memcpy_dtoh(&buf, &mut small).is_err());
+        assert!(down(&d, &buf, &mut small).is_err());
     }
 
     #[test]
     fn batched_copy_coalesces_latency() {
-        let d = tiny_device();
-        let a = d.alloc::<f64>(8).unwrap();
-        let b = d.alloc::<f64>(4).unwrap();
-        let ha: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        let hb: Vec<f64> = (0..4).map(|i| 100.0 + i as f64).collect();
-        let span = d
-            .memcpy_htod_batched(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)])
+        // One part or three, a transaction pays the link latency once plus
+        // the bandwidth term on its summed payload.
+        for lens in [&[8usize][..], &[8, 4, 2]] {
+            let d = tiny_device();
+            let bufs: Vec<DeviceBuffer<f64>> = lens.iter().map(|&n| d.alloc(n).unwrap()).collect();
+            let hosts: Vec<Vec<f64>> = (0..lens.len())
+                .map(|k| (0..lens[k]).map(|i| (100 * k + i) as f64).collect())
+                .collect();
+            let mut parts: Vec<Part<'_, f64>> = bufs
+                .iter()
+                .zip(&hosts)
+                .map(|(b, h)| Part::Up(b, h))
+                .collect();
+            d.transfer(
+                StreamId::DEFAULT,
+                TransferDir::HostToDevice,
+                &mut parts,
+                false,
+            )
             .unwrap();
-        let m = d.meters();
-        assert_eq!(m.transfers, 1, "one bus transaction");
-        assert_eq!(m.coalesced_transactions, 1);
-        assert_eq!(m.coalesced_copies, 2);
-        assert_eq!(m.h2d_bytes, 96);
-        // One latency + summed bandwidth term, strictly cheaper than two
-        // separate copies.
-        let serial = d.props().transfer_time(64) + d.props().transfer_time(32);
-        let expect = d.props().transfer_time_batched(96);
-        assert!((span.end_s - span.start_s - expect).abs() < 1e-15);
-        assert!(m.comm_time_s < serial);
-        // The payloads really arrived.
-        let mut back = vec![0.0f64; 8];
-        d.memcpy_dtoh(&a, &mut back).unwrap();
-        assert_eq!(back, ha);
-        let mut back = vec![0.0f64; 4];
-        d.memcpy_dtoh(&b, &mut back).unwrap();
-        assert_eq!(back, hb);
+            let bytes = 8 * lens.iter().sum::<usize>() as u64;
+            let (m, p) = (d.meters(), d.props());
+            assert_eq!(m.transfers, 1, "one bus transaction");
+            assert_eq!(m.h2d_bytes, bytes);
+            assert_eq!(m.comm_time_s, p.pcie_latency + bytes as f64 / p.pcie_bw);
+            if lens.len() > 1 {
+                let separate: f64 = lens.iter().map(|&n| p.transfer_time(8 * n as u64)).sum();
+                assert!(m.comm_time_s < separate, "cheaper than separate copies");
+            }
+            // The payloads really arrived: read them back as one download.
+            let mut backs: Vec<Vec<f64>> = lens.iter().map(|&n| vec![0.0; n]).collect();
+            let mut parts: Vec<Part<'_, f64>> = bufs
+                .iter()
+                .zip(&mut backs)
+                .map(|(b, h)| Part::Down(b, h))
+                .collect();
+            d.transfer(
+                StreamId::DEFAULT,
+                TransferDir::DeviceToHost,
+                &mut parts,
+                false,
+            )
+            .unwrap();
+            assert_eq!(backs, hosts);
+            assert_eq!(d.meters().transfers, 2);
+        }
     }
 
     #[test]
@@ -1107,40 +979,82 @@ mod tests {
         let d = tiny_device();
         let a = d.alloc_from_slice(&[5.0f64, 6.0]).unwrap();
         let b = d.alloc::<f64>(4).unwrap();
+        let foreign = tiny_device().alloc::<f64>(2).unwrap();
+        let h2d = |parts: &mut [Part<'_, f64>]| {
+            d.transfer(StreamId::DEFAULT, TransferDir::HostToDevice, parts, false)
+        };
+        assert!(matches!(
+            h2d(&mut [Part::Up(&a, &[1.0, 2.0]), Part::Up(&b, &[0.0; 3])]),
+            Err(SimError::CopyLengthMismatch { .. })
+        ));
+        assert!(matches!(
+            h2d(&mut [Part::Up(&a, &[1.0, 2.0]), Part::Up(&foreign, &[3.0, 4.0])]),
+            Err(SimError::ForeignBuffer)
+        ));
+        let mut sink = [0.0f64; 4];
+        assert!(matches!(
+            h2d(&mut [Part::Up(&a, &[1.0, 2.0]), Part::Down(&b, &mut sink)]),
+            Err(SimError::InvalidRequest(_))
+        ));
+        assert!(matches!(h2d(&mut []), Err(SimError::InvalidRequest(_))));
+        // A rejected download leaves its host slices untouched too.
+        let mut first = [9.0f64; 2];
+        let mut short = [9.0f64; 3];
         assert!(d
-            .memcpy_htod_batched(StreamId::DEFAULT, &[(&a, &[1.0, 2.0]), (&b, &[0.0; 3])])
+            .transfer(
+                StreamId::DEFAULT,
+                TransferDir::DeviceToHost,
+                &mut [Part::Down(&a, &mut first), Part::Down(&foreign, &mut short)],
+                false,
+            )
             .is_err());
-        // The length mismatch on `b` must have left `a` untouched.
+        assert_eq!(first, [9.0; 2]);
+        assert_eq!(d.meters().transfers, 1, "only the initial upload ran");
+        // The rejected uploads must have left `a` untouched.
         let mut back = [0.0f64; 2];
-        d.memcpy_dtoh(&a, &mut back).unwrap();
+        down(&d, &a, &mut back).unwrap();
         assert_eq!(back, [5.0, 6.0]);
-        assert!(d
-            .memcpy_htod_batched::<f64>(StreamId::DEFAULT, &[])
-            .is_err());
     }
 
     #[test]
     fn batched_copy_transient_fault_poisons_all_destinations() {
         let d = tiny_device();
+        let a = d.alloc_from_slice(&[7.0f64, 8.0]).unwrap();
+        let b = d.alloc_from_slice(&[7.0f64, 8.0]).unwrap();
+        let c = d.alloc_from_slice(&[7.0f64, 8.0]).unwrap();
         d.set_fault_plan(FaultPlan::new(0).fail_nth_h2d(1));
-        let a = d.alloc::<f64>(2).unwrap();
-        let b = d.alloc::<f64>(2).unwrap();
         let host = [1.0f64, 2.0];
-        assert!(d
-            .memcpy_htod_batched(StreamId::DEFAULT, &[(&a, &host), (&b, &host)])
-            .is_err());
+        let upload = || {
+            let mut parts = [
+                Part::Up(&a, &host),
+                Part::Up(&b, &host),
+                Part::Up(&c, &host),
+            ];
+            d.transfer(
+                StreamId::DEFAULT,
+                TransferDir::HostToDevice,
+                &mut parts,
+                false,
+            )
+        };
+        let before = d.meters().comm_time_s;
+        assert!(matches!(upload(), Err(SimError::TransferFault { .. })));
         assert!(
-            d.meters().comm_time_s > 0.0,
+            d.meters().comm_time_s > before,
             "failed transaction still burnt bus time"
         );
-        // Retry rewrites everything.
-        d.memcpy_htod_batched(StreamId::DEFAULT, &[(&a, &host), (&b, &host)])
-            .unwrap();
+        // Every part was poisoned, not just the one a partial DMA reached.
         let mut back = [0.0f64; 2];
-        d.memcpy_dtoh(&a, &mut back).unwrap();
-        assert_eq!(back, host);
-        d.memcpy_dtoh(&b, &mut back).unwrap();
-        assert_eq!(back, host);
+        for buf in [&a, &b, &c] {
+            down(&d, buf, &mut back).unwrap();
+            assert!(back.iter().all(|v| v.to_bits() == 0xDEAD_BEEF_DEAD_BEEF));
+        }
+        // Retry rewrites everything.
+        upload().unwrap();
+        for buf in [&a, &b, &c] {
+            down(&d, buf, &mut back).unwrap();
+            assert_eq!(back, host);
+        }
     }
 
     #[test]
@@ -1151,12 +1065,12 @@ mod tests {
         d.set_exec_mode(ExecMode::Threaded(4));
         let counts = d.alloc_zeroed::<u64>(6).unwrap();
         let cfg = LaunchConfig::new(Dim3::new(6, 1, 1), Dim3::new(1, 1, 1));
-        d.launch("tiny", cfg, |ctx| {
+        d.launch(StreamId::DEFAULT, "tiny", cfg, None, |ctx, _| {
             ctx.atomic_add_u64(&counts, ctx.block_idx.x as usize, 1);
         })
         .unwrap();
         let mut host = vec![0u64; 6];
-        d.memcpy_dtoh(&counts, &mut host).unwrap();
+        down(&d, &counts, &mut host).unwrap();
         assert!(host.iter().all(|&c| c == 1), "{host:?}");
     }
 
@@ -1166,7 +1080,7 @@ mod tests {
         let d2 = tiny_device();
         let buf = d1.alloc::<f64>(4).unwrap();
         assert!(matches!(
-            d2.memcpy_htod(&buf, &[0.0; 4]),
+            up(&d2, &buf, &[0.0; 4]),
             Err(SimError::ForeignBuffer)
         ));
     }
@@ -1176,7 +1090,7 @@ mod tests {
         let d = tiny_device();
         let counts = d.alloc_zeroed::<u64>(100).unwrap();
         let cfg = LaunchConfig::linear(100, 16); // 112 threads; guard excess
-        d.launch("count", cfg, |ctx| {
+        d.launch(StreamId::DEFAULT, "count", cfg, None, |ctx, _| {
             let i = ctx.global_id().x as usize;
             if i < 100 {
                 ctx.atomic_add_u64(&counts, i, 1);
@@ -1184,7 +1098,7 @@ mod tests {
         })
         .unwrap();
         let mut host = vec![0u64; 100];
-        d.memcpy_dtoh(&counts, &mut host).unwrap();
+        down(&d, &counts, &mut host).unwrap();
         assert!(
             host.iter().all(|&c| c == 1),
             "each element visited exactly once"
@@ -1200,7 +1114,7 @@ mod tests {
             let input = d.alloc_from_slice(&xs).unwrap();
             let out = d.alloc_zeroed::<f64>(16).unwrap();
             let cfg = LaunchConfig::linear(256, 32);
-            d.launch("hist", cfg, |ctx| {
+            d.launch(StreamId::DEFAULT, "hist", cfg, None, |ctx, _| {
                 let i = ctx.global_id().x as usize;
                 let v = ctx.read(&input, i);
                 ctx.charge_flops(2);
@@ -1208,7 +1122,7 @@ mod tests {
             })
             .unwrap();
             let mut host = vec![0.0f64; 16];
-            d.memcpy_dtoh(&out, &mut host).unwrap();
+            down(&d, &out, &mut host).unwrap();
             let m = d.meters();
             (host, m.kernel_cost)
         };
@@ -1229,13 +1143,13 @@ mod tests {
         let out = d.alloc_zeroed::<f64>(1).unwrap();
         let cfg = LaunchConfig::linear(1024, 64);
         // Summing 1024 copies of 1.0 is exact in f64 regardless of order.
-        d.launch("sum", cfg, |ctx| {
+        d.launch(StreamId::DEFAULT, "sum", cfg, None, |ctx, _| {
             let _ = ctx.global_id();
             ctx.atomic_add_f64(&out, 0, 1.0);
         })
         .unwrap();
         let mut host = [0.0f64];
-        d.memcpy_dtoh(&out, &mut host).unwrap();
+        down(&d, &out, &mut host).unwrap();
         assert_eq!(host[0], 1024.0);
         let m = d.meters();
         assert_eq!(m.kernel_cost.atomic_ops, 1024);
@@ -1250,22 +1164,26 @@ mod tests {
         // Each thread privately accumulates into the block tile; the
         // epilogue commits one global add per block. A stale (un-zeroed)
         // tile would leak the previous block's sum into the next.
-        d.launch_shared_on(
+        let epilogue = |ctx: &mut ThreadCtx<'_>, shared: &mut [f64]| {
+            ctx.atomic_add_f64(&out, ctx.block_idx.x as usize, shared[0]);
+        };
+        let tile = SharedTile {
+            doubles: 2,
+            epilogue: &epilogue,
+        };
+        d.launch(
             StreamId::DEFAULT,
             "private-sum",
             cfg,
-            2,
+            Some(tile),
             |ctx, shared| {
                 ctx.charge_shared_bytes(16);
                 shared[0] += 1.0;
             },
-            |ctx, shared| {
-                ctx.atomic_add_f64(&out, ctx.block_idx.x as usize, shared[0]);
-            },
         )
         .unwrap();
         let mut host = [0.0f64; 4];
-        d.memcpy_dtoh(&out, &mut host).unwrap();
+        down(&d, &out, &mut host).unwrap();
         assert_eq!(host, [8.0; 4], "8 threads per block, once per block");
         let m = d.meters();
         assert_eq!(m.kernel_cost.shared_bytes, 4 * 8 * 16);
@@ -1286,27 +1204,25 @@ mod tests {
             let input = d.alloc_from_slice(&xs).unwrap();
             let out = d.alloc_zeroed::<f64>(8 * 8).unwrap();
             let cfg = LaunchConfig::linear(256, 32);
-            d.launch_shared_on(
-                StreamId::DEFAULT,
-                "tile",
-                cfg,
-                8,
-                |ctx, shared| {
-                    let i = ctx.global_id().x as usize;
-                    let v = ctx.read(&input, i);
-                    ctx.charge_shared_bytes(16);
-                    shared[i % 8] += v;
-                },
-                |ctx, shared| {
-                    let row = ctx.block_idx.x as usize * 8;
-                    for (slot, &v) in shared.iter().enumerate() {
-                        ctx.atomic_add_f64(&out, row + slot, v);
-                    }
-                },
-            )
+            let epilogue = |ctx: &mut ThreadCtx<'_>, shared: &mut [f64]| {
+                let row = ctx.block_idx.x as usize * 8;
+                for (slot, &v) in shared.iter().enumerate() {
+                    ctx.atomic_add_f64(&out, row + slot, v);
+                }
+            };
+            let tile = SharedTile {
+                doubles: 8,
+                epilogue: &epilogue,
+            };
+            d.launch(StreamId::DEFAULT, "tile", cfg, Some(tile), |ctx, shared| {
+                let i = ctx.global_id().x as usize;
+                let v = ctx.read(&input, i);
+                ctx.charge_shared_bytes(16);
+                shared[i % 8] += v;
+            })
             .unwrap();
             let mut host = vec![0.0f64; 8 * 8];
-            d.memcpy_dtoh(&out, &mut host).unwrap();
+            down(&d, &out, &mut host).unwrap();
             host
         };
         let seq = run(ExecMode::Sequential);
@@ -1322,12 +1238,14 @@ mod tests {
         let d = tiny_device(); // 8 KiB shared per block
         let too_big = (d.props().shared_mem_per_block / 8 + 1) as usize;
         assert!(matches!(
-            d.launch_shared_on(
+            d.launch(
                 StreamId::DEFAULT,
                 "hog",
                 LaunchConfig::linear(8, 8),
-                too_big,
-                |_, _| {},
+                Some(SharedTile {
+                    doubles: too_big,
+                    epilogue: &|_, _| {},
+                }),
                 |_, _| {},
             ),
             Err(SimError::InvalidLaunch(_))
@@ -1339,13 +1257,16 @@ mod tests {
     fn big_shared_tiles_slow_the_launch_via_occupancy() {
         let time_with = |shared_f64: usize| -> f64 {
             let d = tiny_device();
-            d.launch_shared_on(
+            let tile = SharedTile {
+                doubles: shared_f64,
+                epilogue: &|_, _| {},
+            };
+            d.launch(
                 StreamId::DEFAULT,
                 "flops",
                 LaunchConfig::linear(64, 8),
-                shared_f64,
+                Some(tile),
                 |ctx, _| ctx.charge_flops(1_000_000),
-                |_, _| {},
             )
             .unwrap()
             .duration_s
@@ -1363,7 +1284,7 @@ mod tests {
         let d = tiny_device();
         let cfg = LaunchConfig::linear(4096, 512); // tiny device: max 256/block
         assert!(matches!(
-            d.launch("bad", cfg, |_| {}),
+            d.launch(StreamId::DEFAULT, "bad", cfg, None, |_, _| {}),
             Err(SimError::InvalidLaunch(_))
         ));
         assert_eq!(d.meters().launches, 0);
@@ -1373,9 +1294,15 @@ mod tests {
     fn meters_accumulate_and_reset() {
         let d = tiny_device();
         let buf = d.alloc_from_slice(&[0.0f64; 8]).unwrap();
-        d.launch("noop", LaunchConfig::linear(8, 8), |ctx| {
-            ctx.charge_flops(10);
-        })
+        d.launch(
+            StreamId::DEFAULT,
+            "noop",
+            LaunchConfig::linear(8, 8),
+            None,
+            |ctx, _| {
+                ctx.charge_flops(10);
+            },
+        )
         .unwrap();
         let m = d.meters();
         assert_eq!(m.launches, 1);
@@ -1397,10 +1324,16 @@ mod tests {
         let big = d.alloc::<f64>(4096).unwrap();
         let host = vec![0.0f64; 4096];
         // Serial: copy then kernel on the same stream.
-        d.memcpy_htod(&big, &host).unwrap();
-        d.launch("work", LaunchConfig::linear(256, 64), |ctx| {
-            ctx.charge_flops(1_000_000);
-        })
+        up(&d, &big, &host).unwrap();
+        d.launch(
+            StreamId::DEFAULT,
+            "work",
+            LaunchConfig::linear(256, 64),
+            None,
+            |ctx, _| {
+                ctx.charge_flops(1_000_000);
+            },
+        )
         .unwrap();
         let serial_elapsed = d.synchronize();
         let serial_meters = d.meters();
@@ -1410,10 +1343,22 @@ mod tests {
         // every non-default stream, so the copy stream is created afresh.
         d.reset_meters();
         let copy_stream = d.create_stream();
-        d.memcpy_htod_on(copy_stream, &big, &host).unwrap();
-        d.launch("work", LaunchConfig::linear(256, 64), |ctx| {
-            ctx.charge_flops(1_000_000);
-        })
+        d.transfer(
+            copy_stream,
+            TransferDir::HostToDevice,
+            &mut [Part::Up(&big, &host)],
+            false,
+        )
+        .unwrap();
+        d.launch(
+            StreamId::DEFAULT,
+            "work",
+            LaunchConfig::linear(256, 64),
+            None,
+            |ctx, _| {
+                ctx.charge_flops(1_000_000);
+            },
+        )
         .unwrap();
         let overlapped = d.synchronize();
         let m = d.meters();
@@ -1429,10 +1374,10 @@ mod tests {
         let d = tiny_device();
         let s = d.create_stream();
         let buf = d.alloc::<f64>(2048).unwrap();
-        d.memcpy_htod(&buf, &vec![0.0; 2048]).unwrap();
+        up(&d, &buf, &vec![0.0; 2048]).unwrap();
         let copy_done = d.elapsed_s();
         d.stream_wait(s, StreamId::DEFAULT);
-        d.launch_on(s, "dependent", LaunchConfig::linear(8, 8), |_| {})
+        d.launch(s, "dependent", LaunchConfig::linear(8, 8), None, |_, _| {})
             .unwrap();
         assert!(d.elapsed_s() >= copy_done);
     }
@@ -1464,7 +1409,7 @@ mod tests {
         let buf = d.alloc::<f64>(4).unwrap();
         let data = [1.0f64, 2.0, 3.0, 4.0];
         let before = d.meters().comm_time_s;
-        match d.memcpy_htod(&buf, &data) {
+        match up(&d, &buf, &data) {
             Err(SimError::TransferFault {
                 dir: TransferDir::HostToDevice,
                 index: 1,
@@ -1482,9 +1427,9 @@ mod tests {
         );
         assert!(d.ops().iter().any(|o| o.kind == "fault"));
         // Device memory is garbage now; the retry rewrites it fully.
-        d.memcpy_htod(&buf, &data).unwrap();
+        up(&d, &buf, &data).unwrap();
         let mut back = [0.0f64; 4];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
+        down(&d, &buf, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
@@ -1494,10 +1439,27 @@ mod tests {
         d.set_fault_plan(FaultPlan::new(0).fail_nth_d2h(1));
         let buf = d.alloc_from_slice(&[7.0f64, 8.0]).unwrap();
         let mut out = [0.0f64; 2];
-        assert!(d.memcpy_dtoh(&buf, &mut out).is_err());
+        assert!(down(&d, &buf, &mut out).is_err());
         assert!(out.iter().all(|v| v.to_bits() == 0xDEAD_BEEF_DEAD_BEEF));
-        d.memcpy_dtoh(&buf, &mut out).unwrap();
+        down(&d, &buf, &mut out).unwrap();
         assert_eq!(out, [7.0, 8.0]);
+        // A multi-part download scribbles every destination.
+        d.set_fault_plan(FaultPlan::new(0).fail_nth_d2h(1));
+        let other = d.alloc_from_slice(&[9.0f64; 3]).unwrap();
+        let mut more = [0.0f64; 3];
+        let mut parts = [Part::Down(&buf, &mut out), Part::Down(&other, &mut more)];
+        assert!(d
+            .transfer(
+                StreamId::DEFAULT,
+                TransferDir::DeviceToHost,
+                &mut parts,
+                false
+            )
+            .is_err());
+        assert!(out
+            .iter()
+            .chain(&more)
+            .all(|v| v.to_bits() == 0xDEAD_BEEF_DEAD_BEEF));
     }
 
     #[test]
@@ -1506,15 +1468,28 @@ mod tests {
         let buf = d.alloc_from_slice(&[0.0f64; 4]).unwrap();
         // alloc + h2d above consumed 2 ops; allow one more, then lose it.
         d.set_fault_plan(FaultPlan::new(0).fail_after(1));
-        d.launch("ok", LaunchConfig::linear(4, 4), |_| {}).unwrap();
+        d.launch(
+            StreamId::DEFAULT,
+            "ok",
+            LaunchConfig::linear(4, 4),
+            None,
+            |_, _| {},
+        )
+        .unwrap();
         assert!(matches!(
-            d.launch("dead", LaunchConfig::linear(4, 4), |_| {}),
+            d.launch(
+                StreamId::DEFAULT,
+                "dead",
+                LaunchConfig::linear(4, 4),
+                None,
+                |_, _| {}
+            ),
             Err(SimError::DeviceLost)
         ));
         assert!(matches!(d.alloc::<f64>(1), Err(SimError::DeviceLost)));
         let mut out = [0.0f64; 4];
         assert!(matches!(
-            d.memcpy_dtoh(&buf, &mut out),
+            down(&d, &buf, &mut out),
             Err(SimError::DeviceLost)
         ));
         assert_eq!(d.fault_stats().unwrap().refused_after_loss, 3);
@@ -1554,9 +1529,9 @@ mod tests {
         d.set_fault_plan(FaultPlan::new(0).flip_nth_h2d(1).flip_byte_offset(17));
         let data = [1.0f64, 2.0, 3.0, 4.0];
         let buf = d.alloc::<f64>(4).unwrap();
-        d.memcpy_htod(&buf, &data).unwrap();
+        up(&d, &buf, &data).unwrap();
         let mut back = [0.0f64; 4];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
+        down(&d, &buf, &mut back).unwrap();
         // Byte 17 → element 2, byte 1 → mask 0x8000.
         let diffs: Vec<usize> = (0..4).filter(|&i| back[i] != data[i]).collect();
         assert_eq!(diffs, vec![2], "exactly one element corrupted");
@@ -1564,8 +1539,8 @@ mod tests {
         assert_eq!(d.fault_stats().unwrap().h2d_flipped, 1);
         assert!(d.ops().iter().any(|o| o.kind == "flip"));
         // One-shot: a fresh upload is clean again.
-        d.memcpy_htod(&buf, &data).unwrap();
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
+        up(&d, &buf, &data).unwrap();
+        down(&d, &buf, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
@@ -1576,12 +1551,12 @@ mod tests {
         let buf = d.alloc_from_slice(&data).unwrap();
         d.set_fault_plan(FaultPlan::new(0).flip_nth_d2h(1));
         let mut back = [0.0f64; 2];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
+        down(&d, &buf, &mut back).unwrap();
         assert_eq!(back[0].to_bits(), data[0].to_bits() ^ 0x80);
         assert_eq!(back[1], data[1]);
         assert_eq!(d.fault_stats().unwrap().d2h_flipped, 1);
         // Device memory kept the truth; the next read is clean.
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
+        down(&d, &buf, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
@@ -1594,12 +1569,18 @@ mod tests {
         let b = d.alloc::<f64>(4).unwrap();
         let ha = [1.0f64; 8];
         let hb = [2.0f64; 4];
-        d.memcpy_htod_batched(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)])
-            .unwrap();
+        let mut parts = [Part::Up(&a, &ha), Part::Up(&b, &hb)];
+        d.transfer(
+            StreamId::DEFAULT,
+            TransferDir::HostToDevice,
+            &mut parts,
+            false,
+        )
+        .unwrap();
         let mut back_a = [0.0f64; 8];
         let mut back_b = [0.0f64; 4];
-        d.memcpy_dtoh(&a, &mut back_a).unwrap();
-        d.memcpy_dtoh(&b, &mut back_b).unwrap();
+        down(&d, &a, &mut back_a).unwrap();
+        down(&d, &b, &mut back_b).unwrap();
         assert_eq!(back_a, ha, "first buffer untouched");
         assert_eq!(back_b[0].to_bits(), hb[0].to_bits() ^ (0x80u64 << 48));
         assert_eq!(&back_b[1..], &hb[1..]);
@@ -1611,7 +1592,16 @@ mod tests {
         d.set_fault_plan(FaultPlan::new(0).flip_nth_h2d(1));
         let data = [1.0f64, 2.0, 3.0];
         let buf = d.alloc::<f64>(3).unwrap();
-        match d.memcpy_htod_checked_on(StreamId::DEFAULT, &buf, &data) {
+        let upload = || {
+            let mut parts = [Part::Up(&buf, &data)];
+            d.transfer(
+                StreamId::DEFAULT,
+                TransferDir::HostToDevice,
+                &mut parts,
+                true,
+            )
+        };
+        match upload() {
             Err(SimError::CorruptTransfer {
                 dir: TransferDir::HostToDevice,
                 ..
@@ -1623,10 +1613,9 @@ mod tests {
             "CRC passes are charged as host FLOPs"
         );
         // The retry consumes a fresh ordinal, so the one-shot flip is gone.
-        d.memcpy_htod_checked_on(StreamId::DEFAULT, &buf, &data)
-            .unwrap();
+        upload().unwrap();
         let mut back = [0.0f64; 3];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
+        down(&d, &buf, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
@@ -1638,12 +1627,23 @@ mod tests {
         let b = d.alloc::<f64>(2).unwrap();
         let ha = [1.0f64; 4];
         let hb = [2.0f64; 2];
+        let upload = || {
+            let mut parts = [Part::Up(&a, &ha), Part::Up(&b, &hb)];
+            d.transfer(
+                StreamId::DEFAULT,
+                TransferDir::HostToDevice,
+                &mut parts,
+                true,
+            )
+        };
         assert!(matches!(
-            d.memcpy_htod_batched_checked(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)]),
-            Err(SimError::CorruptTransfer { .. })
+            upload(),
+            Err(SimError::CorruptTransfer {
+                dir: TransferDir::HostToDevice,
+                index: 1,
+            })
         ));
-        d.memcpy_htod_batched_checked(StreamId::DEFAULT, &[(&a, &ha), (&b, &hb)])
-            .unwrap();
+        upload().unwrap();
     }
 
     #[test]
@@ -1653,15 +1653,23 @@ mod tests {
         let buf = d.alloc_from_slice(&data).unwrap();
         d.set_fault_plan(FaultPlan::new(0).flip_nth_d2h(1));
         let mut back = [0.0f64; 3];
+        let download = |back: &mut [f64]| {
+            let mut parts = [Part::Down(&buf, back)];
+            d.transfer(
+                StreamId::DEFAULT,
+                TransferDir::DeviceToHost,
+                &mut parts,
+                true,
+            )
+        };
         assert!(matches!(
-            d.memcpy_dtoh_checked_on(StreamId::DEFAULT, &buf, &mut back),
+            download(&mut back),
             Err(SimError::CorruptTransfer {
                 dir: TransferDir::DeviceToHost,
                 ..
             })
         ));
-        d.memcpy_dtoh_checked_on(StreamId::DEFAULT, &buf, &mut back)
-            .unwrap();
+        download(&mut back).unwrap();
         assert_eq!(back, data);
     }
 
@@ -1673,13 +1681,19 @@ mod tests {
                 d.set_fault_plan(p);
             }
             let out = d.alloc_zeroed::<f64>(4).unwrap();
-            d.launch("sum", LaunchConfig::linear(16, 4), |ctx| {
-                let i = ctx.global_id().x as usize;
-                ctx.atomic_add_f64(&out, i % 4, 1.5);
-            })
+            d.launch(
+                StreamId::DEFAULT,
+                "sum",
+                LaunchConfig::linear(16, 4),
+                None,
+                |ctx, _| {
+                    let i = ctx.global_id().x as usize;
+                    ctx.atomic_add_f64(&out, i % 4, 1.5);
+                },
+            )
             .unwrap();
             let mut host = vec![0.0f64; 4];
-            d.memcpy_dtoh(&out, &mut host).unwrap();
+            down(&d, &out, &mut host).unwrap();
             let flips = d.fault_stats().map_or(0, |s| s.kernel_flipped);
             (host, flips)
         };
@@ -1703,17 +1717,29 @@ mod tests {
     fn stuck_kernel_stalls_stream_but_not_cost() {
         let clean = {
             let d = tiny_device();
-            d.launch("work", LaunchConfig::linear(64, 8), |ctx| {
-                ctx.charge_flops(1000);
-            })
+            d.launch(
+                StreamId::DEFAULT,
+                "work",
+                LaunchConfig::linear(64, 8),
+                None,
+                |ctx, _| {
+                    ctx.charge_flops(1000);
+                },
+            )
             .unwrap()
         };
         let d = tiny_device();
         d.set_fault_plan(FaultPlan::new(0).stall_nth_kernel(1, 0.5));
         let stalled = d
-            .launch("work", LaunchConfig::linear(64, 8), |ctx| {
-                ctx.charge_flops(1000);
-            })
+            .launch(
+                StreamId::DEFAULT,
+                "work",
+                LaunchConfig::linear(64, 8),
+                None,
+                |ctx, _| {
+                    ctx.charge_flops(1000);
+                },
+            )
             .unwrap();
         assert_eq!(stalled.cost, clean.cost, "cost stays honest");
         assert!((stalled.duration_s - (clean.duration_s + 0.5)).abs() < 1e-12);
@@ -1731,7 +1757,7 @@ mod tests {
         let d = tiny_device();
         let seen = d.alloc_zeroed::<u64>(72).unwrap();
         let cfg = LaunchConfig::cover(Dim3::new(2, 9, 4), Dim3::new(2, 3, 4));
-        d.launch("map", cfg, |ctx| {
+        d.launch(StreamId::DEFAULT, "map", cfg, None, |ctx, _| {
             let g = ctx.global_id();
             if g.x < 2 && g.y < 9 && g.z < 4 {
                 let lin = (g.z * 9 + g.y) * 2 + g.x;
@@ -1740,7 +1766,7 @@ mod tests {
         })
         .unwrap();
         let mut host = vec![0u64; 72];
-        d.memcpy_dtoh(&seen, &mut host).unwrap();
+        down(&d, &seen, &mut host).unwrap();
         assert!(host.iter().all(|&c| c == 1));
     }
 }

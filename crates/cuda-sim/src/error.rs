@@ -2,12 +2,13 @@
 
 use std::fmt;
 
-/// Direction of a host↔device copy, used to label transfer faults.
+/// Direction of a host↔device [`crate::Device::transfer`]; also labels
+/// transfer faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferDir {
-    /// Host memory → device memory (`memcpy_htod`).
+    /// Host memory → device memory ([`crate::Part::Up`]).
     HostToDevice,
-    /// Device memory → host memory (`memcpy_dtoh`).
+    /// Device memory → host memory ([`crate::Part::Down`]).
     DeviceToHost,
 }
 

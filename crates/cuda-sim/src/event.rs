@@ -24,17 +24,23 @@ impl Event {
 #[cfg(test)]
 mod tests {
 
-    use crate::{Device, DeviceProps, LaunchConfig};
+    use crate::{Device, DeviceProps, LaunchConfig, StreamId};
 
     #[test]
     fn events_time_sections() {
         let d = Device::new(DeviceProps::tiny(1 << 16));
-        let start = d.record_event(crate::StreamId::DEFAULT);
-        d.launch("work", LaunchConfig::linear(64, 32), |ctx| {
-            ctx.charge_flops(1_000_000);
-        })
+        let start = d.record_event(StreamId::DEFAULT);
+        d.launch(
+            StreamId::DEFAULT,
+            "work",
+            LaunchConfig::linear(64, 32),
+            None,
+            |ctx, _| {
+                ctx.charge_flops(1_000_000);
+            },
+        )
         .unwrap();
-        let end = d.record_event(crate::StreamId::DEFAULT);
+        let end = d.record_event(StreamId::DEFAULT);
         let dt = end.elapsed_since(&start);
         assert!(dt > 0.0);
         // The section matches the launch record's duration.
@@ -46,14 +52,20 @@ mod tests {
     fn cross_stream_event_wait() {
         let d = Device::new(DeviceProps::tiny(1 << 16));
         let s = d.create_stream();
-        d.launch("producer", LaunchConfig::linear(64, 32), |ctx| {
-            ctx.charge_flops(5_000_000);
-        })
+        d.launch(
+            StreamId::DEFAULT,
+            "producer",
+            LaunchConfig::linear(64, 32),
+            None,
+            |ctx, _| {
+                ctx.charge_flops(5_000_000);
+            },
+        )
         .unwrap();
-        let done = d.record_event(crate::StreamId::DEFAULT);
+        let done = d.record_event(StreamId::DEFAULT);
         d.stream_wait_event(s, &done);
         let rec = d
-            .launch_on(s, "consumer", LaunchConfig::linear(8, 8), |_| {})
+            .launch(s, "consumer", LaunchConfig::linear(8, 8), None, |_, _| {})
             .unwrap();
         assert!(
             rec.start_s >= done.time_s(),

@@ -109,11 +109,6 @@ impl Host {
         self.duplex
     }
 
-    /// The CPU performance model host-side FLOPs are charged against.
-    pub fn cpu_props(&self) -> &HostProps {
-        &self.cpu_props
-    }
-
     /// Claim an engine-local actor slot for a newly attached device.
     /// Slots are dense and deterministic (0, 1, 2, … in attach order), so
     /// journals of replayed plans compare bit-identically.

@@ -105,6 +105,17 @@ impl LaunchConfig {
     }
 }
 
+/// The `__shared__` memory a [`crate::Device::launch`] reserves per block:
+/// a zeroed tile of `doubles` f64s, and the `epilogue` that runs once per
+/// block, after all its threads, to reduce the tile.
+#[derive(Clone, Copy)]
+pub struct SharedTile<'a> {
+    /// Tile length in f64s.
+    pub doubles: usize,
+    /// Per-block reduction, called with a context at thread (0,0,0).
+    pub epilogue: &'a (dyn Fn(&mut ThreadCtx<'_>, &mut [f64]) + Sync),
+}
+
 /// XOR mask a kernel-flip fault applies to the targeted f64 deposit: the
 /// top exponent bit. For |v| < 2 the perturbed deposit becomes huge (or
 /// non-finite), for |v| ≥ 2 it collapses towards zero — either way the
@@ -180,15 +191,6 @@ impl ThreadCtx<'_> {
         }
     }
 
-    /// Linearised global id (x fastest, then y, then z).
-    #[inline]
-    pub fn global_linear(&self) -> u64 {
-        let g = self.global_id();
-        let nx = self.grid_dim.x * self.block_dim.x;
-        let ny = self.grid_dim.y * self.block_dim.y;
-        (g.z * ny + g.y) * nx + g.x
-    }
-
     /// Charge `n` floating-point operations to this kernel.
     #[inline]
     pub fn charge_flops(&mut self, n: u64) {
@@ -203,21 +205,11 @@ impl ThreadCtx<'_> {
     }
 
     /// Charge `n` bytes of on-chip shared-memory traffic (the per-block
-    /// tile handed out by [`crate::Device::launch_shared_on`]). An order of
-    /// magnitude cheaper than device memory in the timing model.
+    /// tile a [`SharedTile`] launch hands out). An order of magnitude
+    /// cheaper than device memory in the timing model.
     #[inline]
     pub fn charge_shared_bytes(&mut self, n: u64) {
         self.state.cost.shared_bytes += n;
-    }
-
-    /// Charge one shared-memory atomic RMW (8 bytes of shared traffic plus
-    /// the SM-local atomic cost). The simulator's shared tiles are mutated
-    /// directly by the kernel closure — this meters what that mutation
-    /// would cost as a `__shared__` atomic on hardware.
-    #[inline]
-    pub fn charge_shared_atomic(&mut self) {
-        self.state.cost.shared_atomic_ops += 1;
-        self.state.cost.shared_bytes += 8;
     }
 
     /// Increment a free-form trace counter.

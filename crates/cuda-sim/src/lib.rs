@@ -8,17 +8,19 @@
 //! shipping — none of which require silicon to reproduce. This crate supplies
 //! that execution model in software:
 //!
-//! * **Separate device address space.** Data reaches the device only through
-//!   [`Device::memcpy_htod`] / [`Device::memcpy_dtoh`], which really copy
-//!   bytes and charge `bytes / pcie_bandwidth + latency` to the
-//!   communication meter.
+//! * **Separate device address space.** Data crosses the bus only through
+//!   [`Device::transfer`]: one transaction of one or more [`Part`]s in one
+//!   direction, which really copies bytes, charges
+//!   `latency + Σ bytes / pcie_bandwidth` to the communication meter, and
+//!   can verify the payload end to end with a CRC64.
 //! * **Capped device memory** with a first-fit/coalescing allocator —
 //!   allocations beyond the modeled capacity fail with
 //!   [`SimError::OutOfMemory`], exactly the constraint that forces the
 //!   paper's row-slab pipeline.
 //! * **Grid/block kernel launches** ([`Device::launch`]): every simulated
 //!   thread runs functionally (real data, real results), sequentially or on
-//!   a host thread pool; kernels meter their work through [`ThreadCtx`].
+//!   a host thread pool; kernels meter their work through [`ThreadCtx`] and
+//!   may reserve a per-block `__shared__` tile ([`SharedTile`]).
 //! * **`atomicAdd(double)`** implemented the way the paper does it — a
 //!   compare-and-swap loop over the 64-bit bit pattern — with retry counting
 //!   so contention is observable.
@@ -37,21 +39,23 @@
 //! # Example
 //!
 //! ```
-//! use cuda_sim::{Device, DeviceProps, Dim3, LaunchConfig};
+//! use cuda_sim::{Device, DeviceProps, Dim3, LaunchConfig, Part, StreamId, TransferDir};
 //!
 //! let device = Device::new(DeviceProps::tesla_m2070());
 //! let xs = device.alloc_from_slice::<f64>(&[1.0, 2.0, 3.0, 4.0]).unwrap();
 //! let out = device.alloc_zeroed::<f64>(1).unwrap();
 //! let cfg = LaunchConfig::new(Dim3::linear(2), Dim3::linear(2));
 //! device
-//!     .launch("sum", cfg, |ctx| {
+//!     .launch(StreamId::DEFAULT, "sum", cfg, None, |ctx, _| {
 //!         let i = ctx.global_id().x as usize;
 //!         let v = ctx.read(&xs, i);
 //!         ctx.atomic_add_f64(&out, 0, v);
 //!     })
 //!     .unwrap();
 //! let mut result = [0.0f64];
-//! device.memcpy_dtoh(&out, &mut result).unwrap();
+//! let mut parts = [Part::Down(&out, &mut result)];
+//! let checked = true; // CRC64 the payload on both sides
+//! device.transfer(StreamId::DEFAULT, TransferDir::DeviceToHost, &mut parts, checked).unwrap();
 //! assert_eq!(result[0], 10.0);
 //! assert!(device.meters().compute_time_s > 0.0);
 //! ```
@@ -74,19 +78,19 @@ pub mod stream;
 pub mod trace;
 
 pub use cluster::{Cluster, ClusterConfig, Delivery, Interconnect, InterconnectProps};
-pub use device::{Device, TimeSpan};
+pub use device::{Device, Part, TimeSpan};
 pub use error::{SimError, TransferDir};
 pub use event::Event;
 pub use fault::{FaultPlan, FaultStats};
 pub use fleet::{FleetClock, FleetSpan};
 pub use host::{Duplex, Host, HostConfig};
-pub use kernel::{Dim3, LaunchConfig, ThreadCtx};
+pub use kernel::{Dim3, LaunchConfig, SharedTile, ThreadCtx};
 pub use memory::{DeviceBuffer, DeviceScalar};
 pub use meter::{ChainEstimator, Cost, LaunchRecord, Meters, TRACE_SLOTS};
 pub use props::{DeviceProps, ExecMode, HostProps};
-pub use sim::{Clock, Engine, EventRecord, RealClock, ResourceId, VirtualClock};
+pub use sim::{Engine, EventRecord, ResourceId};
 pub use stream::StreamId;
-pub use trace::{OpRecord, TraceMode, DEFAULT_TRACE_CAP};
+pub use trace::{OpRecord, DEFAULT_TRACE_CAP};
 
 /// Result alias for simulator operations.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -65,7 +65,6 @@ impl_scalar!(u8, 1, "u8", |v: u8| v as u64, |w: u64| w as u8);
 #[derive(Debug)]
 pub(crate) struct Allocation {
     pub(crate) addr: u64,
-    pub(crate) bytes: u64,
     pub(crate) allocator: Arc<Mutex<Allocator>>,
 }
 
@@ -78,8 +77,7 @@ impl Drop for Allocation {
 /// A typed buffer in simulated device memory.
 ///
 /// Cloning a handle aliases the same device memory (like copying a CUDA
-/// device pointer); the allocation is released when the last handle drops
-/// or when [`crate::Device::free`] consumes it.
+/// device pointer); the allocation is released when the last handle drops.
 #[derive(Debug, Clone)]
 pub struct DeviceBuffer<T: DeviceScalar> {
     pub(crate) words: Arc<[AtomicU64]>,
@@ -122,12 +120,6 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
         self.allocation.addr
     }
 
-    /// Bytes this buffer holds against the device capacity (includes no
-    /// alignment padding; the allocator rounds internally).
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocation.bytes
-    }
-
     /// Raw load (device-side; kernels use [`crate::ThreadCtx::read`], which
     /// also meters the traffic).
     #[inline]
@@ -167,7 +159,6 @@ mod tests {
         let addr = alloc.lock().alloc(bytes).unwrap();
         Allocation {
             addr,
-            bytes,
             allocator: alloc,
         }
     }
@@ -230,7 +221,6 @@ mod tests {
         let addr = alloc.lock().alloc(64).unwrap();
         let allocation = Allocation {
             addr,
-            bytes: 64,
             allocator: Arc::clone(&alloc),
         };
         let buf: DeviceBuffer<u8> = DeviceBuffer::new(64, allocation, 1);

@@ -1,11 +1,10 @@
-//! Discrete-event simulation core: injectable clocks, schedulable events,
-//! and contended resources.
+//! Discrete-event simulation core: virtual time, schedulable events, and
+//! contended resources.
 //!
-//! Everything time-related in the simulator is built on this module. A
-//! [`Clock`] is an injectable time source — [`VirtualClock`] for modeled
-//! runs (the default everywhere), [`RealClock`] for wall-clock-paced replay
-//! of a schedule. An [`Engine`] owns a set of [`ResourceId`]-addressed
-//! resources of two kinds:
+//! Everything time-related in the simulator is built on this module. An
+//! [`Engine`] keeps a virtual time frontier — the running max of every
+//! scheduled operation's end, read by [`Engine::now`] — and owns a set of
+//! [`ResourceId`]-addressed resources of two kinds:
 //!
 //! * **Serial** resources execute one operation at a time behind a cursor —
 //!   CUDA streams and any other in-order queue. Scheduling on a serial
@@ -28,73 +27,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
-
-/// An injectable time source. `now` is in seconds from an arbitrary origin;
-/// `advance_to` moves a settable clock monotonically forward and is a no-op
-/// on clocks that follow real time.
-pub trait Clock: Send + Sync + fmt::Debug {
-    /// Current time, seconds.
-    fn now(&self) -> f64;
-    /// Advance to at least `t` (never moves backwards). Real clocks ignore
-    /// this; the virtual clock takes the running max.
-    fn advance_to(&self, t: f64);
-}
-
-/// Settable virtual clock: an atomic running max over every scheduled
-/// operation's end time. The global frontier of an [`Engine`].
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    /// `f64::to_bits` of the time; for non-negative floats the integer
-    /// order matches the numeric order, so `fetch_max` is a time max.
-    bits: AtomicU64,
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Acquire))
-    }
-
-    fn advance_to(&self, t: f64) {
-        debug_assert!(t >= 0.0, "virtual time is non-negative");
-        self.bits.fetch_max(t.to_bits(), Ordering::AcqRel);
-    }
-}
-
-/// Wall-clock time source, for pacing a replayed schedule against real
-/// time (e.g. a service layer animating a recorded run). Never used by the
-/// modeled devices themselves.
-#[derive(Debug)]
-pub struct RealClock {
-    origin: Instant,
-}
-
-impl RealClock {
-    /// Clock whose zero is "now".
-    pub fn new() -> RealClock {
-        RealClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for RealClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for RealClock {
-    fn now(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64()
-    }
-
-    /// Real time cannot be advanced; this is a no-op.
-    fn advance_to(&self, _t: f64) {}
-}
 
 /// Generational handle to an engine resource. Freed handles are detected
 /// (generation mismatch) and panic like a use-after-destroy of a
@@ -130,6 +64,7 @@ enum ResourceKind {
 struct Slot {
     gen: u32,
     live: bool,
+    /// Label shown by the engine's `Debug` output (`"host/pcie-h2d"`, …).
     name: String,
     kind: ResourceKind,
     /// Committed busy seconds (occupancy; waits excluded).
@@ -162,11 +97,15 @@ struct EngineState {
     seq: u64,
 }
 
-/// The discrete-event engine: a clock plus a set of resources. One engine
-/// per [`crate::Host`]; every device on the host schedules through it, so
-/// shared resources really are shared across devices.
+/// The discrete-event engine: a virtual time frontier plus a set of
+/// resources. One engine per [`crate::Host`]; every device on the host
+/// schedules through it, so shared resources really are shared across
+/// devices.
+#[derive(Default)]
 pub struct Engine {
-    clock: Arc<dyn Clock>,
+    /// `f64::to_bits` of the frontier; for non-negative floats the integer
+    /// order matches the numeric order, so `fetch_max` is a time max.
+    frontier: AtomicU64,
     state: Mutex<EngineState>,
 }
 
@@ -174,36 +113,35 @@ impl fmt::Debug for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let st = self.state.lock();
         f.debug_struct("Engine")
-            .field("clock", &self.clock)
-            .field("resources", &st.slots.len())
+            .field("now", &self.now())
+            .field(
+                "resources",
+                &st.slots
+                    .iter()
+                    .filter(|s| s.live)
+                    .map(|s| s.name.as_str())
+                    .collect::<Vec<_>>(),
+            )
             .field("seq", &st.seq)
             .finish()
     }
 }
 
 impl Engine {
-    /// Engine on a fresh [`VirtualClock`].
+    /// Engine at virtual time 0 with no resources.
     pub fn new() -> Engine {
-        Engine::with_clock(Arc::new(VirtualClock::default()))
+        Engine::default()
     }
 
-    /// Engine on an injected clock.
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Engine {
-        Engine {
-            clock,
-            state: Mutex::new(EngineState::default()),
-        }
-    }
-
-    /// The engine's time source.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
-    }
-
-    /// Current time: the frontier of everything scheduled so far (virtual
-    /// clock) or wall time (real clock).
+    /// Current virtual time: the frontier of everything scheduled so far.
     pub fn now(&self) -> f64 {
-        self.clock.now()
+        f64::from_bits(self.frontier.load(Ordering::Acquire))
+    }
+
+    /// Move the frontier to at least `t` (never backwards).
+    fn advance_to(&self, t: f64) {
+        debug_assert!(t >= 0.0, "virtual time is non-negative");
+        self.frontier.fetch_max(t.to_bits(), Ordering::AcqRel);
     }
 
     fn insert(&self, name: &str, kind: ResourceKind) -> ResourceId {
@@ -314,7 +252,7 @@ impl Engine {
             Self::journal_push(&mut st, id, label, owner, start, end);
         }
         drop(st);
-        self.clock.advance_to(end);
+        self.advance_to(end);
         (start, end)
     }
 
@@ -429,7 +367,7 @@ impl Engine {
         slot.busy_s += dur;
         Self::journal_push(&mut st, id, label, owner, start, end);
         drop(st);
-        self.clock.advance_to(end);
+        self.advance_to(end);
         (start, end)
     }
 
@@ -469,20 +407,9 @@ impl Engine {
         }
     }
 
-    /// Resource name (for reports).
-    pub fn resource_name(&self, id: ResourceId) -> String {
-        let mut st = self.state.lock();
-        Self::check(&mut st, id).name.clone()
-    }
-
     /// Start (or clear and restart) journaling of scheduling decisions.
     pub fn enable_journal(&self) {
         self.state.lock().journal = Some(Vec::new());
-    }
-
-    /// Stop journaling and drop the journal.
-    pub fn disable_journal(&self) {
-        self.state.lock().journal = None;
     }
 
     /// Snapshot of the journal (empty when journaling is off).
@@ -491,35 +418,20 @@ impl Engine {
     }
 }
 
-impl Default for Engine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn virtual_clock_is_a_running_max() {
-        let c = VirtualClock::default();
-        assert_eq!(c.now(), 0.0);
-        c.advance_to(2.5);
-        c.advance_to(1.0);
-        assert_eq!(c.now(), 2.5, "never moves backwards");
-        c.advance_to(3.75);
-        assert_eq!(c.now(), 3.75);
-    }
-
-    #[test]
-    fn real_clock_marches_on_its_own() {
-        let c = RealClock::new();
-        let t0 = c.now();
-        c.advance_to(1e9); // ignored
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(c.now() > t0);
-        assert!(c.now() < 1e9);
+    fn frontier_is_a_running_max() {
+        let e = Engine::new();
+        assert_eq!(e.now(), 0.0);
+        let (a, b) = (e.serial("a"), e.serial("b"));
+        e.serial_advance(a, 0, "x", 2.5);
+        e.serial_advance(b, 0, "y", 1.0);
+        assert_eq!(e.now(), 2.5, "never moves backwards");
+        e.serial_advance(b, 0, "y", 2.75);
+        assert_eq!(e.now(), 3.75);
     }
 
     #[test]
@@ -595,10 +507,10 @@ mod tests {
     #[test]
     fn freed_resources_are_recycled_and_stale_handles_panic() {
         let e = Engine::new();
-        let a = e.serial("a");
+        let a = e.serial("stream");
         e.serial_advance(a, 0, "x", 1.0);
         e.free(a);
-        let b = e.serial("b");
+        let b = e.serial("stream");
         assert_eq!(a.idx, b.idx, "slot recycled");
         assert_ne!(a.gen, b.gen);
         assert_eq!(e.serial_cursor(b), 0.0, "fresh cursor");

@@ -1,8 +1,22 @@
 //! Property tests for the device simulator: allocator soundness, functional
 //! equivalence across execution modes, and cost-model monotonicity.
 
-use cuda_sim::{Device, DeviceProps, Dim3, ExecMode, LaunchConfig, StreamId};
+use cuda_sim::{
+    Device, DeviceBuffer, DeviceProps, DeviceScalar, Dim3, ExecMode, LaunchConfig, Part, StreamId,
+    TransferDir,
+};
 use proptest::prelude::*;
+
+/// One-part unchecked copy of `buf` into `dst` on `stream`.
+fn download<T: DeviceScalar>(d: &Device, stream: StreamId, buf: &DeviceBuffer<T>, dst: &mut [T]) {
+    d.transfer(
+        stream,
+        TransferDir::DeviceToHost,
+        &mut [Part::Down(buf, dst)],
+        false,
+    )
+    .unwrap();
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -38,7 +52,7 @@ proptest! {
         let d = Device::new(DeviceProps::tiny(1 << 16));
         let buf = d.alloc_from_slice(&data).unwrap();
         let mut back = vec![0.0f64; data.len()];
-        d.memcpy_dtoh(&buf, &mut back).unwrap();
+        download(&d, StreamId::DEFAULT, &buf, &mut back);
         for (a, b) in data.iter().zip(&back) {
             prop_assert!(a.to_bits() == b.to_bits(), "bit-exact round trip");
         }
@@ -60,7 +74,7 @@ proptest! {
             let input = d.alloc_from_slice(&values).unwrap();
             let out = d.alloc_zeroed::<f64>(n_bins).unwrap();
             let cfg = LaunchConfig::linear(n as u64, 32);
-            d.launch("scatter", cfg, |ctx| {
+            d.launch(StreamId::DEFAULT, "scatter", cfg, None, |ctx, _| {
                 let i = ctx.global_id().x as usize;
                 if i < n {
                     let v = ctx.read(&input, i);
@@ -70,7 +84,7 @@ proptest! {
             })
             .unwrap();
             let mut host = vec![0.0f64; n_bins];
-            d.memcpy_dtoh(&out, &mut host).unwrap();
+            download(&d, StreamId::DEFAULT, &out, &mut host);
             (host, d.meters().kernel_cost)
         };
         let (a, ca) = run(ExecMode::Sequential);
@@ -130,13 +144,14 @@ proptest! {
             let stream = streams[which];
             match size % 3 {
                 0 => {
-                    d.memcpy_htod_on(stream, &buf, &host).unwrap();
+                    d.transfer(stream, TransferDir::HostToDevice, &mut [Part::Up(&buf, &host)], false)
+                        .unwrap();
                 }
                 1 => {
-                    d.memcpy_dtoh_on(stream, &buf, &mut scratch).unwrap();
+                    download(&d, stream, &buf, &mut scratch);
                 }
                 _ => {
-                    d.launch_on(stream, "w", LaunchConfig::linear(size as u64, 32), |ctx| {
+                    d.launch(stream, "w", LaunchConfig::linear(size as u64, 32), None, |ctx, _| {
                         ctx.charge_flops(100);
                     })
                     .unwrap();
@@ -177,7 +192,7 @@ proptest! {
         let n = (dx * dy * dz) as usize;
         let seen = d.alloc_zeroed::<u64>(n).unwrap();
         let cfg = LaunchConfig::cover(Dim3::new(dx, dy, dz), Dim3::new(bx, by, bz));
-        d.launch("cover", cfg, |ctx| {
+        d.launch(StreamId::DEFAULT, "cover", cfg, None, |ctx, _| {
             let g = ctx.global_id();
             if g.x < dx && g.y < dy && g.z < dz {
                 let lin = ((g.z * dy + g.y) * dx + g.x) as usize;
@@ -186,7 +201,7 @@ proptest! {
         })
         .unwrap();
         let mut host = vec![0u64; n];
-        d.memcpy_dtoh(&seen, &mut host).unwrap();
+        download(&d, StreamId::DEFAULT, &seen, &mut host);
         prop_assert!(host.iter().all(|&c| c == 1));
     }
 }
@@ -204,7 +219,7 @@ fn cover_regression_z_only_domain_unit_blocks() {
     let n = (dx * dy * dz) as usize;
     let seen = d.alloc_zeroed::<u64>(n).unwrap();
     let cfg = LaunchConfig::cover(Dim3::new(dx, dy, dz), Dim3::new(1, 1, 1));
-    d.launch("cover", cfg, |ctx| {
+    d.launch(StreamId::DEFAULT, "cover", cfg, None, |ctx, _| {
         let g = ctx.global_id();
         if g.x < dx && g.y < dy && g.z < dz {
             let lin = ((g.z * dy + g.y) * dx + g.x) as usize;
@@ -213,6 +228,6 @@ fn cover_regression_z_only_domain_unit_blocks() {
     })
     .unwrap();
     let mut host = vec![0u64; n];
-    d.memcpy_dtoh(&seen, &mut host).unwrap();
+    download(&d, StreamId::DEFAULT, &seen, &mut host);
     assert_eq!(host, vec![1, 1, 1], "every z point visited exactly once");
 }

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use cuda_sim::{Device, DeviceProps, Engine, StreamId};
+use cuda_sim::{Device, DeviceProps, Engine, Part, StreamId, TransferDir};
 use proptest::prelude::*;
 
 /// One step of a random plan: `stream` picks the serial resource, `kind`
@@ -148,8 +148,20 @@ fn concurrent_transfers_outlast_either_alone() {
     let down = d.create_stream();
     // Both issued at t = 0 on independent streams: an upload and a
     // download race for the half-duplex link.
-    d.memcpy_htod_on(up, &buf_a, &host_data).unwrap();
-    d.memcpy_dtoh_on(down, &buf_b, &mut back).unwrap();
+    d.transfer(
+        up,
+        TransferDir::HostToDevice,
+        &mut [Part::Up(&buf_a, &host_data)],
+        false,
+    )
+    .unwrap();
+    d.transfer(
+        down,
+        TransferDir::DeviceToHost,
+        &mut [Part::Down(&buf_b, &mut back)],
+        false,
+    )
+    .unwrap();
     let elapsed = d.synchronize();
     assert!(
         elapsed > alone * 1.5,
@@ -187,8 +199,15 @@ fn two_devices_on_one_host_contend() {
         };
         let b1 = d1.alloc::<f64>(bytes).unwrap();
         let b2 = d2.alloc::<f64>(bytes).unwrap();
-        d1.memcpy_htod(&b1, &host_data).unwrap();
-        d2.memcpy_htod(&b2, &host_data).unwrap();
+        for (d, b) in [(&d1, &b1), (&d2, &b2)] {
+            d.transfer(
+                StreamId::DEFAULT,
+                TransferDir::HostToDevice,
+                &mut [Part::Up(b, &host_data)],
+                false,
+            )
+            .unwrap();
+        }
         d1.synchronize().max(d2.synchronize())
     };
     let private = run_pair(false);

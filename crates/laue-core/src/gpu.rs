@@ -39,8 +39,8 @@
 //!   the host across runs and, budget permitting, resident on the device,
 //!   so warm runs skip both the triangulation FLOPs and the table upload.
 //! * **Coalesced slab uploads**: each slab's host→device pieces (pixel
-//!   table, depth table, intensities) ship as one batched bus transaction
-//!   (`memcpy_htod_batched`), paying the PCIe latency once per slab.
+//!   table, depth table, intensities) ship as the parts of one
+//!   [`Device::transfer`], paying the PCIe latency once per slab.
 
 pub mod batch;
 
@@ -48,7 +48,8 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use cuda_sim::{
-    Device, DeviceBuffer, ExecMode, FaultStats, Interconnect, LaunchConfig, Meters, StreamId,
+    Device, DeviceBuffer, DeviceScalar, ExecMode, FaultStats, Interconnect, LaunchConfig, Meters,
+    Part, SharedTile, StreamId, TimeSpan, TransferDir,
 };
 use laue_geometry::{DepthMapper, Vec3};
 
@@ -245,32 +246,35 @@ pub struct RecoveryLog {
     pub transfer_retries: u32,
 }
 
-/// Run a host↔device copy, absorbing transient faults with bounded,
-/// exponentially growing backoff (idle time on `stream` in virtual time).
-/// Non-transient errors — OOM, lost device — propagate immediately.
+/// Run one host↔device [`Device::transfer`] of `parts`, absorbing
+/// transient faults with bounded, exponentially growing backoff (idle time
+/// on `stream` in virtual time). Non-transient errors — OOM, lost device —
+/// propagate immediately.
 ///
-/// With `integrity` attached the copy is a CRC-checked one: the CRC's host
-/// FLOPs (charged inside the checked variants) are billed to
+/// A `checked` transfer is CRC-verified and accounted in `integrity`: the
+/// CRC's host FLOPs (charged inside the transfer) are billed to
 /// `verify_host_cpu_s`, every [`cuda_sim::SimError::CorruptTransfer`]
 /// counts as a detected corruption — corrected when a retry eventually
 /// lands the payload cleanly — and the backoff idle time those CRC
 /// retries insert on the stream is billed to `exposed_overhead_s` (it
 /// extends the makespan; plain transient-fault backoffs do not count,
 /// they are recovery the run pays with or without integrity).
-fn retry_transfer<T>(
+fn retry_transfer<T: DeviceScalar>(
     device: &Device,
     stream: StreamId,
+    dir: TransferDir,
+    parts: &mut [Part<'_, T>],
+    checked: bool,
     recovery: &mut RecoveryLog,
-    integrity: Option<&mut IntegrityReport>,
-    mut copy: impl FnMut() -> cuda_sim::Result<T>,
-) -> Result<T> {
+    integrity: &mut IntegrityReport,
+) -> Result<TimeSpan> {
     let mut backoff = BACKOFF_BASE_S;
     let mut attempts = 0u32;
     let mut crc_hits = 0u64;
     let mut crc_backoff_s = 0.0f64;
     let host_t0 = device.host_flops_time_s();
     let result = loop {
-        match copy() {
+        match device.transfer(stream, dir, parts, checked) {
             Ok(v) => break Ok(v),
             Err(e) if e.is_transient() && attempts < MAX_TRANSFER_RETRIES => {
                 if matches!(e, cuda_sim::SimError::CorruptTransfer { .. }) {
@@ -290,14 +294,14 @@ fn retry_transfer<T>(
             }
         }
     };
-    if let Some(report) = integrity {
-        report.checks_run += 1;
-        report.verify_host_cpu_s += device.host_flops_time_s() - host_t0;
-        report.exposed_overhead_s += crc_backoff_s;
-        report.transfer_crc_failures += crc_hits;
-        report.corruptions_detected += crc_hits;
+    if checked {
+        integrity.checks_run += 1;
+        integrity.verify_host_cpu_s += device.host_flops_time_s() - host_t0;
+        integrity.exposed_overhead_s += crc_backoff_s;
+        integrity.transfer_crc_failures += crc_hits;
+        integrity.corruptions_detected += crc_hits;
         if result.is_ok() {
-            report.corruptions_corrected += crc_hits;
+            integrity.corruptions_corrected += crc_hits;
         }
     }
     result
@@ -733,19 +737,20 @@ pub(crate) fn upload_slab(
             let intensity = device.alloc::<f64>(slab.len())?;
             let output = device.alloc_zeroed::<f64>(cfg.n_depth_bins * rows * n_cols)?;
             // One coalesced transaction for the whole slab.
-            let mut batch: Vec<(&DeviceBuffer<f64>, &[f64])> = vec![(&pixels, &pix)];
+            let mut batch = vec![Part::Up(&pixels, &pix)];
             if let (Some(buf), Some(data)) = (&table_buf, &table_data) {
-                batch.push((buf, data));
+                batch.push(Part::Up(buf, data));
             }
-            batch.push((&intensity, &slab));
-            let report = if checked { Some(&mut *integrity) } else { None };
-            let span = retry_transfer(device, stream, recovery, report, || {
-                if checked {
-                    device.memcpy_htod_batched_checked(stream, &batch)
-                } else {
-                    device.memcpy_htod_batched(stream, &batch)
-                }
-            })?;
+            batch.push(Part::Up(&intensity, &slab));
+            let span = retry_transfer(
+                device,
+                stream,
+                TransferDir::HostToDevice,
+                &mut batch,
+                checked,
+                recovery,
+                integrity,
+            )?;
             (SlabBuffers::Flat { intensity, output }, span.end_s)
         }
         Layout::Pointer3d => {
@@ -761,37 +766,40 @@ pub(crate) fn upload_slab(
             for _ in 0..cfg.n_depth_bins {
                 bins.push(device.alloc_zeroed::<f64>(per_image)?);
             }
-            let mut batch: Vec<(&DeviceBuffer<f64>, &[f64])> = vec![(&pixels, &pix)];
+            let mut batch = vec![Part::Up(&pixels, &pix)];
             if let (Some(buf), Some(data)) = (&table_buf, &table_data) {
-                batch.push((buf, data));
+                batch.push(Part::Up(buf, data));
             }
             for (z, buf) in images.iter().enumerate() {
-                batch.push((buf, &slab[z * per_image..(z + 1) * per_image]));
+                batch.push(Part::Up(buf, &slab[z * per_image..(z + 1) * per_image]));
             }
-            let report = if checked { Some(&mut *integrity) } else { None };
-            let span = retry_transfer(device, stream, recovery, report, || {
-                if checked {
-                    device.memcpy_htod_batched_checked(stream, &batch)
-                } else {
-                    device.memcpy_htod_batched(stream, &batch)
-                }
-            })?;
+            let span = retry_transfer(
+                device,
+                stream,
+                TransferDir::HostToDevice,
+                &mut batch,
+                checked,
+                recovery,
+                integrity,
+            )?;
             let mut ready_at = span.end_s;
             // The pointer tables themselves must also be shipped.
             let image_ptrs: Vec<u64> = images.iter().map(|b| b.device_addr()).collect();
             let bin_ptrs: Vec<u64> = bins.iter().map(|b| b.device_addr()).collect();
             let image_table = device.alloc::<u64>(image_ptrs.len())?;
             let bin_table = device.alloc::<u64>(bin_ptrs.len())?;
-            let ptr_batch: Vec<(&DeviceBuffer<u64>, &[u64])> =
-                vec![(&image_table, &image_ptrs), (&bin_table, &bin_ptrs)];
-            let report = if checked { Some(&mut *integrity) } else { None };
-            let span = retry_transfer(device, stream, recovery, report, || {
-                if checked {
-                    device.memcpy_htod_batched_checked(stream, &ptr_batch)
-                } else {
-                    device.memcpy_htod_batched(stream, &ptr_batch)
-                }
-            })?;
+            let span = retry_transfer(
+                device,
+                stream,
+                TransferDir::HostToDevice,
+                &mut [
+                    Part::Up(&image_table, &image_ptrs),
+                    Part::Up(&bin_table, &bin_ptrs),
+                ],
+                checked,
+                recovery,
+                integrity,
+            )?;
             ready_at = ready_at.max(span.end_s);
             (
                 SlabBuffers::Pointer {
@@ -848,7 +856,7 @@ pub(crate) fn launch_prescan(
         return Ok(None);
     }
     let total = (sp.live_rows.len() * n_cols) as u64;
-    let kernel = |ctx: &mut cuda_sim::ThreadCtx<'_>| {
+    let kernel = |ctx: &mut cuda_sim::ThreadCtx<'_>, _: &mut [f64]| {
         let id = ctx.global_id().x as usize;
         if id as u64 >= total {
             return;
@@ -879,10 +887,11 @@ pub(crate) fn launch_prescan(
         }
     };
     device
-        .launch_on(
+        .launch(
             stream,
             "prescan",
             LaunchConfig::linear(total, BLOCK_SIZE),
+            None,
             kernel,
         )
         .map(Some)
@@ -979,7 +988,7 @@ pub(crate) fn launch_set_two(
             &eval_pair,
         );
     }
-    let kernel = |ctx: &mut cuda_sim::ThreadCtx<'_>| {
+    let kernel = |ctx: &mut cuda_sim::ThreadCtx<'_>, _: &mut [f64]| {
         let (r, c, z) = match &shape {
             LaunchShape::Dense => match mapping {
                 ThreadMapping::Linear => {
@@ -1058,7 +1067,7 @@ pub(crate) fn launch_set_two(
         }
     };
     device
-        .launch_on(stream, "set_two", launch_cfg, kernel)
+        .launch(stream, "set_two", launch_cfg, None, kernel)
         .map(Some)
         .map_err(CoreError::from)
 }
@@ -1288,13 +1297,15 @@ where
         }
     };
     device
-        .launch_shared_on(
+        .launch(
             stream,
             "set_two",
             LaunchConfig::linear(n_pixels, pixels_per_block as u64),
-            pixels_per_block * n_bins,
+            Some(SharedTile {
+                doubles: pixels_per_block * n_bins,
+                epilogue: &epilogue,
+            }),
             kernel,
-            epilogue,
         )
         .map(Some)
         .map_err(CoreError::from)
@@ -1320,14 +1331,15 @@ pub(crate) fn download_slab(
     match &upload.buffers {
         SlabBuffers::Flat { output, .. } => {
             let mut host = vec![0.0f64; cfg.n_depth_bins * rows * n_cols];
-            let report = if checked { Some(&mut *integrity) } else { None };
-            let span = retry_transfer(device, stream, recovery, report, || {
-                if checked {
-                    device.memcpy_dtoh_checked_on(stream, output, &mut host)
-                } else {
-                    device.memcpy_dtoh_on(stream, output, &mut host)
-                }
-            })?;
+            let span = retry_transfer(
+                device,
+                stream,
+                TransferDir::DeviceToHost,
+                &mut [Part::Down(output, &mut host)],
+                checked,
+                recovery,
+                integrity,
+            )?;
             done_at = span.end_s;
             // The host buffer is already in slab layout; assign (don't
             // accumulate) this slab's rows.
@@ -1337,14 +1349,15 @@ pub(crate) fn download_slab(
             // One D2H per bin: the 3D layout pays latency both ways.
             let mut host = vec![0.0f64; rows * n_cols];
             for (bin, buf) in bins.iter().enumerate() {
-                let report = if checked { Some(&mut *integrity) } else { None };
-                let span = retry_transfer(device, stream, recovery, report, || {
-                    if checked {
-                        device.memcpy_dtoh_checked_on(stream, buf, &mut host)
-                    } else {
-                        device.memcpy_dtoh_on(stream, buf, &mut host)
-                    }
-                })?;
+                let span = retry_transfer(
+                    device,
+                    stream,
+                    TransferDir::DeviceToHost,
+                    &mut [Part::Down(buf, &mut host)],
+                    checked,
+                    recovery,
+                    integrity,
+                )?;
                 done_at = done_at.max(span.end_s);
                 for r in 0..rows {
                     for c in 0..n_cols {
@@ -1788,16 +1801,15 @@ fn resolve_table_source(
             Err(e) => return Err(CoreError::Device(e)),
         };
         if let Some(buf) = alloc {
-            let checked = cfg.integrity.enabled();
-            let report = if checked { Some(&mut *integrity) } else { None };
-            retry_transfer(device, upload_stream, recovery, report, || {
-                let batch = [(&buf, &tables.depths[..])];
-                if checked {
-                    device.memcpy_htod_batched_checked(upload_stream, &batch)
-                } else {
-                    device.memcpy_htod_batched(upload_stream, &batch)
-                }
-            })?;
+            retry_transfer(
+                device,
+                upload_stream,
+                TransferDir::HostToDevice,
+                &mut [Part::Up(&buf, &tables.depths)],
+                cfg.integrity.enabled(),
+                recovery,
+                integrity,
+            )?;
             cache.insert_device(device.id(), key, buf.clone(), run);
             return Ok((TableSource::Resident { buf, n_rows }, host_flops));
         }
@@ -1858,17 +1870,15 @@ pub(crate) fn run_ring(
         wire_flat.extend_from_slice(&[w.x, w.y, w.z]);
     }
     let wires = device.alloc::<f64>(wire_flat.len())?;
-    {
-        let checked = cfg.integrity.enabled();
-        let report = if checked { Some(&mut integrity) } else { None };
-        retry_transfer(device, upload_stream, recovery, report, || {
-            if checked {
-                device.memcpy_htod_checked_on(upload_stream, &wires, &wire_flat)
-            } else {
-                device.memcpy_htod_on(upload_stream, &wires, &wire_flat)
-            }
-        })?;
-    }
+    retry_transfer(
+        device,
+        upload_stream,
+        TransferDir::HostToDevice,
+        &mut [Part::Up(&wires, &wire_flat)],
+        cfg.integrity.enabled(),
+        recovery,
+        &mut integrity,
+    )?;
 
     let mut cache_stats = TableCacheStats::default();
     let (table_source, mut host_table_flops) = resolve_table_source(
@@ -2296,7 +2306,8 @@ pub struct Reconstruction {
     /// ([`Triangulation::HostTables`] only), summed over devices.
     pub host_table_flops: u64,
     /// Host-CPU seconds those FLOPs occupy, summed over devices (each
-    /// host's CPU works in parallel with its devices).
+    /// host's CPU works in parallel with its devices). Integrity work on
+    /// the host CPU is not included; it is `integrity.verify_host_cpu_s`.
     pub host_table_time_s: f64,
     /// Committed slabs (replayed + fresh).
     pub n_slabs: usize,
@@ -2538,7 +2549,8 @@ pub fn reconstruct(
         recovery: bands.recovery,
         table_cache: bands.table_cache,
         host_table_flops: bands.host_table_flops,
-        host_table_time_s,
+        // The devices' host-CPU time also carries the CRC and ABFT passes.
+        host_table_time_s: host_table_time_s - integrity.verify_host_cpu_s,
         n_slabs: progress.committed_slabs(),
         rows_per_slab: bands.rows_per_slab,
         pipeline_depth: bands.depth_used.unwrap_or(run.depth.0),
@@ -3173,6 +3185,22 @@ mod tests {
             tables.meters.kernel_cost.flops < in_kernel.meters.kernel_cost.flops,
             "table kernel must skip the triangulation FLOPs"
         );
+    }
+
+    #[test]
+    fn host_table_time_excludes_integrity_work() {
+        // flat1d/inkernel ships no tables: under `verify`, every host-CPU
+        // second it spends is CRC or ABFT work, billed to the integrity
+        // report and not to the host-table counter.
+        let (geom, mut cfg, data) = demo();
+        cfg.integrity = crate::config::IntegrityMode::Verify;
+        cfg.rows_per_slab = Some(2);
+        let device = big_device();
+        let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
+        let out = ring(&device, &mut source, &geom, &cfg, 3);
+        assert!(out.integrity.verify_host_cpu_s > 0.0);
+        assert_eq!(out.host_table_flops, 0);
+        assert_eq!(out.host_table_time_s, 0.0);
     }
 
     #[test]

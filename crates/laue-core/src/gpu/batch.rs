@@ -23,15 +23,15 @@
 //! jobs here when they qualify:
 //!
 //! * whole scan resident as one slab (no chunking; these are small jobs),
-//! * [`Layout::Flat1d`] + [`Triangulation::InKernel`] (no shared table
-//!   state between tenants' uploads),
+//! * [`super::Layout::Flat1d`] + [`super::Triangulation::InKernel`] (no
+//!   shared table state between tenants' uploads),
 //! * atomic accumulation, no compaction, no integrity checks.
 //!
 //! Anything bigger or fancier takes the ordinary per-job engines.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cuda_sim::{Device, DeviceBuffer, LaunchConfig};
+use cuda_sim::{Device, LaunchConfig, Part, TransferDir};
 
 use super::{
     eval_pair_body, AccumPlan, DepthTableRef, SlabBuffers, SlabUpload, ThreadMapping, BLOCK_SIZE,
@@ -216,14 +216,15 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
             device.alloc_zeroed::<f64>(job.cfg.n_depth_bins * plans[j].rows * plans[j].n_cols)?,
         );
     }
-    let mut copies: Vec<(&DeviceBuffer<f64>, &[f64])> = Vec::with_capacity(jobs.len() * 3);
+    let mut copies = Vec::with_capacity(jobs.len() * 3);
     for j in 0..jobs.len() {
-        copies.push((&pixel_bufs[j], &pix_host[j]));
-        copies.push((&wire_bufs[j], &wire_host[j]));
-        copies.push((&intensity_bufs[j], &slab_host[j]));
+        copies.push(Part::Up(&pixel_bufs[j], &pix_host[j]));
+        copies.push(Part::Up(&wire_bufs[j], &wire_host[j]));
+        copies.push(Part::Up(&intensity_bufs[j], &slab_host[j]));
     }
-    let upload_bytes = copies.iter().map(|(_, d)| d.len() as u64 * 8).sum();
-    let span = device.memcpy_htod_batched(stream, &copies)?;
+    let host_parts = pix_host.iter().chain(&wire_host).chain(&slab_host);
+    let upload_bytes = host_parts.map(|h| h.len() as u64 * 8).sum();
+    let span = device.transfer(stream, TransferDir::HostToDevice, &mut copies, false)?;
     let ready_at = span.end_s;
 
     // Rebuild each job's upload descriptor so the fused kernel can reuse
@@ -262,7 +263,7 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
     let cfgs: Vec<&ReconstructionConfig> = jobs.iter().map(|j| j.cfg).collect();
 
     device.wait_until(stream, ready_at);
-    let kernel = |ctx: &mut cuda_sim::ThreadCtx<'_>| {
+    let kernel = |ctx: &mut cuda_sim::ThreadCtx<'_>, _: &mut [f64]| {
         let id = ctx.global_id().x;
         if id >= total_all {
             return;
@@ -312,10 +313,11 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
             }
         }
     };
-    device.launch_on(
+    device.launch(
         stream,
         "set_two_fused",
         LaunchConfig::linear(total_all, BLOCK_SIZE),
+        None,
         kernel,
     )?;
 
@@ -325,7 +327,8 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
     for (j, job) in jobs.iter().enumerate() {
         let plan = &plans[j];
         let mut host = vec![0.0f64; job.cfg.n_depth_bins * plan.rows * plan.n_cols];
-        device.memcpy_dtoh_on(stream, &output_bufs[j], &mut host)?;
+        let mut parts = [Part::Down(&output_bufs[j], &mut host)];
+        device.transfer(stream, TransferDir::DeviceToHost, &mut parts, false)?;
         let mut image = DepthImage::zeroed(job.cfg.n_depth_bins, plan.rows, plan.n_cols);
         image.assign_rows(0, plan.rows, &host)?;
         let stats = ReconStats {

@@ -8,12 +8,11 @@
 //! kernels); this module supplies the three defences the engines wire in
 //! when [`IntegrityMode`](crate::config::IntegrityMode) ≠ `Off`:
 //!
-//! 1. **Checksummed transfers** — every host↔device copy runs through the
-//!    CRC64-checked variants ([`cuda_sim::Device::memcpy_htod_checked_on`]
-//!    and friends), which detect every single-bit payload error. A CRC
-//!    mismatch is retryable: re-sending the payload re-rolls the fault
-//!    dice, so one-shot flips are *corrected* by the existing transfer
-//!    retry loop.
+//! 1. **Checksummed transfers** — every host↔device copy is a checked
+//!    [`cuda_sim::Device::transfer`], whose CRC64 pair detects every
+//!    single-bit payload error. A CRC mismatch is retryable: re-sending
+//!    the payload re-rolls the fault dice, so one-shot flips are
+//!    *corrected* by the existing transfer retry loop.
 //! 2. **ABFT depth-sum verification** — after each slab's download, the
 //!    host redundantly recomputes the slab with the dense CPU engine
 //!    (bit-identical to the device under the sequential executor) and

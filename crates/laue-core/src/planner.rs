@@ -11,7 +11,7 @@
 //!
 //! Two levels:
 //!
-//! * **Per slab** ([`plan_slab`]): given a slab's measured sparsity
+//! * **Per slab** (`plan_slab`): given a slab's measured sparsity
 //!   structure and a sampled probe of its intensity statistics, choose
 //!   compacted vs dense execution and atomic vs privatized accumulation by
 //!   comparing the modeled kernel times of each combination. This subsumes
@@ -602,7 +602,7 @@ pub struct RunPlan {
 /// Enumerate and score run-level execution plans for `source` on the
 /// device described by `props`, returning the predicted-cheapest feasible
 /// one. Per-slab knobs (compaction, accumulation) are resolved inside each
-/// candidate via [`plan_slab`] under the modes in `cfg` — under
+/// candidate via `plan_slab` under the modes in `cfg` — under
 /// `--plan auto` the pipeline sets both to `Auto` before planning, so the
 /// program priced is the program that runs.
 pub fn plan_run(
@@ -723,7 +723,7 @@ pub fn plan_run(
                     // transaction.
                     let mut pre = props.transfer_time(wire_bytes);
                     if resident && !warmth.device_warm {
-                        pre += props.transfer_time_batched(table_bytes);
+                        pre += props.transfer_time(table_bytes);
                     }
                     let (mut sum_up, mut sum_down, mut sum_kernel) = (0.0f64, 0.0f64, 0.0f64);
                     let (mut first_up, mut last_down) = (0.0f64, 0.0f64);
@@ -774,9 +774,9 @@ pub fn plan_run(
                             f64_bytes += (n_images * rows * n_cols * 8) as u64;
                         }
                         f64_bytes += (n_images * rows * n_cols * 8) as u64; // intensity
-                        let mut t_up = props.transfer_time_batched(f64_bytes);
+                        let mut t_up = props.transfer_time(f64_bytes);
                         if layout == Layout::Pointer3d {
-                            t_up += props.transfer_time_batched(((n_images + n_bins) * 8) as u64);
+                            t_up += props.transfer_time(((n_images + n_bins) * 8) as u64);
                         }
                         // Download: flat is one D2H; the pointer layout pays
                         // the transfer latency once per output bin.
