@@ -296,7 +296,7 @@ impl Device {
                 if e.is_transient() {
                     let dur = self.props.transfer_time(bytes);
                     let mut st = self.state.lock();
-                    let (start_s, end_s) = self.bus_transfer(&mut st, stream, dir, "fault", dur);
+                    let (start_s, end_s) = self.bus_transfer(&mut st, stream, "fault", dur);
                     st.meters.comm_time_s += dur;
                     st.trace
                         .push_with("fault", stream.index(), start_s, end_s, || {
@@ -319,12 +319,11 @@ impl Device {
         &self,
         st: &mut DeviceState,
         stream: StreamId,
-        dir: TransferDir,
         label: &'static str,
         dur: f64,
     ) -> (f64, f64) {
         let ready = st.timelines.cursor(stream);
-        let (start_s, end_s) = self.host.bus_acquire(dir, self.slot, label, ready, dur);
+        let (start_s, end_s) = self.host.bus_acquire(self.slot, label, ready, dur);
         st.timelines.wait_until(stream, end_s);
         // Extra stall beyond the uncontended duration. A contended grant may
         // split across bus gaps (first burst on time, last byte late), so the
@@ -478,7 +477,7 @@ impl Device {
         let dur = self.props.transfer_time(bytes);
         let kind = if to_device { "h2d" } else { "d2h" };
         let mut st = self.state.lock();
-        let (start_s, end_s) = self.bus_transfer(&mut st, stream, dir, kind, dur);
+        let (start_s, end_s) = self.bus_transfer(&mut st, stream, kind, dur);
         st.meters.comm_time_s += dur;
         if to_device {
             st.meters.h2d_bytes += bytes;

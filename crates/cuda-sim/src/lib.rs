@@ -77,13 +77,13 @@ pub mod sim;
 pub mod stream;
 pub mod trace;
 
-pub use cluster::{Cluster, ClusterConfig, Delivery, Interconnect, InterconnectProps};
+pub use cluster::{Delivery, Duplex, Interconnect, InterconnectProps};
 pub use device::{Device, Part, TimeSpan};
 pub use error::{SimError, TransferDir};
 pub use event::Event;
 pub use fault::{FaultPlan, FaultStats};
 pub use fleet::{FleetClock, FleetSpan};
-pub use host::{Duplex, Host, HostConfig};
+pub use host::Host;
 pub use kernel::{Dim3, LaunchConfig, SharedTile, ThreadCtx};
 pub use memory::{DeviceBuffer, DeviceScalar};
 pub use meter::{ChainEstimator, Cost, LaunchRecord, Meters, TRACE_SLOTS};

@@ -64,7 +64,7 @@ enum ResourceKind {
 struct Slot {
     gen: u32,
     live: bool,
-    /// Label shown by the engine's `Debug` output (`"host/pcie-h2d"`, …).
+    /// Label shown by the engine's `Debug` output (`"host/pcie"`, …).
     name: String,
     kind: ResourceKind,
     /// Committed busy seconds (occupancy; waits excluded).

@@ -8,21 +8,18 @@
 //! Run: `cargo run --release -p laue-bench --bin bench_report -- \
 //!       [--quick] [--out BENCH_pipeline.json] [--check ci/perf_smoke_baseline.txt]`
 //!
-//! `--check FILE` turns the report into a perf gate: FILE holds the maximum
-//! allowed compact/dense modeled-kernel-time ratio at the ~25 %-active
-//! operating point, optionally (second float) the maximum allowed
-//! privatized/atomic kernel-time ratio, optionally (third float) the
-//! maximum allowed depth-3/serial ring elapsed ratio under the shared-bus
-//! model, optionally (fourth float) the maximum allowed
-//! plan-auto/best-fixed total-time ratio, and optionally (fifth float) the
-//! maximum allowed `--integrity verify`/off total-time ratio (`#` comments
-//! allowed); the process exits non-zero if a measured ratio regresses past
-//! its budget.
+//! `--check FILE` turns the report into a perf gate: lines 1–5 of FILE
+//! (`ci/perf_smoke_baseline.txt`) budget the compact/dense kernel-time
+//! ratio at the ~25 %-active operating point, the privatized/atomic
+//! kernel-time ratio, the depth-3/serial ring elapsed ratio under the
+//! shared-bus model, the plan-auto/best-fixed total-time ratio and the
+//! `--integrity verify`/off total-time ratio; the process exits 1 if any
+//! measured ratio regresses past its line or the line is missing.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use cuda_sim::{Device, DeviceProps};
+use laue_bench::report::{self, Args, Bound, Json};
 use laue_bench::{
     delta_percentile, pinned, standard_config, Workload, SERIAL_1D, SERIAL_3D, SERIAL_TABLES,
 };
@@ -31,26 +28,20 @@ use laue_core::gpu::{PipelineDepth, RunOptions};
 use laue_core::{AccumulationMode, CompactionMode, IntegrityMode, PlanMode};
 use laue_pipeline::{Engine, Pipeline};
 
-fn json_stats(s: &TableCacheStats) -> String {
-    format!(
-        "{{\"host_hits\": {}, \"host_misses\": {}, \"device_hits\": {}, \
-         \"device_misses\": {}, \"evictions\": {}, \"resident_bytes\": {}}}",
-        s.host_hits, s.host_misses, s.device_hits, s.device_misses, s.evictions, s.resident_bytes
-    )
+fn json_stats(s: &TableCacheStats) -> Json {
+    Json::object([
+        ("host_hits", s.host_hits.into()),
+        ("host_misses", s.host_misses.into()),
+        ("device_hits", s.device_hits.into()),
+        ("device_misses", s.device_misses.into()),
+        ("evictions", s.evictions.into()),
+        ("resident_bytes", s.resident_bytes.into()),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1).cloned());
+    let args = Args::parse("BENCH_pipeline.json");
+    let quick = args.quick;
     let started = Instant::now();
 
     // 1. The CPU/GPU ladder over the Fig 8 sizes (one size in quick mode).
@@ -67,10 +58,11 @@ fn main() {
         // Every row (and every section below) carries the quick marker so
         // a consumer can never mistake the abbreviated quick ladder for
         // the full Fig 8 one.
-        let mut row = format!(
-            "    {{\"quick\": {quick}, \"label\": \"{}\", \"bytes\": {}",
-            w.label, w.bytes
-        );
+        let mut row = vec![
+            ("quick".to_string(), quick.into()),
+            ("label".to_string(), w.label.as_str().into()),
+            ("bytes".to_string(), w.bytes.into()),
+        ];
         let mut cpu_total = 0.0;
         let mut serial = (0.0, 0.0, 0.0); // (total, comm, compute)
         let mut pipe_total = 0.0;
@@ -89,36 +81,33 @@ fn main() {
                 "gpu_pipe" => pipe_total = r.total_time_s,
                 _ => {}
             }
-            write!(
-                row,
-                ", \"{key}\": {{\"total_s\": {:.9}, \"comm_s\": {:.9}, \
-                 \"bus_wait_s\": {:.9}, \"compute_s\": {:.9}, \
-                 \"pipeline_depth\": {}, \"replans\": {}, \
-                 \"transfer_retries\": {}, \"trace_dropped\": {}}}",
-                r.total_time_s,
-                r.comm_time_s,
-                r.bus_wait_s,
-                r.compute_time_s,
-                r.pipeline_depth,
-                r.gpu_replans,
-                r.gpu_transfer_retries,
-                r.trace_dropped
-            )
-            .unwrap();
+            row.push((
+                key.to_string(),
+                Json::object([
+                    ("total_s", Json::Float(r.total_time_s, 9)),
+                    ("comm_s", Json::Float(r.comm_time_s, 9)),
+                    ("bus_wait_s", Json::Float(r.bus_wait_s, 9)),
+                    ("compute_s", Json::Float(r.compute_time_s, 9)),
+                    ("pipeline_depth", r.pipeline_depth.into()),
+                    ("replans", r.gpu_replans.into()),
+                    ("transfer_retries", r.gpu_transfer_retries.into()),
+                    ("trace_dropped", r.trace_dropped.into()),
+                ]),
+            ));
         }
         // Which resource dominates the serial GPU run at this size, and how
         // much of it the overlapped ring claws back — the §III comm-vs-comp
         // axis as two derived columns.
         let (serial_total, serial_comm, serial_compute) = serial;
-        write!(
-            row,
-            ", \"bus_bound\": {}, \"ring_saving_s\": {:.9}",
-            serial_comm > serial_compute,
-            serial_total - pipe_total
-        )
-        .unwrap();
-        row.push('}');
-        ladder.push(row);
+        row.push((
+            "bus_bound".to_string(),
+            (serial_comm > serial_compute).into(),
+        ));
+        row.push((
+            "ring_saving_s".to_string(),
+            Json::Float(serial_total - pipe_total, 9),
+        ));
+        ladder.push(Json::Object(row));
         ladder_totals.push((w.label.clone(), cpu_total, serial.0, pipe_total));
     }
 
@@ -181,16 +170,14 @@ fn main() {
             );
         }
         ring_elapsed.push(out.elapsed_s);
-        ablation.push(format!(
-            "    {{\"ring_depth\": {}, \"n_slabs\": {}, \"total_s\": {:.9}, \
-             \"comm_s\": {:.9}, \"bus_wait_s\": {:.9}, \"compute_s\": {:.9}}}",
-            out.pipeline_depth,
-            out.n_slabs,
-            out.elapsed_s,
-            out.meters.comm_time_s,
-            out.meters.bus_wait_s,
-            out.meters.compute_time_s
-        ));
+        ablation.push(Json::object([
+            ("ring_depth", out.pipeline_depth.into()),
+            ("n_slabs", out.n_slabs.into()),
+            ("total_s", Json::Float(out.elapsed_s, 9)),
+            ("comm_s", Json::Float(out.meters.comm_time_s, 9)),
+            ("bus_wait_s", Json::Float(out.meters.bus_wait_s, 9)),
+            ("compute_s", Json::Float(out.meters.compute_time_s, 9)),
+        ]));
     }
     let ring_ratio = ring_elapsed[2] / ring_elapsed[0];
 
@@ -282,8 +269,7 @@ fn main() {
     // 6. Accumulation strategy: the paper's CAS-loop atomicAdd(double) vs
     // the shared-memory privatized tiles, dense serial 1-D on the same stack.
     // The privatized run must stay bit-identical and cut the modeled
-    // kernel time; `--check` gates the ratio when the baseline file holds
-    // a second float.
+    // kernel time; `--check` gates the ratio (baseline line 2).
     let run_accum = |mode: AccumulationMode| {
         let mut c = pinned(&standard_config(), SERIAL_1D);
         c.accumulation = mode;
@@ -307,8 +293,7 @@ fn main() {
     // 7. Self-tuning planner: `--plan auto` vs the best fixed configuration
     // on the same stack. The explain block's predicted virtual time must
     // track the measured one, and auto must stay within a few percent of
-    // the best fixed contender; `--check` gates the ratio when the baseline
-    // file holds a fourth float.
+    // the best fixed contender; `--check` gates the ratio (baseline line 4).
     let run_fixed = |plan: &str| {
         let mut c = pinned(&standard_config(), plan);
         c.compaction = CompactionMode::Auto;
@@ -349,7 +334,7 @@ fn main() {
 
     // 8. End-to-end data integrity: the verification overhead of
     // `--integrity verify` on the clean Fig 8 stack (`--check` gates the
-    // verify/off total-time ratio when the baseline holds a fifth float),
+    // verify/off total-time ratio, baseline line 5),
     // and a scrub run under injected silent corruption that must come back
     // bit-identical with every detection corrected.
     let run_integrity = |mode: IntegrityMode, plan: Option<cuda_sim::FaultPlan>| {
@@ -404,208 +389,137 @@ fn main() {
         scrub.integrity
     );
 
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"generated_by\": \"bench_report\",").unwrap();
-    writeln!(json, "  \"quick\": {quick},").unwrap();
-    writeln!(json, "  \"datasize\": [").unwrap();
-    writeln!(json, "{}", ladder.join(",\n")).unwrap();
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"depth_ablation_quick\": {quick},").unwrap();
-    writeln!(json, "  \"depth_ablation\": [").unwrap();
-    writeln!(json, "{}", ablation.join(",\n")).unwrap();
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"ring_depth3_over_serial\": {ring_ratio:.6},").unwrap();
-    writeln!(json, "  \"table_cache\": {{").unwrap();
-    writeln!(json, "    \"quick\": {quick},").unwrap();
-    writeln!(json, "    \"cold_total_s\": {:.9},", cold.total_time_s).unwrap();
-    writeln!(json, "    \"warm_total_s\": {:.9},", warm.total_time_s).unwrap();
-    writeln!(json, "    \"cold\": {},", json_stats(&cold.table_cache)).unwrap();
-    writeln!(json, "    \"warm\": {}", json_stats(&warm.table_cache)).unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"failover\": {{").unwrap();
-    writeln!(json, "    \"quick\": {quick},").unwrap();
-    writeln!(
-        json,
-        "    \"clean_total_s\": {:.9},",
-        clean_fleet.total_time_s
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"degraded_total_s\": {:.9},",
-        degraded_fleet.total_time_s
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"devices_lost\": {},",
-        degraded_fleet.recovery.devices_lost
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"salvaged_slabs\": {},",
-        degraded_fleet.recovery.salvaged_slabs
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"recomputed_slabs\": {}",
-        degraded_fleet.recovery.recomputed_slabs
-    )
-    .unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"compaction\": {{").unwrap();
-    writeln!(json, "    \"quick\": {quick},").unwrap();
-    writeln!(json, "    \"cutoff\": {sparse_cutoff:.6},").unwrap();
-    writeln!(
-        json,
-        "    \"active_fraction\": {:.6},",
-        dense.stats.active_fraction()
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"dense_compute_s\": {:.9},",
-        dense.compute_time_s
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"compact_compute_s\": {:.9},",
-        compact.compute_time_s
-    )
-    .unwrap();
-    writeln!(json, "    \"auto_compute_s\": {:.9},", auto.compute_time_s).unwrap();
-    writeln!(json, "    \"compact_over_dense\": {compact_ratio:.6},").unwrap();
-    writeln!(
-        json,
-        "    \"mean_slab_density\": {:.6},",
-        mean_density(&compact)
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"compacted_pairs\": {},",
-        compact.stats.compacted_pairs
-    )
-    .unwrap();
-    writeln!(json, "    \"culled_rows\": {}", compact.stats.culled_rows).unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"accumulation\": {{").unwrap();
-    writeln!(json, "    \"quick\": {quick},").unwrap();
-    writeln!(
-        json,
-        "    \"atomic_compute_s\": {:.9},",
-        atomic.compute_time_s
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"privatized_compute_s\": {:.9},",
-        privatized.compute_time_s
-    )
-    .unwrap();
-    writeln!(json, "    \"privatized_over_atomic\": {accum_ratio:.6},").unwrap();
-    writeln!(
-        json,
-        "    \"privatized_pairs\": {},",
-        privatized.stats.privatized_pairs
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"accum_fallback_pairs\": {}",
-        privatized.stats.accum_fallback_pairs
-    )
-    .unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"planner\": {{").unwrap();
-    writeln!(json, "    \"quick\": {quick},").unwrap();
-    writeln!(json, "    \"chosen\": \"{}\",", explain.chosen).unwrap();
-    writeln!(json, "    \"predicted_s\": {:.9},", explain.predicted_s).unwrap();
-    writeln!(json, "    \"measured_s\": {:.9},", explain.measured_s).unwrap();
-    writeln!(
-        json,
-        "    \"prediction_error\": {:.6},",
-        explain.prediction_error()
-    )
-    .unwrap();
-    writeln!(json, "    \"auto_total_s\": {:.9},", auto_plan.total_time_s).unwrap();
-    writeln!(json, "    \"best_fixed\": \"{best_fixed_label}\",").unwrap();
-    writeln!(json, "    \"best_fixed_total_s\": {best_fixed_s:.9},").unwrap();
-    writeln!(json, "    \"auto_over_best\": {planner_ratio:.6}").unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"integrity\": {{").unwrap();
-    writeln!(json, "    \"quick\": {quick},").unwrap();
-    writeln!(
-        json,
-        "    \"off_total_s\": {:.9},",
-        integrity_off.total_time_s
-    )
-    .unwrap();
-    writeln!(json, "    \"verify_total_s\": {:.9},", verify.total_time_s).unwrap();
-    writeln!(json, "    \"verify_over_off\": {integrity_ratio:.6},").unwrap();
-    writeln!(
-        json,
-        "    \"verify_checks\": {},",
-        verify.integrity.checks_run
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"verify_host_cpu_s\": {:.9},",
-        verify.integrity.verify_host_cpu_s
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"exposed_overhead_s\": {:.9},",
-        verify.integrity.exposed_overhead_s
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"measured_delta_s\": {:.9},",
-        verify.total_time_s - integrity_off.total_time_s
-    )
-    .unwrap();
-    writeln!(json, "    \"scrub_total_s\": {:.9},", scrub.total_time_s).unwrap();
-    writeln!(
-        json,
-        "    \"scrub_silent_injected\": {},",
-        scrub_injected.total_silent()
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"scrub_detected\": {},",
-        scrub.integrity.corruptions_detected
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"scrub_corrected\": {},",
-        scrub.integrity.corruptions_corrected
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"scrub_retries\": {}",
-        scrub.integrity.scrub_retries
-    )
-    .unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(
-        json,
-        "  \"wall_clock_s\": {:.3}",
-        started.elapsed().as_secs_f64()
-    )
-    .unwrap();
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path} ({} bytes)", json.len());
+    let report = Json::object([
+        ("generated_by", "bench_report".into()),
+        ("quick", quick.into()),
+        ("datasize", ladder.into()),
+        ("depth_ablation_quick", quick.into()),
+        ("depth_ablation", ablation.into()),
+        ("ring_depth3_over_serial", Json::Float(ring_ratio, 6)),
+        (
+            "table_cache",
+            Json::object([
+                ("quick", quick.into()),
+                ("cold_total_s", Json::Float(cold.total_time_s, 9)),
+                ("warm_total_s", Json::Float(warm.total_time_s, 9)),
+                ("cold", json_stats(&cold.table_cache)),
+                ("warm", json_stats(&warm.table_cache)),
+            ]),
+        ),
+        (
+            "failover",
+            Json::object([
+                ("quick", quick.into()),
+                ("clean_total_s", Json::Float(clean_fleet.total_time_s, 9)),
+                (
+                    "degraded_total_s",
+                    Json::Float(degraded_fleet.total_time_s, 9),
+                ),
+                ("devices_lost", degraded_fleet.recovery.devices_lost.into()),
+                (
+                    "salvaged_slabs",
+                    degraded_fleet.recovery.salvaged_slabs.into(),
+                ),
+                (
+                    "recomputed_slabs",
+                    degraded_fleet.recovery.recomputed_slabs.into(),
+                ),
+            ]),
+        ),
+        (
+            "compaction",
+            Json::object([
+                ("quick", quick.into()),
+                ("cutoff", Json::Float(sparse_cutoff, 6)),
+                (
+                    "active_fraction",
+                    Json::Float(dense.stats.active_fraction(), 6),
+                ),
+                ("dense_compute_s", Json::Float(dense.compute_time_s, 9)),
+                ("compact_compute_s", Json::Float(compact.compute_time_s, 9)),
+                ("auto_compute_s", Json::Float(auto.compute_time_s, 9)),
+                ("compact_over_dense", Json::Float(compact_ratio, 6)),
+                ("mean_slab_density", Json::Float(mean_density(&compact), 6)),
+                ("compacted_pairs", compact.stats.compacted_pairs.into()),
+                ("culled_rows", compact.stats.culled_rows.into()),
+            ]),
+        ),
+        (
+            "accumulation",
+            Json::object([
+                ("quick", quick.into()),
+                ("atomic_compute_s", Json::Float(atomic.compute_time_s, 9)),
+                (
+                    "privatized_compute_s",
+                    Json::Float(privatized.compute_time_s, 9),
+                ),
+                ("privatized_over_atomic", Json::Float(accum_ratio, 6)),
+                ("privatized_pairs", privatized.stats.privatized_pairs.into()),
+                (
+                    "accum_fallback_pairs",
+                    privatized.stats.accum_fallback_pairs.into(),
+                ),
+            ]),
+        ),
+        (
+            "planner",
+            Json::object([
+                ("quick", quick.into()),
+                ("chosen", explain.chosen.as_str().into()),
+                ("predicted_s", Json::Float(explain.predicted_s, 9)),
+                ("measured_s", Json::Float(explain.measured_s, 9)),
+                (
+                    "prediction_error",
+                    Json::Float(explain.prediction_error(), 6),
+                ),
+                ("auto_total_s", Json::Float(auto_plan.total_time_s, 9)),
+                ("best_fixed", best_fixed_label.into()),
+                ("best_fixed_total_s", Json::Float(best_fixed_s, 9)),
+                ("auto_over_best", Json::Float(planner_ratio, 6)),
+            ]),
+        ),
+        (
+            "integrity",
+            Json::object([
+                ("quick", quick.into()),
+                ("off_total_s", Json::Float(integrity_off.total_time_s, 9)),
+                ("verify_total_s", Json::Float(verify.total_time_s, 9)),
+                ("verify_over_off", Json::Float(integrity_ratio, 6)),
+                ("verify_checks", verify.integrity.checks_run.into()),
+                (
+                    "verify_host_cpu_s",
+                    Json::Float(verify.integrity.verify_host_cpu_s, 9),
+                ),
+                (
+                    "exposed_overhead_s",
+                    Json::Float(verify.integrity.exposed_overhead_s, 9),
+                ),
+                (
+                    "measured_delta_s",
+                    Json::Float(verify.total_time_s - integrity_off.total_time_s, 9),
+                ),
+                ("scrub_total_s", Json::Float(scrub.total_time_s, 9)),
+                (
+                    "scrub_silent_injected",
+                    scrub_injected.total_silent().into(),
+                ),
+                (
+                    "scrub_detected",
+                    scrub.integrity.corruptions_detected.into(),
+                ),
+                (
+                    "scrub_corrected",
+                    scrub.integrity.corruptions_corrected.into(),
+                ),
+                ("scrub_retries", scrub.integrity.scrub_retries.into()),
+            ]),
+        ),
+        (
+            "wall_clock_s",
+            Json::Float(started.elapsed().as_secs_f64(), 3),
+        ),
+    ]);
+    report::write_report(&args.out, &report);
     println!(
         "cache: cold {:.4} s → warm {:.4} s ({} hit(s) warm)",
         cold.total_time_s,
@@ -645,81 +559,41 @@ fn main() {
         scrub_injected.total_silent(),
     );
 
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check: cannot read {path}: {e}"));
-        let budgets: Vec<f64> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(|l| {
-                l.parse()
-                    .unwrap_or_else(|_| panic!("--check: bad ratio line {l:?} in {path}"))
-            })
-            .collect();
-        let Some(&compact_budget) = budgets.first() else {
-            panic!("--check: {path} holds no ratio");
-        };
-        if compact_ratio > compact_budget {
-            eprintln!(
-                "PERF REGRESSION: compact/dense kernel-time ratio {compact_ratio:.4} \
-                 exceeds the committed budget {compact_budget:.4} ({path})"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf gate: compact/dense ratio {compact_ratio:.4} within budget {compact_budget:.4}"
+    if let Some(path) = &args.check {
+        report::check(
+            path,
+            &[
+                (
+                    1,
+                    compact_ratio,
+                    Bound::Max,
+                    "compact/dense kernel-time ratio",
+                ),
+                (
+                    2,
+                    accum_ratio,
+                    Bound::Max,
+                    "privatized/atomic kernel-time ratio",
+                ),
+                (
+                    3,
+                    ring_ratio,
+                    Bound::Max,
+                    "depth-3/serial ring elapsed ratio",
+                ),
+                (
+                    4,
+                    planner_ratio,
+                    Bound::Max,
+                    "plan-auto/best-fixed total-time ratio",
+                ),
+                (
+                    5,
+                    integrity_ratio,
+                    Bound::Max,
+                    "verify/off total-time ratio",
+                ),
+            ],
         );
-        if let Some(&accum_budget) = budgets.get(1) {
-            if accum_ratio > accum_budget {
-                eprintln!(
-                    "PERF REGRESSION: privatized/atomic kernel-time ratio {accum_ratio:.4} \
-                     exceeds the committed budget {accum_budget:.4} ({path})"
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "perf gate: privatized/atomic ratio {accum_ratio:.4} within budget {accum_budget:.4}"
-            );
-        }
-        if let Some(&ring_budget) = budgets.get(2) {
-            if ring_ratio > ring_budget {
-                eprintln!(
-                    "PERF REGRESSION: depth-3/serial ring elapsed ratio {ring_ratio:.4} \
-                     exceeds the committed budget {ring_budget:.4} ({path}) — \
-                     the ring stopped hiding kernel time behind the bus"
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "perf gate: depth-3/serial ring ratio {ring_ratio:.4} within budget {ring_budget:.4}"
-            );
-        }
-        if let Some(&planner_budget) = budgets.get(3) {
-            if planner_ratio > planner_budget {
-                eprintln!(
-                    "PERF REGRESSION: plan-auto/best-fixed total-time ratio {planner_ratio:.4} \
-                     exceeds the committed budget {planner_budget:.4} ({path}) — \
-                     the planner stopped picking competitive plans"
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "perf gate: plan-auto/best-fixed ratio {planner_ratio:.4} within budget {planner_budget:.4}"
-            );
-        }
-        if let Some(&integrity_budget) = budgets.get(4) {
-            if integrity_ratio > integrity_budget {
-                eprintln!(
-                    "PERF REGRESSION: verify/off total-time ratio {integrity_ratio:.4} \
-                     exceeds the committed budget {integrity_budget:.4} ({path}) — \
-                     integrity verification stopped hiding behind the overlapped host CPU"
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "perf gate: verify/off ratio {integrity_ratio:.4} within budget {integrity_budget:.4}"
-            );
-        }
     }
 }

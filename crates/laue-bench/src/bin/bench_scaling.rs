@@ -13,13 +13,13 @@
 //! `--check FILE` shares `ci/perf_smoke_baseline.txt` with `bench_report`:
 //! the **sixth** ratio line is the minimum allowed 8-node strong-scaling
 //! efficiency, the **seventh** the maximum allowed overlap-on/off
-//! total-time ratio at 8 nodes. The process exits non-zero when either
-//! regresses.
+//! total-time ratio at 8 nodes. The process exits 1 when either
+//! regresses or its line is missing.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use cuda_sim::InterconnectProps;
+use laue_bench::report::{self, Args, Bound, Json};
 use laue_bench::{devices, Workload, N_STEPS};
 use laue_core::{ReconstructionConfig, ReductionTopology};
 use laue_pipeline::{Engine, Pipeline, RunReport};
@@ -53,34 +53,23 @@ fn run_cluster(
     .expect("cluster run")
 }
 
-fn cluster_row(n: usize, r: &RunReport, efficiency: f64) -> String {
+fn cluster_row(n: usize, r: &RunReport, efficiency: f64) -> Json {
     let c = r.cluster.as_ref().expect("cluster accounting");
-    format!(
-        "    {{\"nodes\": {n}, \"total_s\": {:.9}, \"compute_s\": {:.9}, \
-         \"reduction_exposed_s\": {:.9}, \"net_wait_s\": {:.9}, \
-         \"net_bytes\": {}, \"net_messages\": {}, \"efficiency\": {:.6}}}",
-        r.total_time_s,
-        c.compute_s,
-        c.reduction_exposed_s,
-        c.net_wait_s,
-        c.net_bytes,
-        c.net_messages,
-        efficiency
-    )
+    Json::object([
+        ("nodes", n.into()),
+        ("total_s", Json::Float(r.total_time_s, 9)),
+        ("compute_s", Json::Float(c.compute_s, 9)),
+        ("reduction_exposed_s", Json::Float(c.reduction_exposed_s, 9)),
+        ("net_wait_s", Json::Float(c.net_wait_s, 9)),
+        ("net_bytes", c.net_bytes.into()),
+        ("net_messages", c.net_messages.into()),
+        ("efficiency", Json::Float(efficiency, 6)),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scaling.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1).cloned());
+    let args = Args::parse("BENCH_scaling.json");
+    let quick = args.quick;
     let started = Instant::now();
 
     // The headline stack is Fig 8's largest (5.2 MB at 1/1000 scale);
@@ -234,78 +223,63 @@ fn main() {
         );
         assert_eq!(r.image.data, reference.image.data, "{} diverges", f.name);
         let c = r.cluster.as_ref().unwrap();
-        fabric_rows.push(format!(
-            "    {{\"fabric\": \"{}\", \"bandwidth_gb_s\": {:.3}, \
-             \"latency_us\": {:.2}, \"total_s\": {:.9}, \
-             \"reduction_exposed_s\": {:.9}, \"net_wait_s\": {:.9}}}",
-            f.name,
-            f.bandwidth_bytes_per_s / 1e9,
-            f.latency_s * 1e6,
-            r.total_time_s,
-            c.reduction_exposed_s,
-            c.net_wait_s
-        ));
+        fabric_rows.push(Json::object([
+            ("fabric", f.name.as_str().into()),
+            (
+                "bandwidth_gb_s",
+                Json::Float(f.bandwidth_bytes_per_s / 1e9, 3),
+            ),
+            ("latency_us", Json::Float(f.latency_s * 1e6, 2)),
+            ("total_s", Json::Float(r.total_time_s, 9)),
+            ("reduction_exposed_s", Json::Float(c.reduction_exposed_s, 9)),
+            ("net_wait_s", Json::Float(c.net_wait_s, 9)),
+        ]));
     }
 
     let on_c = on.cluster.as_ref().unwrap();
     let off_c = off.cluster.as_ref().unwrap();
     let ring_c = ring.cluster.as_ref().unwrap();
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"generated_by\": \"bench_scaling\",").unwrap();
-    writeln!(json, "  \"quick\": {quick},").unwrap();
-    writeln!(json, "  \"workload\": \"{}\",", w.label).unwrap();
-    writeln!(json, "  \"interconnect\": \"{}\",", net.name).unwrap();
-    writeln!(json, "  \"strong_scaling\": [").unwrap();
-    writeln!(json, "{}", strong_rows.join(",\n")).unwrap();
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"weak_scaling\": [").unwrap();
-    writeln!(json, "{}", weak_rows.join(",\n")).unwrap();
-    writeln!(json, "  ],").unwrap();
-    writeln!(
-        json,
-        "  \"strong_efficiency_at_{gate_nodes}\": {strong_efficiency:.6},"
-    )
-    .unwrap();
-    writeln!(json, "  \"overlap\": {{").unwrap();
-    writeln!(json, "    \"nodes\": {gate_nodes},").unwrap();
-    writeln!(json, "    \"on_total_s\": {:.9},", on.total_time_s).unwrap();
-    writeln!(json, "    \"off_total_s\": {:.9},", off.total_time_s).unwrap();
-    writeln!(
-        json,
-        "    \"on_exposed_s\": {:.9},",
-        on_c.reduction_exposed_s
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"off_exposed_s\": {:.9},",
-        off_c.reduction_exposed_s
-    )
-    .unwrap();
-    writeln!(json, "    \"on_over_off\": {overlap_ratio:.6}").unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"topology\": {{").unwrap();
-    writeln!(json, "    \"nodes\": {gate_nodes},").unwrap();
-    writeln!(json, "    \"tree_total_s\": {:.9},", on.total_time_s).unwrap();
-    writeln!(json, "    \"ring_total_s\": {:.9},", ring.total_time_s).unwrap();
-    writeln!(json, "    \"tree_net_bytes\": {},", on_c.net_bytes).unwrap();
-    writeln!(json, "    \"ring_net_bytes\": {},", ring_c.net_bytes).unwrap();
-    writeln!(json, "    \"tree_byte_hops\": {tree_byte_hops},").unwrap();
-    writeln!(json, "    \"ring_byte_hops\": {ring_byte_hops}").unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"fabrics\": [").unwrap();
-    writeln!(json, "{}", fabric_rows.join(",\n")).unwrap();
-    writeln!(json, "  ],").unwrap();
-    writeln!(
-        json,
-        "  \"wall_clock_s\": {:.3}",
-        started.elapsed().as_secs_f64()
-    )
-    .unwrap();
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path} ({} bytes)", json.len());
+    let report = Json::object([
+        ("generated_by".to_string(), "bench_scaling".into()),
+        ("quick".to_string(), quick.into()),
+        ("workload".to_string(), w.label.as_str().into()),
+        ("interconnect".to_string(), net.name.as_str().into()),
+        ("strong_scaling".to_string(), strong_rows.into()),
+        ("weak_scaling".to_string(), weak_rows.into()),
+        (
+            format!("strong_efficiency_at_{gate_nodes}"),
+            Json::Float(strong_efficiency, 6),
+        ),
+        (
+            "overlap".to_string(),
+            Json::object([
+                ("nodes", gate_nodes.into()),
+                ("on_total_s", Json::Float(on.total_time_s, 9)),
+                ("off_total_s", Json::Float(off.total_time_s, 9)),
+                ("on_exposed_s", Json::Float(on_c.reduction_exposed_s, 9)),
+                ("off_exposed_s", Json::Float(off_c.reduction_exposed_s, 9)),
+                ("on_over_off", Json::Float(overlap_ratio, 6)),
+            ]),
+        ),
+        (
+            "topology".to_string(),
+            Json::object([
+                ("nodes", gate_nodes.into()),
+                ("tree_total_s", Json::Float(on.total_time_s, 9)),
+                ("ring_total_s", Json::Float(ring.total_time_s, 9)),
+                ("tree_net_bytes", on_c.net_bytes.into()),
+                ("ring_net_bytes", ring_c.net_bytes.into()),
+                ("tree_byte_hops", tree_byte_hops.into()),
+                ("ring_byte_hops", ring_byte_hops.into()),
+            ]),
+        ),
+        ("fabrics".to_string(), fabric_rows.into()),
+        (
+            "wall_clock_s".to_string(),
+            Json::Float(started.elapsed().as_secs_f64(), 3),
+        ),
+    ]);
+    report::write_report(&args.out, &report);
     for (n, t) in &strong {
         println!("strong: {n} node(s) {:.4} s (speedup {:.2}x)", t, t1 / t);
     }
@@ -319,46 +293,19 @@ fn main() {
         on.total_time_s, tree_byte_hops, ring.total_time_s, ring_byte_hops
     );
 
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check: cannot read {path}: {e}"));
-        let budgets: Vec<f64> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(|l| {
-                l.parse()
-                    .unwrap_or_else(|_| panic!("--check: bad ratio line {l:?} in {path}"))
-            })
-            .collect();
-        let Some(&efficiency_floor) = budgets.get(5) else {
-            panic!("--check: {path} holds no strong-scaling efficiency floor (sixth ratio)");
-        };
-        if strong_efficiency < efficiency_floor {
-            eprintln!(
-                "PERF REGRESSION: {gate_nodes}-node strong-scaling efficiency \
-                 {strong_efficiency:.4} fell below the committed floor \
-                 {efficiency_floor:.4} ({path}) — the cluster stopped scaling"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf gate: {gate_nodes}-node efficiency {strong_efficiency:.4} \
-             above floor {efficiency_floor:.4}"
-        );
-        let Some(&overlap_budget) = budgets.get(6) else {
-            panic!("--check: {path} holds no overlap-on/off budget (seventh ratio)");
-        };
-        if overlap_ratio > overlap_budget {
-            eprintln!(
-                "PERF REGRESSION: overlap-on/off total-time ratio {overlap_ratio:.4} \
-                 exceeds the committed budget {overlap_budget:.4} ({path}) — \
-                 the reduction stopped hiding behind the compute tail"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf gate: overlap-on/off ratio {overlap_ratio:.4} within budget {overlap_budget:.4}"
+    if let Some(path) = &args.check {
+        let efficiency = format!("{gate_nodes}-node strong-scaling efficiency");
+        report::check(
+            path,
+            &[
+                (6, strong_efficiency, Bound::Min, &efficiency),
+                (
+                    7,
+                    overlap_ratio,
+                    Bound::Max,
+                    "overlap-on/off total-time ratio",
+                ),
+            ],
         );
     }
 }

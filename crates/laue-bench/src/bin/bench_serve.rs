@@ -13,12 +13,12 @@
 //! bench bins: the **eighth** ratio line is the minimum allowed
 //! batched/unbatched goodput ratio on the small-job-heavy burst mix, the
 //! **ninth** the maximum allowed p99/p50 latency ratio at the ~70 %-load
-//! operating point (batching on). The process exits non-zero when either
-//! regresses.
+//! operating point (batching on). The process exits 1 when either
+//! regresses or its line is missing.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use laue_bench::report::{self, Args, Bound, Json};
 use laue_serve::{
     serve, AdmissionPolicy, Arrival, BatchPolicy, ServeConfig, ServeReport, WorkloadSpec,
 };
@@ -35,48 +35,33 @@ fn run_at(cfg: &ServeConfig, n_jobs: usize, rate_hz: f64) -> ServeReport {
     serve(cfg, spec.generate()).expect("serve run")
 }
 
-fn report_row(label: &str, rate_hz: f64, r: &ServeReport) -> String {
-    format!(
-        "    {{\"label\": \"{label}\", \"offered_rate_hz\": {rate_hz:.6}, \
-         \"completed\": {}, \"goodput_jobs_per_s\": {:.6}, \
-         \"p50_s\": {:.9}, \"p99_s\": {:.9}, \"makespan_s\": {:.9}, \
-         \"utilization\": {:.6}, \"preemptions\": {}, \"quantum_expiries\": {}, \
-         \"migrations\": {}, \
-         \"fused_jobs\": {}, \"batches\": {}, \"mean_batch\": {:.3}, \
-         \"singles\": {}, \"cache_host_hits\": {}, \"cache_host_misses\": {}, \
-         \"cache_device_hits\": {}, \"cache_device_misses\": {}}}",
-        r.outcomes.len(),
-        r.goodput_jobs_per_s(),
-        r.p50_s(),
-        r.p99_s(),
-        r.makespan_s,
-        r.utilization,
-        r.preemptions,
-        r.quantum_expiries,
-        r.migrations,
-        r.batch.fused_jobs,
-        r.batch.batches,
-        r.batch.mean_batch(),
-        r.batch.singles,
-        r.cache.host_hits,
-        r.cache.host_misses,
-        r.cache.device_hits,
-        r.cache.device_misses,
-    )
+fn report_row(label: &str, rate_hz: f64, r: &ServeReport) -> Json {
+    Json::object([
+        ("label", label.into()),
+        ("offered_rate_hz", Json::Float(rate_hz, 6)),
+        ("completed", r.outcomes.len().into()),
+        ("goodput_jobs_per_s", Json::Float(r.goodput_jobs_per_s(), 6)),
+        ("p50_s", Json::Float(r.p50_s(), 9)),
+        ("p99_s", Json::Float(r.p99_s(), 9)),
+        ("makespan_s", Json::Float(r.makespan_s, 9)),
+        ("utilization", Json::Float(r.utilization, 6)),
+        ("preemptions", r.preemptions.into()),
+        ("quantum_expiries", r.quantum_expiries.into()),
+        ("migrations", r.migrations.into()),
+        ("fused_jobs", r.batch.fused_jobs.into()),
+        ("batches", r.batch.batches.into()),
+        ("mean_batch", Json::Float(r.batch.mean_batch(), 3)),
+        ("singles", r.batch.singles.into()),
+        ("cache_host_hits", r.cache.host_hits.into()),
+        ("cache_host_misses", r.cache.host_misses.into()),
+        ("cache_device_hits", r.cache.device_hits.into()),
+        ("cache_device_misses", r.cache.device_misses.into()),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1).cloned());
+    let args = Args::parse("BENCH_serve.json");
+    let quick = args.quick;
     let started = Instant::now();
 
     let n_jobs = if quick { 32 } else { 96 };
@@ -186,100 +171,80 @@ fn main() {
         "the closed loop serves its whole budget"
     );
 
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"generated_by\": \"bench_serve\",").unwrap();
-    writeln!(json, "  \"quick\": {quick},").unwrap();
-    writeln!(json, "  \"n_jobs\": {n_jobs},").unwrap();
-    writeln!(
-        json,
-        "  \"workload\": \"small-heavy (90% small, 3 tenants)\","
-    )
-    .unwrap();
-    writeln!(json, "  \"fleet\": \"2x tesla-m2070, shared chassis\",").unwrap();
-    writeln!(json, "  \"capacity_jobs_per_s\": {capacity_hz:.6},").unwrap();
-    writeln!(json, "  \"batching\": {{").unwrap();
-    writeln!(
-        json,
-        "    \"batched_goodput_jobs_per_s\": {:.6},",
-        batched.goodput_jobs_per_s()
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"unbatched_goodput_jobs_per_s\": {:.6},",
-        unbatched.goodput_jobs_per_s()
-    )
-    .unwrap();
-    writeln!(json, "    \"goodput_ratio\": {goodput_ratio:.6},").unwrap();
-    writeln!(json, "    \"fused_jobs\": {},", batched.batch.fused_jobs).unwrap();
-    writeln!(json, "    \"batches\": {},", batched.batch.batches).unwrap();
-    writeln!(
-        json,
-        "    \"mean_batch\": {:.3},",
-        batched.batch.mean_batch()
-    )
-    .unwrap();
-    writeln!(json, "    \"max_batch\": {}", batched.batch.max_batch).unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"tail_at_70pct\": {{").unwrap();
-    writeln!(json, "    \"offered_rate_hz\": {:.6},", 0.7 * capacity_hz).unwrap();
-    writeln!(json, "    \"utilization\": {:.6},", at_70.utilization).unwrap();
-    writeln!(json, "    \"p50_s\": {:.9},", at_70.p50_s()).unwrap();
-    writeln!(json, "    \"p99_s\": {:.9},", at_70.p99_s()).unwrap();
-    writeln!(json, "    \"p99_over_p50\": {tail_ratio:.6}").unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"saturation_sweep\": [").unwrap();
-    writeln!(json, "{}", sweep_rows.join(",\n")).unwrap();
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"fleet_sweep\": [").unwrap();
-    writeln!(json, "{}", fleet_rows.join(",\n")).unwrap();
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"admission\": {{").unwrap();
-    writeln!(
-        json,
-        "    \"max_backlog_s\": {:.9},",
-        bounded_cfg.admission.max_backlog_s
-    )
-    .unwrap();
-    writeln!(json, "    \"offered\": {},", bounded.admission.offered()).unwrap();
-    writeln!(json, "    \"accepted\": {},", bounded.admission.accepted).unwrap();
-    writeln!(
-        json,
-        "    \"rejected_depth\": {},",
-        bounded.admission.rejected_depth
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"rejected_backlog\": {},",
-        bounded.admission.rejected_backlog
-    )
-    .unwrap();
-    writeln!(json, "    \"accepted_p99_s\": {:.9},", bounded.p99_s()).unwrap();
-    writeln!(json, "    \"unbounded_p99_s\": {:.9}", batched.p99_s()).unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"closed_loop\": {{").unwrap();
-    writeln!(json, "    \"clients\": 4,").unwrap();
-    writeln!(json, "    \"completed\": {},", closed.outcomes.len()).unwrap();
-    writeln!(
-        json,
-        "    \"goodput_jobs_per_s\": {:.6},",
-        closed.goodput_jobs_per_s()
-    )
-    .unwrap();
-    writeln!(json, "    \"p50_s\": {:.9},", closed.p50_s()).unwrap();
-    writeln!(json, "    \"p99_s\": {:.9}", closed.p99_s()).unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(
-        json,
-        "  \"wall_clock_s\": {:.3}",
-        started.elapsed().as_secs_f64()
-    )
-    .unwrap();
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path} ({} bytes)", json.len());
+    let report = Json::object([
+        ("generated_by", "bench_serve".into()),
+        ("quick", quick.into()),
+        ("n_jobs", n_jobs.into()),
+        ("workload", "small-heavy (90% small, 3 tenants)".into()),
+        ("fleet", "2x tesla-m2070, shared chassis".into()),
+        ("capacity_jobs_per_s", Json::Float(capacity_hz, 6)),
+        (
+            "batching",
+            Json::object([
+                (
+                    "batched_goodput_jobs_per_s",
+                    Json::Float(batched.goodput_jobs_per_s(), 6),
+                ),
+                (
+                    "unbatched_goodput_jobs_per_s",
+                    Json::Float(unbatched.goodput_jobs_per_s(), 6),
+                ),
+                ("goodput_ratio", Json::Float(goodput_ratio, 6)),
+                ("fused_jobs", batched.batch.fused_jobs.into()),
+                ("batches", batched.batch.batches.into()),
+                ("mean_batch", Json::Float(batched.batch.mean_batch(), 3)),
+                ("max_batch", batched.batch.max_batch.into()),
+            ]),
+        ),
+        (
+            "tail_at_70pct",
+            Json::object([
+                ("offered_rate_hz", Json::Float(0.7 * capacity_hz, 6)),
+                ("utilization", Json::Float(at_70.utilization, 6)),
+                ("p50_s", Json::Float(at_70.p50_s(), 9)),
+                ("p99_s", Json::Float(at_70.p99_s(), 9)),
+                ("p99_over_p50", Json::Float(tail_ratio, 6)),
+            ]),
+        ),
+        ("saturation_sweep", sweep_rows.into()),
+        ("fleet_sweep", fleet_rows.into()),
+        (
+            "admission",
+            Json::object([
+                (
+                    "max_backlog_s",
+                    Json::Float(bounded_cfg.admission.max_backlog_s, 9),
+                ),
+                ("offered", bounded.admission.offered().into()),
+                ("accepted", bounded.admission.accepted.into()),
+                ("rejected_depth", bounded.admission.rejected_depth.into()),
+                (
+                    "rejected_backlog",
+                    bounded.admission.rejected_backlog.into(),
+                ),
+                ("accepted_p99_s", Json::Float(bounded.p99_s(), 9)),
+                ("unbounded_p99_s", Json::Float(batched.p99_s(), 9)),
+            ]),
+        ),
+        (
+            "closed_loop",
+            Json::object([
+                ("clients", 4u64.into()),
+                ("completed", closed.outcomes.len().into()),
+                (
+                    "goodput_jobs_per_s",
+                    Json::Float(closed.goodput_jobs_per_s(), 6),
+                ),
+                ("p50_s", Json::Float(closed.p50_s(), 9)),
+                ("p99_s", Json::Float(closed.p99_s(), 9)),
+            ]),
+        ),
+        (
+            "wall_clock_s",
+            Json::Float(started.elapsed().as_secs_f64(), 3),
+        ),
+    ]);
+    report::write_report(&args.out, &report);
     println!(
         "batching: {:.2} jobs/s fused vs {:.2} jobs/s FIFO (ratio {goodput_ratio:.3}, \
          mean batch {:.2})",
@@ -303,44 +268,23 @@ fn main() {
         batched.p99_s(),
     );
 
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check: cannot read {path}: {e}"));
-        let budgets: Vec<f64> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(|l| {
-                l.parse()
-                    .unwrap_or_else(|_| panic!("--check: bad ratio line {l:?} in {path}"))
-            })
-            .collect();
-        let Some(&goodput_floor) = budgets.get(7) else {
-            panic!("--check: {path} holds no batching goodput floor (eighth ratio)");
-        };
-        if goodput_ratio < goodput_floor {
-            eprintln!(
-                "PERF REGRESSION: batched/unbatched goodput ratio {goodput_ratio:.4} \
-                 fell below the committed floor {goodput_floor:.4} ({path}) — \
-                 fused-launch batching stopped paying for itself"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf gate: batched/unbatched goodput ratio {goodput_ratio:.4} \
-             above floor {goodput_floor:.4}"
+    if let Some(path) = &args.check {
+        report::check(
+            path,
+            &[
+                (
+                    8,
+                    goodput_ratio,
+                    Bound::Min,
+                    "batched/unbatched goodput ratio",
+                ),
+                (
+                    9,
+                    tail_ratio,
+                    Bound::Max,
+                    "p99/p50 latency ratio at 70% load",
+                ),
+            ],
         );
-        let Some(&tail_budget) = budgets.get(8) else {
-            panic!("--check: {path} holds no tail-latency budget (ninth ratio)");
-        };
-        if tail_ratio > tail_budget {
-            eprintln!(
-                "PERF REGRESSION: p99/p50 latency ratio {tail_ratio:.4} at the \
-                 70% operating point exceeds the committed budget {tail_budget:.4} \
-                 ({path}) — the scheduler stopped protecting the tail"
-            );
-            std::process::exit(1);
-        }
-        println!("perf gate: p99/p50 ratio {tail_ratio:.4} within budget {tail_budget:.4}");
     }
 }

@@ -1,7 +1,7 @@
 //! Reconstruction parameters.
 
 use crate::error::CoreError;
-use crate::gpu::{GpuOptions, Layout, PipelineDepth, ThreadMapping, Triangulation};
+use crate::gpu::{GpuOptions, Layout, PipelineDepth, Triangulation};
 use crate::Result;
 use laue_geometry::WireEdge;
 
@@ -137,12 +137,11 @@ pub struct PlanPin {
 }
 
 impl PlanPin {
-    /// Kernel options of this schedule (linear thread mapping).
+    /// Kernel options of this schedule.
     pub fn options(self) -> GpuOptions {
         GpuOptions {
             layout: self.layout,
             triangulation: self.triangulation,
-            mapping: ThreadMapping::Linear,
         }
     }
 
@@ -436,11 +435,6 @@ impl ReconstructionConfig {
     pub fn bin_center(&self, k: usize) -> f64 {
         self.depth_start + (k as f64 + 0.5) * self.bin_width()
     }
-
-    /// All bin centres, in order.
-    pub fn bin_centers(&self) -> Vec<f64> {
-        (0..self.n_depth_bins).map(|k| self.bin_center(k)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -454,7 +448,6 @@ mod tests {
         assert_eq!(c.bin_width(), 4.0);
         assert_eq!(c.bin_center(0), -98.0);
         assert_eq!(c.bin_center(49), 98.0);
-        assert_eq!(c.bin_centers().len(), 50);
     }
 
     #[test]
@@ -594,15 +587,5 @@ mod tests {
             let mut c = ReconstructionConfig::new(-100.0, 100.0, 50);
             assert!(c.set_plan(bad).is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn bin_centers_span_range_symmetrically() {
-        let c = ReconstructionConfig::new(10.0, 20.0, 4);
-        let centers = c.bin_centers();
-        assert!((centers[0] - 11.25).abs() < 1e-12);
-        assert!((centers[3] - 18.75).abs() < 1e-12);
-        // First and last centres are half a bin from the range edges.
-        assert!((centers[0] - c.depth_start - c.bin_width() / 2.0).abs() < 1e-12);
     }
 }

@@ -122,27 +122,11 @@ impl Triangulation {
     }
 }
 
-/// How kernel threads are mapped onto the `(row, col, pair)` domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ThreadMapping {
-    /// 1-D launch with in-kernel index arithmetic — the layout-independent
-    /// mapping this reproduction defaults to (deposit order matches the CPU
-    /// loop nest, enabling bitwise equivalence).
-    #[default]
-    Linear,
-    /// The paper's Fig 6 mapping: 3-D blocks over `(rows, cols, pairs)`
-    /// (its example launches a `(2, 9, 4)` block). Fermi forbids `grid.z
-    /// > 1`, so pair-blocks beyond `block.z` fold into `grid.x`, exactly as
-    /// > era CUDA code did.
-    Grid3d,
-}
-
-/// Full GPU-engine options (default: flat, in-kernel, linear).
+/// Full GPU-engine options (default: flat, in-kernel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GpuOptions {
     pub layout: Layout,
     pub triangulation: Triangulation,
-    pub mapping: ThreadMapping,
 }
 
 /// Ring depth `k` of the transfer/compute pipeline: how many slab slots may
@@ -566,7 +550,6 @@ fn plan_slab_sparsity(
 
 pub(crate) struct SlabUpload {
     buffers: SlabBuffers,
-    pub(crate) mapping: ThreadMapping,
     pixels: DeviceBuffer<f64>,
     /// Precomputed per-(step, pixel) edge depths (HostTables mode).
     depth_table: DepthTableRef,
@@ -824,7 +807,6 @@ pub(crate) fn upload_slab(
     };
     Ok(SlabUpload {
         buffers,
-        mapping: opts.mapping,
         pixels,
         depth_table,
         host_flops,
@@ -928,7 +910,6 @@ pub(crate) fn launch_set_two(
 ) -> Result<Option<cuda_sim::LaunchRecord>> {
     let rows = upload.rows;
     let n_pairs = n_images - 1;
-    let mapping = upload.mapping;
     let shape = match &upload.sparsity {
         None => LaunchShape::Dense,
         Some(sp) if sp.compact => {
@@ -954,21 +935,7 @@ pub(crate) fn launch_set_two(
             upload.sparsity.as_ref().map_or(0, |sp| sp.entries.len()) as u64
         }
     };
-    // Fig 6 mapping: 3-D blocks over (rows, cols, pairs); pair-blocks past
-    // block.z fold into grid.x to satisfy Fermi's grid.z = 1.
-    let block = cuda_sim::Dim3::new(4, 8, (n_pairs as u64).clamp(1, 8));
-    let rows_blocks = (rows as u64).div_ceil(block.x);
-    let pair_blocks = (n_pairs as u64).div_ceil(block.z);
-    let grid3d = cuda_sim::Dim3::new(
-        rows_blocks * pair_blocks,
-        (n_cols as u64).div_ceil(block.y),
-        1,
-    );
-    // Sparse shapes always launch 1-D: their domain is a list, not a grid.
-    let launch_cfg = match (&shape, mapping) {
-        (LaunchShape::Dense, ThreadMapping::Grid3d) => LaunchConfig::new(grid3d, block),
-        _ => LaunchConfig::linear(total, BLOCK_SIZE),
-    };
+    let launch_cfg = LaunchConfig::linear(total, BLOCK_SIZE);
     // Everything up to the deposit itself is shared by both accumulation
     // strategies: charge the index arithmetic, fetch the inputs, and build
     // the pair's deposit plan.
@@ -990,31 +957,17 @@ pub(crate) fn launch_set_two(
     }
     let kernel = |ctx: &mut cuda_sim::ThreadCtx<'_>, _: &mut [f64]| {
         let (r, c, z) = match &shape {
-            LaunchShape::Dense => match mapping {
-                ThreadMapping::Linear => {
-                    let id = ctx.global_id().x as usize;
-                    if id as u64 >= total {
-                        return;
-                    }
-                    // Pair index fastest: deposits into one pixel's bins
-                    // happen in step order, matching the CPU loop nest.
-                    let z = id % n_pairs;
-                    let pc = id / n_pairs;
-                    (pc / n_cols, pc % n_cols, z)
+            LaunchShape::Dense => {
+                let id = ctx.global_id().x as usize;
+                if id as u64 >= total {
+                    return;
                 }
-                ThreadMapping::Grid3d => {
-                    // Unfold the pair-block component from grid.x.
-                    let bx = ctx.block_idx.x % rows_blocks;
-                    let pz = ctx.block_idx.x / rows_blocks;
-                    let r = (bx * ctx.block_dim.x + ctx.thread_idx.x) as usize;
-                    let c = ctx.global_id().y as usize;
-                    let z = (pz * ctx.block_dim.z + ctx.thread_idx.z) as usize;
-                    if r >= rows || c >= n_cols || z >= n_pairs {
-                        return;
-                    }
-                    (r, c, z)
-                }
-            },
+                // Pair index fastest: deposits into one pixel's bins
+                // happen in step order, matching the CPU loop nest.
+                let z = id % n_pairs;
+                let pc = id / n_pairs;
+                (pc / n_cols, pc % n_cols, z)
+            }
             LaunchShape::Banded { combos } => {
                 let id = ctx.global_id().x as usize;
                 if id as u64 >= total {
@@ -2242,7 +2195,7 @@ impl<'a> Topology<'a> {
 /// table cache, the inter-node reduction, and how far to go.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions<'a> {
-    /// Layout, triangulation and thread mapping of every device's kernel.
+    /// Layout and triangulation of every device's kernel.
     pub gpu: GpuOptions,
     /// Requested ring depth (memory pressure may shallow it).
     pub depth: PipelineDepth,
@@ -3004,7 +2957,6 @@ mod tests {
         let opts = GpuOptions {
             layout: Layout::Flat1d,
             triangulation: Triangulation::HostTables,
-            ..GpuOptions::default()
         };
         let device = big_device();
         let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
@@ -3053,7 +3005,6 @@ mod tests {
         let opts = GpuOptions {
             layout: Layout::Flat1d,
             triangulation: Triangulation::HostTables,
-            ..GpuOptions::default()
         };
         let cache = crate::cache::DepthTableCache::new(0); // no residency
         let device = big_device();
@@ -3081,82 +3032,6 @@ mod tests {
     }
 
     #[test]
-    fn grid3d_mapping_matches_linear() {
-        // The paper's Fig 6 thread mapping must reach the same answer as
-        // the linear launch. Deposit order per output slot differs, so the
-        // comparison is within FP-reassociation tolerance; the statistics
-        // must be identical.
-        let (geom, cfg, data) = demo();
-        let device = big_device();
-        let mut source = InMemorySlabSource::new(data.clone(), 10, 6, 6).unwrap();
-        let linear = serial(&device, &mut source, &geom, &cfg, Layout::Flat1d).unwrap();
-        let mut source = InMemorySlabSource::new(data, 10, 6, 6).unwrap();
-        let grid = serial_with(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions {
-                mapping: ThreadMapping::Grid3d,
-                ..GpuOptions::default()
-            },
-        )
-        .unwrap();
-        let scale = linear
-            .image
-            .data
-            .iter()
-            .fold(1.0f64, |a, &b| a.max(b.abs()));
-        assert!(
-            linear.image.max_abs_diff(&grid.image) <= 1e-9 * scale,
-            "diff {}",
-            linear.image.max_abs_diff(&grid.image)
-        );
-        assert_eq!(linear.stats, grid.stats);
-        // The folded launch is legal on the real M2070 limits (grid.z = 1).
-        let records = device.records();
-        let rec = records.iter().rev().find(|r| r.name == "set_two").unwrap();
-        assert!(
-            rec.threads >= 6 * 6 * 9,
-            "covers the domain: {}",
-            rec.threads
-        );
-    }
-
-    #[test]
-    fn grid3d_is_valid_on_fermi_limits() {
-        // Launch on the faithful M2070 preset: grid.z must be 1, block.z
-        // ≤ 64 — the folding construction must satisfy both even for scans
-        // with many more pairs than block.z.
-        let geom = ScanGeometry::demo(6, 6, 40, -80.0, 3.0).unwrap();
-        let cfg = ReconstructionConfig::new(-1500.0, 1500.0, 40);
-        let (p, m, n) = (40, 6, 6);
-        let data: Vec<f64> = (0..p * m * n).map(|i| (i % 97) as f64).collect();
-        let device = Device::new(cuda_sim::DeviceProps::tesla_m2070());
-        let mut source = InMemorySlabSource::new(data.clone(), p, m, n).unwrap();
-        let grid = serial_with(
-            &device,
-            &mut source,
-            &geom,
-            &cfg,
-            GpuOptions {
-                mapping: ThreadMapping::Grid3d,
-                ..GpuOptions::default()
-            },
-        )
-        .unwrap();
-        let view = crate::ScanView::new(&data, p, m, n).unwrap();
-        let cpu_out = crate::cpu::reconstruct_seq(&view, &geom, &cfg).unwrap();
-        let scale = cpu_out
-            .image
-            .data
-            .iter()
-            .fold(1.0f64, |a, &b| a.max(b.abs()));
-        assert!(cpu_out.image.max_abs_diff(&grid.image) <= 1e-9 * scale);
-        assert_eq!(cpu_out.stats, grid.stats);
-    }
-
-    #[test]
     fn host_tables_match_in_kernel_bitwise() {
         let (geom, cfg, data) = demo();
         let device = big_device();
@@ -3171,7 +3046,6 @@ mod tests {
             GpuOptions {
                 layout: Layout::Flat1d,
                 triangulation: Triangulation::HostTables,
-                ..GpuOptions::default()
             },
         )
         .unwrap();
@@ -3220,7 +3094,6 @@ mod tests {
                 GpuOptions {
                     layout: Layout::Flat1d,
                     triangulation: Triangulation::HostTables,
-                    ..GpuOptions::default()
                 },
             )
             .unwrap();
@@ -3311,7 +3184,6 @@ mod tests {
         let opts_tables = GpuOptions {
             layout: Layout::Flat1d,
             triangulation: Triangulation::HostTables,
-            ..GpuOptions::default()
         };
         let rows_tbl = fit_rows_per_slab(
             budget,
@@ -3685,7 +3557,7 @@ mod tests {
     fn privatized_matches_atomic_bitwise_across_modes() {
         // The tentpole bit-identity contract: privatized accumulation must
         // reproduce the atomic image bit-for-bit across layouts,
-        // triangulation, thread mapping, and every compaction shape
+        // triangulation, and every compaction shape
         // (dense, banded, compact).
         let (geom, wide_cfg, data) = mixed_demo();
         let mut narrow_cfg = ReconstructionConfig::new(-350.0, 150.0, 25);
@@ -3698,10 +3570,6 @@ mod tests {
             },
             GpuOptions {
                 triangulation: Triangulation::HostTables,
-                ..GpuOptions::default()
-            },
-            GpuOptions {
-                mapping: ThreadMapping::Grid3d,
                 ..GpuOptions::default()
             },
         ];

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cuda_sim::{Device, LaunchConfig, Part, TransferDir};
 
 use super::{
-    eval_pair_body, AccumPlan, DepthTableRef, SlabBuffers, SlabUpload, ThreadMapping, BLOCK_SIZE,
+    eval_pair_body, AccumPlan, DepthTableRef, SlabBuffers, SlabUpload, BLOCK_SIZE,
     TRACE_BELOW_CUTOFF, TRACE_DEPOSITED, TRACE_DEPOSITS, TRACE_INVALID, TRACE_OUT_OF_RANGE,
 };
 use crate::config::{CompactionMode, IntegrityMode, ReconstructionConfig};
@@ -235,7 +235,6 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
                 intensity: intensity_bufs[j].clone(),
                 output: output_bufs[j].clone(),
             },
-            mapping: ThreadMapping::Linear,
             pixels: pixel_bufs[j].clone(),
             depth_table: DepthTableRef::None,
             host_flops: 0,
@@ -250,7 +249,7 @@ pub fn reconstruct_batch_fused(device: &Device, jobs: &mut [BatchJob<'_>]) -> Re
         .collect();
 
     // Concatenated launch domain: job-major, each job's interior ordering
-    // identical to its standalone Linear dense mapping.
+    // identical to its standalone dense linear mapping.
     let mut offsets = Vec::with_capacity(jobs.len() + 1);
     let mut total_all = 0u64;
     for plan in &plans {

@@ -67,16 +67,6 @@ impl DepthImage {
         self.data.iter().sum()
     }
 
-    /// Depth (bin centre) with the highest summed intensity, with the
-    /// configuration that produced this image.
-    pub fn peak_depth(&self, cfg: &ReconstructionConfig) -> Option<f64> {
-        (0..self.n_bins)
-            .map(|b| (b, self.bin_total(b)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .filter(|&(_, v)| v > 0.0)
-            .map(|(b, _)| cfg.bin_center(b))
-    }
-
     /// Peak depth of a single pixel's profile.
     pub fn pixel_peak_depth(
         &self,
@@ -191,7 +181,6 @@ mod tests {
         assert_eq!(img.bin_total(0), 0.0);
         assert_eq!(img.bin_total(1), 8.0);
         assert_eq!(img.total_intensity(), 9.0);
-        assert_eq!(img.peak_depth(&cfg), Some(15.0));
         assert_eq!(img.pixel_peak_depth(0, 1, &cfg), Some(25.0));
         assert_eq!(
             img.pixel_peak_depth(1, 0, &cfg),

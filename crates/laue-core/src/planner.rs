@@ -50,7 +50,7 @@ use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
 use crate::gpu::{
     fit_rows_per_slab, plan_accumulation, AccumPlan, GpuOptions, Layout, PipelineDepth,
-    ThreadMapping, Triangulation, BLOCK_SIZE,
+    Triangulation, BLOCK_SIZE,
 };
 use crate::input::SlabSource;
 use crate::pair::{
@@ -675,7 +675,6 @@ pub fn plan_run(
                 } else {
                     triangulation
                 },
-                mapping: ThreadMapping::Linear,
             };
             let mut used = round_alloc(wire_bytes);
             if resident {

@@ -6,7 +6,7 @@
 //! These quantities also drive the synthetic-workload builders and explain
 //! the reconstruction's accuracy limits, so they live next to the engines.
 
-use laue_geometry::{DepthMapper, Vec3, WireEdge, WireGeometry};
+use laue_geometry::{DepthMapper, WireEdge, WireGeometry};
 
 use crate::config::ReconstructionConfig;
 use crate::error::CoreError;
@@ -316,12 +316,6 @@ pub fn plan_scan(
     })
 }
 
-/// Convenience: lab-frame position of the planned wire at its first step —
-/// useful when driving real motors from a plan.
-pub fn plan_start_position(plan: &ScanPlan) -> Vec3 {
-    plan.wire.origin
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,7 +361,6 @@ mod tests {
             detector: g.detector.clone(),
         };
         planned.mapper().unwrap();
-        assert_eq!(plan_start_position(&plan), plan.wire.origin);
     }
 
     #[test]

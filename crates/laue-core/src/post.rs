@@ -1,7 +1,7 @@
 //! Post-processing of depth-resolved images: the steps the beamline's
 //! downstream analysis applies to the reconstruction output before physics
-//! interpretation — smoothing, background subtraction, peak finding, and
-//! per-pixel depth-map extraction.
+//! interpretation — smoothing, peak finding, per-pixel depth-map
+//! extraction, and depth-axis rebinning.
 
 use crate::config::ReconstructionConfig;
 use crate::output::DepthImage;
@@ -47,21 +47,6 @@ pub fn smooth_profile(profile: &[f64], sigma: f64) -> Vec<f64> {
             acc / if norm > 0.0 { norm } else { wsum }
         })
         .collect()
-}
-
-/// Subtract a constant background estimated as the median of the profile.
-/// Returns the background level used.
-pub fn subtract_median_background(profile: &mut [f64]) -> f64 {
-    if profile.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = profile.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let median = sorted[sorted.len() / 2];
-    for v in profile.iter_mut() {
-        *v -= median;
-    }
-    median
 }
 
 /// Find local maxima above `threshold` (absolute) in a profile; peaks are
@@ -149,13 +134,6 @@ pub fn depth_map(
     out
 }
 
-/// Integrated depth histogram (per-bin totals) with optional smoothing —
-/// the curve the microindent analysis plots.
-pub fn integrated_histogram(image: &DepthImage, sigma: f64) -> Vec<f64> {
-    let raw: Vec<f64> = (0..image.n_bins).map(|b| image.bin_total(b)).collect();
-    smooth_profile(&raw, sigma)
-}
-
 /// Rebin a depth image onto a coarser (or finer) depth axis, conserving
 /// intensity exactly: each old bin's content is split across the new bins
 /// it overlaps, proportional to overlap. Returns the rebinned image and the
@@ -221,16 +199,6 @@ mod tests {
         assert!(s[32] < 100.0 && s[32] > s[30]);
         // sigma = 0 is the identity.
         assert_eq!(smooth_profile(&spike, 0.0), spike);
-    }
-
-    #[test]
-    fn median_background_subtraction() {
-        let mut profile = vec![10.0, 10.0, 10.0, 110.0, 10.0, 10.0, 12.0];
-        let bg = subtract_median_background(&mut profile);
-        assert_eq!(bg, 10.0);
-        assert_eq!(profile[3], 100.0);
-        assert_eq!(profile[0], 0.0);
-        assert_eq!(subtract_median_background(&mut []), 0.0);
     }
 
     #[test]
@@ -343,23 +311,5 @@ mod tests {
         let (out, new_cfg) = rebin(&img, &cfg, 4);
         assert_eq!(out.depth_profile(0, 0), vec![2.0, 2.0, 2.0, 2.0]);
         assert_eq!(new_cfg.bin_width(), 2.5);
-    }
-
-    #[test]
-    fn integrated_histogram_matches_bin_totals() {
-        let mut img = DepthImage::zeroed(4, 2, 2);
-        *img.at_mut(1, 0, 0) = 3.0;
-        *img.at_mut(1, 1, 1) = 5.0;
-        *img.at_mut(2, 0, 1) = 2.0;
-        let h = integrated_histogram(&img, 0.0);
-        assert_eq!(h, vec![0.0, 8.0, 2.0, 0.0]);
-        // Smoothing conserves mass when the signal sits away from the
-        // profile edges (edge bins renormalise, so only interior mass is
-        // exactly conserved).
-        let mut wide = DepthImage::zeroed(16, 1, 1);
-        *wide.at_mut(8, 0, 0) = 10.0;
-        let hs = integrated_histogram(&wide, 1.0);
-        assert!((hs.iter().sum::<f64>() - 10.0).abs() < 1e-6);
-        assert!(hs[8] < 10.0 && hs[7] > 0.0);
     }
 }

@@ -39,27 +39,6 @@ impl VarianceReconstruction {
     pub fn sigma(&self, bin: usize, row: usize, col: usize) -> f64 {
         self.variance.at(bin, row, col).max(0.0).sqrt()
     }
-
-    /// Signal-to-noise of one element (0 when the variance is 0).
-    pub fn snr(&self, bin: usize, row: usize, col: usize) -> f64 {
-        let s = self.sigma(bin, row, col);
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.image.at(bin, row, col) / s
-        }
-    }
-
-    /// Bins of one pixel whose value exceeds `n_sigma` error bars —
-    /// statistically significant depth structure.
-    pub fn significant_bins(&self, row: usize, col: usize, n_sigma: f64) -> Vec<usize> {
-        (0..self.image.n_bins)
-            .filter(|&b| {
-                let s = self.sigma(b, row, col);
-                s > 0.0 && self.image.at(b, row, col) > n_sigma * s
-            })
-            .collect()
-    }
 }
 
 /// Sequential reconstruction with exact Poisson variance propagation.
@@ -222,33 +201,5 @@ mod tests {
                 "variance must scale ×4: {a} vs {b}"
             );
         }
-        // SNR doubles (√4).
-        let (r, c) = (3, 3);
-        if let Some(bin) = (0..cfg.n_depth_bins).find(|&b| o1.image.at(b, r, c) > 0.0) {
-            let snr1 = o1.snr(bin, r, c);
-            let snr4 = o4.snr(bin, r, c);
-            assert!((snr4 / snr1 - 2.0).abs() < 1e-6, "{snr1} vs {snr4}");
-        }
-    }
-
-    #[test]
-    fn significance_separates_signal_from_nothing() {
-        let (geom, cfg) = demo();
-        // One strong drop at pixel (2, 2); flat everywhere else.
-        let (p, m, n) = (12, 6, 6);
-        let mut data = vec![400.0; p * m * n];
-        for z in 6..p {
-            data[(z * m + 2) * n + 2] = 100.0;
-        }
-        let view = ScanView::new(&data, p, m, n).unwrap();
-        let out = reconstruct_with_variance(&view, &geom, &cfg).unwrap();
-        let hits = out.significant_bins(2, 2, 3.0);
-        assert!(!hits.is_empty(), "300-count drop must be ≫ 3σ");
-        // A pixel with no differential has no significant bins.
-        assert!(out.significant_bins(0, 0, 3.0).is_empty());
-        // And the significant bin is where the intensity peak is.
-        let peak = out.image.pixel_peak_depth(2, 2, &cfg).unwrap();
-        let peak_bin = ((peak - cfg.depth_start) / cfg.bin_width()) as usize;
-        assert!(hits.contains(&peak_bin));
     }
 }

@@ -51,23 +51,6 @@ pub fn write_mh5<P: AsRef<Path>>(
     Ok(())
 }
 
-/// Write one pixel's depth profile as two-column text
-/// (`depth_um intensity`).
-pub fn write_profile_text<W: Write>(
-    out: &mut W,
-    image: &DepthImage,
-    cfg: &ReconstructionConfig,
-    row: usize,
-    col: usize,
-) -> Result<()> {
-    writeln!(out, "# depth profile of pixel ({row}, {col})")?;
-    writeln!(out, "# depth_um  intensity")?;
-    for (bin, v) in image.depth_profile(row, col).iter().enumerate() {
-        writeln!(out, "{:12.4}  {:14.6}", cfg.bin_center(bin), v)?;
-    }
-    Ok(())
-}
-
 /// Write the per-bin total intensity (the integrated depth histogram).
 pub fn write_histogram_text<W: Write>(
     out: &mut W,
@@ -137,18 +120,6 @@ mod tests {
     #[test]
     fn text_exports_are_parsable() {
         let (r, cfg) = report();
-        let mut buf = Vec::new();
-        write_profile_text(&mut buf, &r.image, &cfg, 0, 0).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let data_lines: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
-        assert_eq!(data_lines.len(), 4);
-        // Bin 1 (centre 37.5) carries 7.0.
-        let fields: Vec<f64> = data_lines[1]
-            .split_whitespace()
-            .map(|t| t.parse().unwrap())
-            .collect();
-        assert_eq!(fields, vec![37.5, 7.0]);
-
         let mut buf = Vec::new();
         write_histogram_text(&mut buf, &r.image, &cfg).unwrap();
         let text = String::from_utf8(buf).unwrap();

@@ -22,12 +22,10 @@
 pub mod cli;
 pub mod engine;
 pub mod export;
-pub mod jobspec;
 pub mod report;
 pub mod run;
 
 pub use engine::Engine;
-pub use jobspec::{read_job_log, write_job_log, JobRecord};
 pub use report::{ClusterReport, RecoveryAccounting, ResumeInfo, RunReport};
 pub use run::{file_fingerprint, GpuFailurePolicy, Pipeline, PipelineShared};
 

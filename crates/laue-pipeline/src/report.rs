@@ -19,12 +19,7 @@ pub struct RecoveryAccounting {
     pub resume: Option<ResumeInfo>,
 }
 
-impl RecoveryAccounting {
-    /// Did anything out of the ordinary happen?
-    pub fn is_noteworthy(&self) -> bool {
-        *self != RecoveryAccounting::default()
-    }
-}
+impl RecoveryAccounting {}
 
 /// Provenance of a resumed run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -355,14 +350,6 @@ impl RunReport {
         }
         s
     }
-
-    /// Fraction of total time spent communicating (GPU engines).
-    pub fn comm_fraction(&self) -> f64 {
-        if self.total_time_s <= 0.0 {
-            return 0.0;
-        }
-        self.comm_time_s / self.total_time_s
-    }
 }
 
 #[cfg(test)]
@@ -504,8 +491,6 @@ mod tests {
             s.contains("salvage: 5 GPU slab(s) kept, 2 band(s) recomputed"),
             "{s}"
         );
-        assert!(r.recovery.is_noteworthy());
-        assert!(!report().recovery.is_noteworthy());
 
         // A multi-GPU run reports slabs without a fixed per-slab row count.
         let mut r = report();
@@ -620,13 +605,5 @@ mod tests {
         let mut r = report();
         r.trace_dropped = 3;
         assert!(r.summary().contains("3 launch-trace slot(s) dropped"));
-    }
-
-    #[test]
-    fn comm_fraction() {
-        assert!((report().comm_fraction() - 0.25).abs() < 1e-12);
-        let mut r = report();
-        r.total_time_s = 0.0;
-        assert_eq!(r.comm_fraction(), 0.0);
     }
 }

@@ -321,7 +321,7 @@ proptest! {
                     let mut cfg = base.clone();
                     cfg.compaction = compaction;
                     cfg.accumulation = accumulation;
-                    let opts = GpuOptions { layout, triangulation, ..GpuOptions::default() };
+                    let opts = GpuOptions { layout, triangulation };
                     gpu_run(&scan, (p, m, n), &cfg, 1, opts)
                 };
                 let atomic = run(AccumulationMode::Atomic);
