@@ -8,12 +8,14 @@
 //! Run: `cargo run --release -p laue-bench --bin bench_report -- \
 //!       [--quick] [--out BENCH_pipeline.json] [--check ci/perf_smoke_baseline.txt]`
 //!
-//! `--check FILE` turns the report into a perf gate: lines 1–5 of FILE
-//! (`ci/perf_smoke_baseline.txt`) budget the compact/dense kernel-time
-//! ratio at the ~25 %-active operating point, the privatized/atomic
-//! kernel-time ratio, the depth-3/serial ring elapsed ratio under the
-//! shared-bus model, the plan-auto/best-fixed total-time ratio and the
-//! `--integrity verify`/off total-time ratio; the process exits 1 if any
+//! `--quick --check FILE` turns the report into a perf gate: lines 1–5
+//! of FILE (`ci/perf_smoke_baseline.txt`) budget the compact/dense
+//! kernel-time ratio at the ~25 %-active operating point, the
+//! privatized/atomic kernel-time ratio, the depth-3/serial ring elapsed
+//! ratio under the shared-bus model, the plan-auto/best-fixed total-time
+//! ratio and the `--integrity verify`/off total-time ratio, all measured
+//! on the quick 0.5 MB workload (`--check` without `--quick` exits 2
+//! before running anything); the process exits 1 if any
 //! measured ratio regresses past its line or the line is missing.
 
 use std::time::Instant;
@@ -42,6 +44,13 @@ fn json_stats(s: &TableCacheStats) -> Json {
 fn main() {
     let args = Args::parse("BENCH_pipeline.json");
     let quick = args.quick;
+    if let (Some(path), false) = (&args.check, quick) {
+        eprintln!(
+            "--check: lines 1-5 of {path} budget only the quick 0.5 MB workload; \
+             run `bench_report --quick --check {path}`"
+        );
+        std::process::exit(2);
+    }
     let started = Instant::now();
 
     // 1. The CPU/GPU ladder over the Fig 8 sizes (one size in quick mode).

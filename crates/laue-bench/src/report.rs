@@ -148,19 +148,47 @@ pub struct Args {
 
 impl Args {
     /// Parse the process arguments; `default_out` is the report's
-    /// committed file name.
+    /// committed file name. A malformed command line prints the usage
+    /// line and exits 2, so a misspelt gate flag never skips the gates.
     pub fn parse(default_out: &str) -> Args {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let value = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1).cloned())
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        Args::from_args(args, default_out).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: {program} [--quick] [--out FILE] [--check BASELINE]");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parse `args` (the program name excluded): each one is `--quick`,
+    /// `--out FILE` or `--check BASELINE`.
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+        default_out: &str,
+    ) -> Result<Args, String> {
+        let mut parsed = Args {
+            quick: false,
+            out: default_out.to_string(),
+            check: None,
         };
-        Args {
-            quick: args.iter().any(|a| a == "--quick"),
-            out: value("--out").unwrap_or_else(|| default_out.to_string()),
-            check: value("--check"),
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" => parsed.quick = true,
+                "--out" | "--check" => {
+                    let value = args
+                        .next()
+                        .filter(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("{arg} needs a value"))?;
+                    if arg == "--out" {
+                        parsed.out = value;
+                    } else {
+                        parsed.check = Some(value);
+                    }
+                }
+                _ => return Err(format!("unknown argument {arg:?}")),
+            }
         }
+        Ok(parsed)
     }
 }
 
@@ -344,5 +372,27 @@ mod tests {
         assert_eq!(missing, "base.txt holds no ratio line 3 (ring ratio)");
         assert!(b.gate(0, 0.5, Bound::Max, "line zero").is_err());
         assert!(Baseline::parse("bad.txt", "0.5\nfast\n").is_err());
+
+        // The command line that selects the gates: a misspelt or valueless
+        // gate flag is an error, never a silently skipped gate.
+        let parse = |args: &[&str]| {
+            Args::from_args(args.iter().map(|a| a.to_string()), "R.json")
+                .map(|a| (a.quick, a.out, a.check))
+        };
+        assert_eq!(parse(&[]), Ok((false, "R.json".into(), None)));
+        assert_eq!(
+            parse(&["--quick", "--check", "base.txt", "--out", "o.json"]),
+            Ok((true, "o.json".into(), Some("base.txt".into())))
+        );
+        assert_eq!(
+            parse(&["--quick", "--chek", "/nonexistent"]),
+            Err("unknown argument \"--chek\"".into())
+        );
+        assert_eq!(parse(&["--check"]), Err("--check needs a value".into()));
+        assert_eq!(
+            parse(&["--out", "--quick"]),
+            Err("--out needs a value".into())
+        );
+        assert!(parse(&["base.txt"]).is_err());
     }
 }

@@ -3,16 +3,16 @@
 //! reduction over a metered interconnect.
 //!
 //! The distributed-ptychography shape (PAPERS.md): [`crate::gpu::reconstruct`]
-//! bands the scan's detector rows across N nodes; each node runs its band
-//! on its device fleet ([`crate::multi`]; the privatized deterministic
-//! commit *is* the intra-node reduction), and this module reduces the
-//! per-node partial images to the head node over the fabric. Because bands are
-//! disjoint, the inter-node "all-reduce" degenerates to an aggregation of
-//! disjoint row segments — every cell of the final image is written by
-//! exactly one node — so the result is bit-identical to the single-node
-//! engine at every node count and under every reduction order. What the
-//! topology and overlap settings change is *time*, which the
-//! [`Interconnect`] meters exactly like PCIe inside a chassis:
+//! bands the scan's detector rows across N nodes; each node bands its
+//! share over its device fleet with the same failover loop (the
+//! privatized deterministic commit *is* the intra-node reduction), and
+//! this module reduces the per-node partial images to the head node over
+//! the fabric. Because bands are disjoint, the inter-node "all-reduce"
+//! degenerates to an aggregation of disjoint row segments — every cell of
+//! the final image is written by exactly one node — so the result is
+//! bit-identical to the single-node engine at every node count and under
+//! every reduction order. What the topology and overlap settings change is
+//! *time*, which the [`Interconnect`] meters exactly like PCIe inside a chassis:
 //!
 //! * [`ReductionTopology::Tree`] routes node `i`'s segments along the
 //!   binomial path `i → i - lowbit(i) → … → 0` — `popcount(i)` hops, the
@@ -45,7 +45,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::ops::Range;
 
 use cuda_sim::{FaultStats, Interconnect};
 
@@ -364,12 +363,6 @@ pub fn route_hops(topology: ReductionTopology, node: usize) -> usize {
 /// planner so predicted and executed traffic agree.
 pub fn reduction_segment_bytes(rows: usize, n_cols: usize, n_bins: usize) -> u64 {
     (rows * n_cols * n_bins * 8) as u64 + SEGMENT_HEADER_BYTES
-}
-
-/// Split rows across nodes exactly as the executor will: re-exported for
-/// the planner and benches.
-pub fn node_bands(n_rows: usize, nodes: usize) -> Vec<Range<usize>> {
-    crate::multi::row_bands(n_rows, nodes)
 }
 
 #[cfg(test)]

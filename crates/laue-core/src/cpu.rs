@@ -14,6 +14,7 @@ use laue_geometry::DepthMapper;
 use crate::config::{CompactionMode, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
+use crate::gpu::row_bands;
 use crate::input::ScanView;
 use crate::output::DepthImage;
 use crate::pair::{
@@ -286,17 +287,7 @@ pub fn reconstruct_threaded(
         return Err(CoreError::InvalidConfig("n_threads must be ≥ 1".into()));
     }
     let mapper = geom.mapper()?;
-    let n_threads = n_threads.min(view.n_rows);
-    // Split rows as evenly as possible.
-    let base = view.n_rows / n_threads;
-    let extra = view.n_rows % n_threads;
-    let mut ranges = Vec::with_capacity(n_threads);
-    let mut start = 0;
-    for t in 0..n_threads {
-        let len = base + usize::from(t < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
+    let ranges = row_bands(view.n_rows, n_threads);
     let cull = cfg
         .compaction
         .enabled()

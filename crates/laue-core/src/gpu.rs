@@ -31,8 +31,9 @@
 //!   kernel → copy-out loop.
 //! * **One driver** ([`reconstruct`]): every run — one device, one chassis
 //!   of several, or a cluster of chassis — is a [`Topology`] driven with
-//!   one [`RunOptions`] value, checkpointing slab by slab into a
-//!   [`SlabProgress`] and returning one [`Reconstruction`].
+//!   one [`RunOptions`] value, banded and failed over by one loop at each
+//!   level (nodes, then each node's devices), checkpointing slab by slab
+//!   into a [`SlabProgress`] and returning one [`Reconstruction`].
 //! * **Depth-table caching** ([`crate::cache`]): in
 //!   [`Triangulation::HostTables`] mode the per-(step, pixel) tables are
 //!   pure functions of the geometry; a [`DepthTableCache`] keeps them on
@@ -61,7 +62,6 @@ use crate::geometry::ScanGeometry;
 use crate::input::SlabSource;
 use crate::integrity::{self, IntegrityReport};
 use crate::journal::{RunJournal, SlabProgress};
-use crate::multi::{partition_ranges, reconstruct_multi_scoped};
 use crate::output::DepthImage;
 use crate::pair::{plan_pair, PairPlan, PRESCAN_BYTES_PER_READ, PRESCAN_FLOPS_PER_PAIR};
 use crate::planning::ShadowCull;
@@ -1687,23 +1687,6 @@ pub(crate) fn validate_inputs(
     Ok(())
 }
 
-/// Everything the ring learned while processing one row band (the pair
-/// counters travel with each committed slab, through the sink).
-pub(crate) struct RingOutcome {
-    pub(crate) rows_per_slab: usize,
-    pub(crate) host_table_flops: u64,
-    /// Ring depth actually used (memory pressure may shrink it).
-    pub(crate) depth_used: usize,
-    pub(crate) cache_stats: TableCacheStats,
-    /// Achieved active-pair density per slab (empty when compaction off).
-    pub(crate) slab_densities: Vec<f64>,
-    /// Per slab, whether its main launch ran privatized (empty when the
-    /// run never asked for privatization).
-    pub(crate) slab_privatized: Vec<bool>,
-    /// What the integrity layer saw and did for this band.
-    pub(crate) integrity: IntegrityReport,
-}
-
 /// Resolve where the kernel's depth tables come from. With a cache
 /// attached in [`Triangulation::HostTables`] mode this is where warm runs
 /// win: the host table is fetched (or computed once) from the cache, and —
@@ -1773,7 +1756,8 @@ fn resolve_table_source(
 }
 
 /// The k-deep ring: process the detector rows `band` on `device`, merging
-/// results into `image`.
+/// results into `image` and adding its counters into `tally` (the pair
+/// counters travel with each committed slab, through the sink).
 ///
 /// Three streams — upload, compute, download — carry up to `depth.0` slab
 /// slots in flight. Each slab is chained by `wait_until` edges:
@@ -1797,9 +1781,9 @@ pub(crate) fn run_ring(
     run: &RunOptions<'_>,
     band: Range<usize>,
     image: &mut DepthImage,
-    recovery: &mut RecoveryLog,
+    tally: &mut BandTally,
     mut sink: SlabSink<'_>,
-) -> Result<RingOutcome> {
+) -> Result<()> {
     let RunOptions {
         gpu: opts,
         depth,
@@ -1815,7 +1799,8 @@ pub(crate) fn run_ring(
     let upload_stream = device.create_stream();
     let compute_stream = device.create_stream();
     let download_stream = device.create_stream();
-    let mut integrity = IntegrityReport::default();
+    let recovery = &mut tally.recovery;
+    let integrity = &mut tally.integrity;
 
     // Wire centres, shipped once (interleaved x, y, z).
     let mut wire_flat = Vec::with_capacity(geom.wire.n_steps * 3);
@@ -1830,10 +1815,9 @@ pub(crate) fn run_ring(
         &mut [Part::Up(&wires, &wire_flat)],
         cfg.integrity.enabled(),
         recovery,
-        &mut integrity,
+        integrity,
     )?;
 
-    let mut cache_stats = TableCacheStats::default();
     let (table_source, mut host_table_flops) = resolve_table_source(
         device,
         upload_stream,
@@ -1843,8 +1827,8 @@ pub(crate) fn run_ring(
         opts,
         cache,
         recovery,
-        &mut integrity,
-        &mut cache_stats,
+        integrity,
+        &mut tally.table_cache,
     )?;
     // A resident table is not part of the per-slab working set: size slabs
     // as if triangulating in kernel (the budget below already excludes the
@@ -1916,8 +1900,6 @@ pub(crate) fn run_ring(
     // The ring proper: executed slabs (upload + kernel-end edge + stats +
     // watchdog verdict), oldest first.
     let mut ring: VecDeque<SlabExec> = VecDeque::with_capacity(slots);
-    let mut slab_densities = Vec::new();
-    let mut slab_privatized = Vec::new();
     // What one slab attempt reports back: (host table FLOPs, realised
     // density, privatized?). The accumulation strategy itself is resolved
     // per slab by `upload_slab` (cost-model-driven under auto, forced
@@ -1944,7 +1926,7 @@ pub(crate) fn run_ring(
                     &wires,
                     cull.as_ref(),
                     recovery,
-                    &mut integrity,
+                    integrity,
                     &mut sink,
                 )?;
                 device.wait_until(upload_stream, freed_at);
@@ -1958,7 +1940,7 @@ pub(crate) fn run_ring(
                 row0,
                 rows,
                 recovery,
-                &mut integrity,
+                integrity,
             )?;
             let flops = exec.upload.host_flops;
             let density = exec.upload.sparsity.as_ref().map(|sp| sp.density);
@@ -1975,8 +1957,8 @@ pub(crate) fn run_ring(
         match attempt {
             Ok((flops, density, privatized)) => {
                 host_table_flops += flops;
-                slab_densities.extend(density);
-                slab_privatized.extend(privatized);
+                tally.slab_densities.extend(density);
+                tally.slab_privatized.extend(privatized);
                 row0 += rows;
             }
             Err(e @ CoreError::Device(cuda_sim::SimError::OutOfMemory { .. })) => {
@@ -1998,7 +1980,7 @@ pub(crate) fn run_ring(
                         &wires,
                         cull.as_ref(),
                         recovery,
-                        &mut integrity,
+                        integrity,
                         &mut sink,
                     )?;
                 }
@@ -2028,27 +2010,23 @@ pub(crate) fn run_ring(
             &wires,
             cull.as_ref(),
             recovery,
-            &mut integrity,
+            integrity,
             &mut sink,
         )?;
     }
 
     if let Some(cache) = cache {
-        cache_stats.resident_bytes = cache.resident_bytes(device.id());
+        let resident = &mut tally.table_cache.resident_bytes;
+        *resident = (*resident).max(cache.resident_bytes(device.id()));
     }
     // Charge the band's triangulation FLOPs to the host-CPU resource: the
     // work becomes visible (and contended, when several devices share a
     // host) on the host timeline without stalling any device stream.
     device.charge_host_flops(host_table_flops);
-    Ok(RingOutcome {
-        rows_per_slab,
-        host_table_flops,
-        depth_used: slots,
-        cache_stats,
-        slab_densities,
-        slab_privatized,
-        integrity,
-    })
+    tally.host_table_flops += host_table_flops;
+    tally.rows_per_slab = tally.rows_per_slab.max(rows_per_slab);
+    tally.depth_used = tally.depth_used.max(Some(slots));
+    Ok(())
 }
 
 /// What [`run_bands`] accumulated over every band it ran: the recovery and
@@ -2135,7 +2113,7 @@ pub(crate) fn run_bands(
                 Ok(())
             }
         };
-        let outcome = run_ring(
+        run_ring(
             device,
             source,
             geom,
@@ -2144,16 +2122,9 @@ pub(crate) fn run_bands(
             run,
             band.clone(),
             image,
-            &mut tally.recovery,
+            tally,
             &mut sink,
         )?;
-        tally.rows_per_slab = tally.rows_per_slab.max(outcome.rows_per_slab);
-        tally.depth_used = tally.depth_used.max(Some(outcome.depth_used));
-        tally.host_table_flops += outcome.host_table_flops;
-        tally.table_cache.merge(&outcome.cache_stats);
-        tally.slab_densities.extend(outcome.slab_densities);
-        tally.slab_privatized.extend(outcome.slab_privatized);
-        tally.integrity.merge(&outcome.integrity);
     }
     Ok(())
 }
@@ -2278,9 +2249,8 @@ pub struct Reconstruction {
     pub slab_privatized: Vec<bool>,
     /// What the integrity layer detected and repaired, over all devices.
     pub integrity: IntegrityReport,
-    /// Per-device meters, node-major over participating nodes.
-    pub per_device: Vec<Meters>,
-    /// Transfer/compute meters summed over `per_device`.
+    /// Transfer/compute meters summed over the devices of every node
+    /// that ran (each device's own are [`Device::meters`]).
     pub meters: Meters,
     /// Peak modeled device memory, bytes: the max over those devices.
     pub peak_device_mem: u64,
@@ -2288,20 +2258,114 @@ pub struct Reconstruction {
     pub options: ClusterOptions,
 }
 
+/// Split `n_rows` into `n` contiguous bands, remainder spread to the
+/// front: the one banding rule of nodes, devices, CPU threads and the
+/// planner's cluster estimate.
+pub(crate) fn row_bands(n_rows: usize, n: usize) -> Vec<Range<usize>> {
+    let n = n.min(n_rows).max(1);
+    let base = n_rows / n;
+    let extra = n_rows % n;
+    let mut bands = Vec::with_capacity(n);
+    let mut start = 0;
+    for i in 0..n {
+        let len = base + usize::from(i < extra);
+        bands.push(start..start + len);
+        start += len;
+    }
+    bands
+}
+
+/// Split a set of disjoint, row-ordered uncovered ranges over `n` workers.
+/// Quotas come from [`row_bands`] over the total pending row count; the
+/// ranges are then walked in row order, slicing at quota boundaries. For a
+/// single full-detector range this reproduces `row_bands` exactly, so a
+/// fresh failure-free run is scheduled identically to static banding.
+fn partition_ranges(ranges: &[Range<usize>], n: usize) -> Vec<Vec<Range<usize>>> {
+    let total: usize = ranges.iter().map(|r| r.len()).sum();
+    let quotas: Vec<usize> = row_bands(total, n).into_iter().map(|b| b.len()).collect();
+    let mut out: Vec<Vec<Range<usize>>> = vec![Vec::new(); quotas.len()];
+    let mut rest = ranges.iter().cloned();
+    let mut cur = rest.next();
+    for (k, quota) in quotas.into_iter().enumerate() {
+        let mut quota = quota;
+        while quota > 0 {
+            let Some(r) = cur.take() else { break };
+            let take = quota.min(r.len());
+            out[k].push(r.start..r.start + take);
+            if take < r.len() {
+                cur = Some(r.start + take..r.end);
+            } else {
+                cur = rest.next();
+            }
+            quota -= take;
+        }
+    }
+    out
+}
+
+/// The failover loop every level of a topology runs — nodes of a cluster,
+/// devices of a node. Work proceeds in rounds: the rows of `scope`
+/// (disjoint, row-ordered ranges) still uncovered by `progress` re-band
+/// over the workers still `alive` ([`partition_ranges`]; a fresh
+/// failure-free run reproduces the static banding), and `work(worker,
+/// ranges, progress)` runs each share, committing into `progress`. A
+/// worker that fails with a GPU-class error ([`CoreError::is_gpu_failure`])
+/// is marked dead and the round continues; its unfinished rows are still
+/// uncovered next round and flow to the survivors. Only when *zero*
+/// workers remain does the last error surface — the cue for failover one
+/// level up or CPU salvage, with everything committed kept in `progress`.
+///
+/// Returns how many workers died.
+fn failover_rounds(
+    mut alive: Vec<bool>,
+    scope: &[Range<usize>],
+    progress: &mut SlabProgress,
+    mut work: impl FnMut(usize, &[Range<usize>], &mut SlabProgress) -> Result<()>,
+) -> Result<u32> {
+    let mut lost = 0u32;
+    let mut last_gpu_err: Option<CoreError> = None;
+    loop {
+        let pending: Vec<Range<usize>> = scope
+            .iter()
+            .flat_map(|band| progress.uncovered(band.clone()))
+            .collect();
+        if pending.is_empty() {
+            return Ok(lost);
+        }
+        let alive_idx: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
+        if alive_idx.is_empty() {
+            return Err(last_gpu_err.unwrap_or(CoreError::Device(cuda_sim::SimError::DeviceLost)));
+        }
+        let shares = partition_ranges(&pending, alive_idx.len());
+        for (&worker, ranges) in alive_idx.iter().zip(&shares) {
+            match work(worker, ranges, progress) {
+                Ok(()) => {}
+                Err(e) if e.is_gpu_failure() => {
+                    alive[worker] = false;
+                    lost += 1;
+                    last_gpu_err = Some(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
 /// The GPU driver: reconstruct on a `nodes × devices` topology, starting
 /// from `progress` (fresh, or replayed from a [`RunJournal`]) and
 /// committing slab by slab into it — and into `journal`, when given —
 /// before the ring moves on.
 ///
-/// Work proceeds in rounds: the uncovered rows re-band over the nodes
-/// still alive (`multi::partition_ranges` at node granularity; a fresh
-/// failure-free run reproduces the static banding), each node runs its
-/// share on its device fleet (`multi::reconstruct_multi_scoped`, with
-/// device-level failover inside the node), and slab commits release
-/// reduction segments toward the head node ([`crate::cluster`]). A node is
-/// lost when its last device dies; zero surviving nodes surfaces the
-/// device error for CPU salvage, with every committed slab kept in
-/// `progress`.
+/// Every device of the topology starts the call on a fresh timeline (its
+/// meters, streams and shared-bus commitments reset once, here), so a
+/// topology reused across calls reports what this call did. The rows run
+/// through one failover loop at each level: the uncovered rows band over
+/// the nodes still alive, each node bands its share over its devices
+/// still alive, and each device runs the k-deep ring over its rows. Slab
+/// commits release reduction segments toward the head node
+/// ([`crate::cluster`]). A node is lost when its last device dies; zero
+/// surviving nodes surfaces the device error for CPU salvage, with every
+/// committed slab kept in `progress`.
 ///
 /// With a row quantum ([`RunOptions::max_rows`]) the run commits at most
 /// that many fresh rows and returns at a slab boundary; calling again
@@ -2344,7 +2408,9 @@ pub fn reconstruct(
     let mapper = geom.mapper()?;
     let n_rows = source.n_rows();
     let dims = (source.n_cols(), cfg.n_depth_bins);
-    let n = nodes.len();
+    for device in nodes.iter().flatten() {
+        device.reset_meters();
+    }
 
     // The rows this call may commit: the first `max_rows` uncovered ones.
     let mut quota = run.max_rows.unwrap_or(usize::MAX);
@@ -2360,13 +2426,8 @@ pub fn reconstruct(
         })
         .collect();
 
-    let mut alive: Vec<bool> = nodes
-        .iter()
-        .map(|ds| ds.iter().any(|d| !d.is_lost()))
-        .collect();
-    let mut participated = vec![false; n];
-    let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); n];
-    let mut outcomes: Vec<NodeOutcome> = (0..n)
+    let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); nodes.len()];
+    let mut outcomes: Vec<NodeOutcome> = (0..nodes.len())
         .map(|i| NodeOutcome {
             node: i,
             ..NodeOutcome::default()
@@ -2374,36 +2435,22 @@ pub fn reconstruct(
         .collect();
     // Everything but integrity, which is attributed per node below.
     let mut bands = BandTally::default();
-    let mut nodes_lost = 0u32;
-    let mut last_gpu_err: Option<CoreError> = None;
-
-    loop {
-        let pending: Vec<Range<usize>> = scope
-            .iter()
-            .flat_map(|band| progress.uncovered(band.clone()))
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        let alive_idx: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
-        if alive_idx.is_empty() {
-            return Err(last_gpu_err.unwrap_or(CoreError::Device(cuda_sim::SimError::DeviceLost)));
-        }
-        let assignments = partition_ranges(&pending, alive_idx.len());
-        for (k, ranges) in assignments.iter().enumerate() {
-            if ranges.is_empty() {
-                continue;
-            }
-            let ni = alive_idx[k];
-            let fresh = !participated[ni];
-            participated[ni] = true;
-            let before = progress.committed_rows();
-            let node_segments = &mut segments[ni];
-            let mut on_commit = |row0: usize, rows: usize, at_s: f64| {
-                node_segments.push(Segment::new(row0, rows, dims, at_s));
-            };
-            let attempt = reconstruct_multi_scoped(
-                &nodes[ni],
+    let alive = nodes
+        .iter()
+        .map(|ds| ds.iter().any(|d| !d.is_lost()))
+        .collect();
+    let nodes_lost = failover_rounds(alive, &scope, progress, |ni, share, progress| {
+        let devices = &nodes[ni];
+        let before = progress.committed_rows();
+        let node_segments = &mut segments[ni];
+        let mut on_commit = |row0: usize, rows: usize, at_s: f64| {
+            node_segments.push(Segment::new(row0, rows, dims, at_s));
+        };
+        let mut tally = BandTally::default();
+        let alive = devices.iter().map(|d| !d.is_lost()).collect();
+        let attempt = failover_rounds(alive, share, progress, |di, ranges, progress| {
+            run_bands(
+                devices[di],
                 source,
                 geom,
                 &mapper,
@@ -2413,60 +2460,48 @@ pub fn reconstruct(
                 progress,
                 journal.as_deref_mut(),
                 &mut on_commit,
-                fresh,
-            );
-            let out = &mut outcomes[ni];
-            out.rows += progress.committed_rows() - before;
-            match attempt {
-                Ok(mut fleet) => {
-                    out.elapsed_s = fleet.elapsed_s;
-                    out.devices_lost += fleet.devices_lost;
-                    out.integrity
-                        .merge(&std::mem::take(&mut fleet.bands.integrity));
-                    bands.merge(fleet.bands);
-                }
-                Err(e) if e.is_gpu_failure() => {
-                    // The node's last device is gone. The chassis (NIC,
-                    // journal reach) survives; its committed segments stay
-                    // scheduled, its uncovered rows re-band next round.
-                    alive[ni] = false;
-                    out.lost = true;
-                    out.devices_lost = nodes[ni].iter().filter(|d| d.is_lost()).count() as u32;
-                    out.elapsed_s = nodes[ni]
-                        .iter()
-                        .map(|d| d.elapsed_s())
-                        .fold(out.elapsed_s, f64::max);
-                    nodes_lost += 1;
-                    last_gpu_err = Some(e);
-                }
-                Err(e) => return Err(e),
+                &mut tally,
+            )
+        });
+        let out = &mut outcomes[ni];
+        out.devices = devices.len();
+        out.rows += progress.committed_rows() - before;
+        out.elapsed_s = devices.iter().map(|d| d.synchronize()).fold(0.0, f64::max);
+        out.integrity.merge(&std::mem::take(&mut tally.integrity));
+        bands.merge(tally);
+        match &attempt {
+            Ok(devices_lost) => out.devices_lost += devices_lost,
+            Err(e) if e.is_gpu_failure() => {
+                // The node's last device is gone. The chassis (NIC,
+                // journal reach) survives; its committed segments stay
+                // scheduled, its uncovered rows re-band next round.
+                out.lost = true;
+                out.devices_lost = devices.iter().filter(|d| d.is_lost()).count() as u32;
             }
+            Err(_) => {}
         }
-    }
+        attempt.map(|_| ())
+    })?;
 
-    // Compute-side accounting over participating nodes. Host table time,
+    // Compute-side accounting over the nodes that ran. Host table time,
     // meters and memory peaks are cumulative on the device, so they are
     // read once here rather than summed per round.
-    let mut per_device = Vec::new();
     let mut meters = Meters::default();
     let mut peak_device_mem = 0u64;
     let mut host_table_time_s = 0.0;
     let mut compute_s: f64 = 0.0;
     let mut devices_lost = 0u32;
     let mut integrity = IntegrityReport::default();
-    for (ni, out) in outcomes.iter_mut().enumerate() {
-        if participated[ni] {
-            for d in &nodes[ni] {
+    for (devices, out) in nodes.iter().zip(outcomes.iter_mut()) {
+        if out.devices > 0 {
+            for d in devices {
                 host_table_time_s += d.host_flops_time_s();
-                let m = d.meters();
-                meters.merge(&m);
-                per_device.push(m);
+                meters.merge(&d.meters());
                 peak_device_mem = peak_device_mem.max(d.mem_peak());
             }
-            out.devices = nodes[ni].len();
-            out.bus_wait_s = nodes[ni].iter().map(|d| d.meters().bus_wait_s).sum();
+            out.bus_wait_s = devices.iter().map(|d| d.meters().bus_wait_s).sum();
         }
-        out.faults = FaultStats::merge_all(nodes[ni].iter().filter_map(|d| d.fault_stats()));
+        out.faults = FaultStats::merge_all(devices.iter().filter_map(|d| d.fault_stats()));
         compute_s = compute_s.max(out.elapsed_s);
         devices_lost += out.devices_lost;
         integrity.merge(&out.integrity);
@@ -2510,7 +2545,6 @@ pub fn reconstruct(
         slab_densities: bands.slab_densities,
         slab_privatized: bands.slab_privatized,
         integrity,
-        per_device,
         meters,
         peak_device_mem,
         options: run.cluster,
@@ -3718,5 +3752,357 @@ mod tests {
         neutral.compacted_pairs = 0;
         neutral.privatized_pairs = 0;
         assert_eq!(neutral, atomic.stats);
+    }
+}
+
+/// The fleet half of the driver: one chassis of several devices, banded
+/// and failed over by [`failover_rounds`].
+#[cfg(test)]
+mod fleet_tests {
+    use super::*;
+    use crate::input::InMemorySlabSource;
+    use cuda_sim::{DeviceProps, Host};
+
+    fn demo() -> (ScanGeometry, ReconstructionConfig, Vec<f64>) {
+        demo_rows(8)
+    }
+
+    /// The demo scan cut to its first `m` detector rows.
+    fn demo_rows(m: usize) -> (ScanGeometry, ReconstructionConfig, Vec<f64>) {
+        let geom = ScanGeometry::demo(m, 6, 10, -60.0, 6.0).unwrap();
+        let cfg = ReconstructionConfig::new(-1500.0, 1500.0, 60);
+        let (p, n) = (10, 6);
+        let data: Vec<f64> = (0..p * m * n)
+            .map(|i| {
+                let z = i / (m * n);
+                let px = i % (m * n);
+                800.0 - 23.0 * z as f64 - (px % 5) as f64 * 13.0
+            })
+            .collect();
+        (geom, cfg, data)
+    }
+
+    /// `n` tiny devices, each on its own host (a PCIe link per device).
+    fn tiny_fleet(n: usize) -> Vec<Device> {
+        (0..n)
+            .map(|_| Device::new(DeviceProps::tiny(16 * 1024 * 1024)))
+            .collect()
+    }
+
+    /// `n` tiny devices on one chassis: every transfer crosses one bus.
+    fn tiny_chassis(n: usize) -> Vec<Device> {
+        let host = Host::new_default();
+        (0..n)
+            .map(|_| Device::new_on_host(DeviceProps::tiny(16 * 1024 * 1024), &host))
+            .collect()
+    }
+
+    /// A fresh run of `run` on one node of `devices`.
+    fn fleet_run_with(
+        devices: &[Device],
+        data: &[f64],
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+        run: &RunOptions<'_>,
+    ) -> Result<Reconstruction> {
+        let topology = Topology::node(devices.iter().collect());
+        let (rows, cols) = (geom.detector.n_rows, geom.detector.n_cols);
+        let mut source = InMemorySlabSource::new(data.to_vec(), 10, rows, cols).unwrap();
+        reconstruct_fresh(&topology, &mut source, geom, cfg, run)
+    }
+
+    /// A fresh serial (`k = 1`) run on one node of `devices`.
+    fn fleet_run(
+        devices: &[Device],
+        data: &[f64],
+        geom: &ScanGeometry,
+        cfg: &ReconstructionConfig,
+    ) -> Result<Reconstruction> {
+        let serial = RunOptions::serial(GpuOptions::default());
+        fleet_run_with(devices, data, geom, cfg, &serial)
+    }
+
+    #[test]
+    fn row_bands_cover_exactly() {
+        for (rows, n) in [(8usize, 2usize), (7, 3), (5, 8), (1, 1), (10, 4)] {
+            let bands = row_bands(rows, n);
+            assert_eq!(bands[0].start, 0);
+            assert_eq!(bands.last().unwrap().end, rows);
+            for w in bands.windows(2) {
+                assert_eq!(w[0].end, w[1].start, "contiguous");
+                assert!(!w[0].is_empty());
+            }
+            // Balanced within one row.
+            let lens: Vec<usize> = bands.iter().map(|b| b.len()).collect();
+            assert!(lens.iter().max().unwrap() - lens.iter().min().unwrap() <= 1);
+        }
+    }
+
+    #[test]
+    fn multi_gpu_matches_single_gpu_bitwise() {
+        let (geom, cfg, data) = demo();
+        let ref_out = fleet_run(&tiny_fleet(1), &data, &geom, &cfg).unwrap();
+
+        for n_dev in [2usize, 3, 4] {
+            let fleet = tiny_fleet(n_dev);
+            let out = fleet_run(&fleet, &data, &geom, &cfg).unwrap();
+            assert_eq!(out.image.data, ref_out.image.data, "{n_dev} devices");
+            assert_eq!(out.stats, ref_out.stats);
+            assert!(fleet.iter().all(|d| d.meters().launches > 0));
+            assert_eq!(out.nodes[0].rows, 8);
+        }
+    }
+
+    #[test]
+    fn multi_gpu_shortens_the_makespan() {
+        let (geom, cfg, data) = demo();
+        let one = fleet_run(&tiny_fleet(1), &data, &geom, &cfg).unwrap();
+        let four = fleet_run(&tiny_fleet(4), &data, &geom, &cfg).unwrap();
+        assert!(
+            four.elapsed_s < one.elapsed_s,
+            "4 devices must beat 1 in virtual time: {} vs {}",
+            four.elapsed_s,
+            one.elapsed_s
+        );
+    }
+
+    #[test]
+    fn shared_host_fleet_contends_for_the_bus() {
+        let (geom, cfg, data) = demo();
+        let run = |devices: &[Device]| fleet_run(devices, &data, &geom, &cfg).unwrap();
+        // A link per device: transfers never queue.
+        let private_fleet = tiny_fleet(4);
+        let private = run(&private_fleet);
+        assert!(private_fleet.iter().all(|d| d.meters().bus_wait_s == 0.0));
+        // One chassis, one bus: the same transfers now share the link.
+        let shared_fleet = tiny_chassis(4);
+        let shared = run(&shared_fleet);
+        assert_eq!(
+            shared.image.data, private.image.data,
+            "contention moves time, never data"
+        );
+        assert_eq!(shared.stats, private.stats);
+        let stalled: f64 = shared_fleet.iter().map(|d| d.meters().bus_wait_s).sum();
+        assert!(stalled > 0.0, "devices must queue on the shared bus");
+        assert_eq!(shared.meters.bus_wait_s, stalled, "run meters sum devices");
+        assert!(
+            shared.elapsed_s > private.elapsed_s,
+            "the shared bus must stretch the makespan ({} vs {})",
+            shared.elapsed_s,
+            private.elapsed_s
+        );
+        // The bus never idles work away: the makespan still beats one
+        // device doing everything alone over the same link.
+        let solo = run(&tiny_fleet(1));
+        assert!(
+            shared.elapsed_s < solo.elapsed_s,
+            "compute still parallelizes ({} vs {})",
+            shared.elapsed_s,
+            solo.elapsed_s
+        );
+    }
+
+    #[test]
+    fn faulty_device_in_the_fleet_recovers_bitwise() {
+        let (geom, cfg, data) = demo();
+        let ref_out = fleet_run(&tiny_fleet(2), &data, &geom, &cfg).unwrap();
+        assert_eq!(ref_out.recovery, RecoveryLog::default());
+
+        // Second device drops an allocation and flakes one transfer.
+        let faulty = tiny_fleet(2);
+        faulty[1].set_fault_plan(
+            cuda_sim::FaultPlan::new(5)
+                .fail_nth_alloc(3)
+                .fail_nth_h2d(2),
+        );
+        let out = fleet_run(&faulty, &data, &geom, &cfg).unwrap();
+        assert!(out.recovery.replans >= 1);
+        assert!(out.recovery.transfer_retries >= 1);
+        assert_eq!(
+            out.image.data, ref_out.image.data,
+            "recovery is invisible in the output"
+        );
+        assert_eq!(out.stats, ref_out.stats);
+    }
+
+    #[test]
+    fn pipelined_fleet_with_shared_cache_matches_bitwise() {
+        let (geom, cfg, data) = demo();
+        let opts = GpuOptions {
+            triangulation: Triangulation::HostTables,
+            ..GpuOptions::default()
+        };
+        let serial = RunOptions::serial(opts);
+        let ref_out = fleet_run_with(&tiny_fleet(1), &data, &geom, &cfg, &serial).unwrap();
+
+        let devices = tiny_fleet(3);
+        let cache = DepthTableCache::new(8 * 1024 * 1024);
+        let run = RunOptions {
+            gpu: opts,
+            depth: PipelineDepth(2),
+            cache: Some(&cache),
+            ..RunOptions::default()
+        };
+        let cold = fleet_run_with(&devices, &data, &geom, &cfg, &run).unwrap();
+        assert_eq!(cold.image.data, ref_out.image.data);
+        assert_eq!(cold.stats, ref_out.stats);
+        // One host miss for the fleet; the other devices hit the host cache.
+        let tables = &cold.table_cache;
+        assert_eq!(tables.host_misses, 1);
+        assert_eq!(tables.host_hits, 2);
+        assert_eq!(tables.device_misses, 3, "one upload per device");
+        assert_eq!(cold.pipeline_depth, 2, "the requested ring ran");
+
+        let warm = fleet_run_with(&devices, &data, &geom, &cfg, &run).unwrap();
+        assert_eq!(warm.image.data, ref_out.image.data);
+        assert_eq!(warm.table_cache.device_hits, 3, "all tables resident");
+        assert!(warm.elapsed_s < cold.elapsed_s);
+    }
+
+    #[test]
+    fn partition_ranges_reproduces_static_banding_on_fresh_runs() {
+        for (rows, n) in [(8usize, 2usize), (7, 3), (5, 8), (10, 4)] {
+            let full = 0..rows;
+            let from_full = partition_ranges(std::slice::from_ref(&full), n);
+            let bands = row_bands(rows, n);
+            assert_eq!(from_full.len(), bands.len());
+            for (group, band) in from_full.iter().zip(&bands) {
+                assert_eq!(group.as_slice(), std::slice::from_ref(band));
+            }
+        }
+        // Holes are walked in row order and sliced at quota boundaries.
+        let groups = partition_ranges(&[1..3, 5..9], 2);
+        assert_eq!(groups, vec![vec![1..3, 5..6], vec![6..9]]);
+        let one = 0..1;
+        let groups = partition_ranges(std::slice::from_ref(&one), 4);
+        assert_eq!(groups, vec![vec![0..1]], "fewer rows than workers");
+    }
+
+    #[test]
+    fn fleet_survives_losing_each_device_in_turn() {
+        let (geom, mut cfg, data) = demo();
+        cfg.rows_per_slab = Some(1); // every band is several slabs
+        let ref_out = fleet_run(&tiny_fleet(4), &data, &geom, &cfg).unwrap();
+        assert_eq!(ref_out.devices_lost, 0);
+
+        for victim in 0..4usize {
+            let fleet = tiny_fleet(4);
+            // Die after the first committed slab of the victim's band.
+            fleet[victim].set_fault_plan(cuda_sim::FaultPlan::new(0).fail_after_launches(1));
+            let out = fleet_run(&fleet, &data, &geom, &cfg).unwrap();
+            assert_eq!(out.devices_lost, 1, "victim {victim}");
+            assert_eq!(
+                out.image.data, ref_out.image.data,
+                "survivors finish victim {victim}'s rows bit-identically"
+            );
+            assert_eq!(out.stats, ref_out.stats);
+            assert_eq!(out.nodes[0].rows, 8);
+        }
+    }
+
+    #[test]
+    fn zero_surviving_devices_surfaces_the_loss() {
+        let (geom, cfg, data) = demo();
+        let fleet = tiny_fleet(2);
+        for d in &fleet {
+            d.set_fault_plan(cuda_sim::FaultPlan::new(0).fail_after_launches(0));
+        }
+        let err = fleet_run(&fleet, &data, &geom, &cfg).unwrap_err();
+        assert!(err.is_gpu_failure());
+        assert!(err.to_string().contains("device lost"), "{err}");
+    }
+
+    #[test]
+    fn privatized_fleet_matches_atomic_bitwise_even_heterogeneous() {
+        let (geom, cfg, data) = demo();
+        let ref_out = fleet_run(&tiny_fleet(1), &data, &geom, &cfg).unwrap();
+
+        let mut cfg = cfg.clone();
+        cfg.accumulation = AccumulationMode::Auto;
+        // Homogeneous fleet: every slab privatizes.
+        let out = fleet_run(&tiny_fleet(3), &data, &geom, &cfg).unwrap();
+        assert_eq!(out.image.data, ref_out.image.data);
+        assert_eq!(out.slab_privatized.len(), out.n_slabs);
+        assert!(out.slab_privatized.iter().all(|p| *p));
+        assert_eq!(out.stats.privatized_pairs, out.stats.pairs_total);
+
+        // Heterogeneous fleet: one device's shared memory cannot hold a
+        // 60-bin row, so its slabs fall back to atomics — the image must
+        // still be bit-identical and the mix visible per slab.
+        let mut cramped = DeviceProps::tiny(16 * 1024 * 1024);
+        cramped.shared_mem_per_block = 64;
+        let devices = [
+            Device::new(DeviceProps::tiny(16 * 1024 * 1024)),
+            Device::new(cramped),
+        ];
+        let out = fleet_run(&devices, &data, &geom, &cfg).unwrap();
+        assert_eq!(out.image.data, ref_out.image.data);
+        assert_eq!(out.slab_privatized.len(), out.n_slabs);
+        assert!(out.slab_privatized.iter().any(|p| *p));
+        assert!(out.slab_privatized.iter().any(|p| !*p));
+        assert!(out.stats.privatized_pairs > 0);
+        assert!(out.stats.accum_fallback_pairs > 0);
+        assert_eq!(
+            out.stats.privatized_pairs + out.stats.accum_fallback_pairs,
+            out.stats.pairs_total
+        );
+    }
+
+    #[test]
+    fn no_devices_is_an_error() {
+        let (geom, cfg, data) = demo();
+        assert!(matches!(
+            fleet_run(&[], &data, &geom, &cfg),
+            Err(CoreError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn more_devices_than_rows_still_works() {
+        let (geom, cfg, data) = demo();
+        let fleet = tiny_fleet(12);
+        let out = fleet_run(&fleet, &data, &geom, &cfg).unwrap();
+        // Only 8 rows → at most 8 bands get work.
+        let working = fleet.iter().filter(|d| d.meters().launches > 0).count();
+        assert_eq!(working, 8);
+        assert_eq!(out.nodes[0].rows, 8);
+    }
+
+    /// A topology reused across calls reports what this call did: the
+    /// same makespan, transfers, comm time and per-device bus wait as
+    /// fresh devices — also when some of its devices get no rows, and
+    /// when an identical call repeats on one shared bus.
+    #[test]
+    fn reused_topology_reports_like_fresh_devices() {
+        let (geom, cfg, data) = demo();
+        let (small_geom, _, small_data) = demo_rows(2);
+        let bus_waits = |fleet: &[Device]| -> Vec<f64> {
+            fleet.iter().map(|d| d.meters().bus_wait_s).collect()
+        };
+        let same = |a: &Reconstruction, b: &Reconstruction, what: &str| {
+            assert_eq!(a.image.data, b.image.data, "{what}");
+            assert_eq!(a.elapsed_s, b.elapsed_s, "{what}: makespan");
+            assert_eq!(a.meters.transfers, b.meters.transfers, "{what}: transfers");
+            assert_eq!(a.meters.comm_time_s, b.meters.comm_time_s, "{what}: comm");
+            assert_eq!(a.meters.bus_wait_s, b.meters.bus_wait_s, "{what}: bus wait");
+        };
+
+        // A 1×4 chassis runs the 8-row scan, then a 2-row one: two of its
+        // devices sit the second call out.
+        let reused = tiny_chassis(4);
+        fleet_run(&reused, &data, &geom, &cfg).unwrap();
+        let again = fleet_run(&reused, &small_data, &small_geom, &cfg).unwrap();
+        let fresh_fleet = tiny_chassis(4);
+        let fresh = fleet_run(&fresh_fleet, &small_data, &small_geom, &cfg).unwrap();
+        same(&again, &fresh, "1x4 reused for a 2-row scan");
+        assert_eq!(bus_waits(&reused), bus_waits(&fresh_fleet));
+
+        // The same 1×2 call twice on one chassis.
+        let pair = tiny_chassis(2);
+        let first = fleet_run(&pair, &data, &geom, &cfg).unwrap();
+        let first_waits = bus_waits(&pair);
+        let second = fleet_run(&pair, &data, &geom, &cfg).unwrap();
+        same(&second, &first, "repeated 1x2 call");
+        assert_eq!(bus_waits(&pair), first_waits);
     }
 }

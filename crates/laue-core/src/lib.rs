@@ -49,7 +49,6 @@ pub mod gpu;
 pub mod input;
 pub mod integrity;
 pub mod journal;
-pub mod multi;
 pub mod output;
 pub mod pair;
 pub mod planner;

@@ -42,14 +42,12 @@
 use cuda_sim::{ChainEstimator, Cost, DeviceProps, HostProps, InterconnectProps};
 use laue_geometry::DepthMapper;
 
-use crate::cluster::{
-    node_bands, reduction_segment_bytes, route_hops, ClusterOptions, ReductionTopology,
-};
+use crate::cluster::{reduction_segment_bytes, route_hops, ClusterOptions, ReductionTopology};
 use crate::config::{AccumulationMode, CompactionMode, PlanPin, ReconstructionConfig};
 use crate::error::CoreError;
 use crate::geometry::ScanGeometry;
 use crate::gpu::{
-    fit_rows_per_slab, plan_accumulation, AccumPlan, GpuOptions, Layout, PipelineDepth,
+    fit_rows_per_slab, plan_accumulation, row_bands, AccumPlan, GpuOptions, Layout, PipelineDepth,
     Triangulation, BLOCK_SIZE,
 };
 use crate::input::SlabSource;
@@ -918,7 +916,7 @@ fn reduction_estimate(
     if nodes <= 1 {
         return (compute_s, 0.0);
     }
-    let bands = node_bands(n_rows, nodes);
+    let bands = row_bands(n_rows, nodes);
     let msg = |rows: usize| net.message_time(reduction_segment_bytes(rows, n_cols, n_bins));
     let max_hops = (1..bands.len())
         .map(|i| route_hops(topology, i))
@@ -998,7 +996,7 @@ pub fn plan_cluster(
     let mut candidates = Vec::new();
     let mut best: Option<(ClusterOptions, f64, f64, f64)> = None;
     for &k in &counts {
-        let max_band = node_bands(n_rows, k)
+        let max_band = row_bands(n_rows, k)
             .iter()
             .map(|b| b.len())
             .max()
